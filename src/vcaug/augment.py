@@ -9,7 +9,6 @@ applied to each view.  The conversion model is read-only throughout.
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -107,7 +106,6 @@ def emit_dataset(
     policy: SpecAugmentPolicy,
     out_dir,
     seed: int,
-    threads: int = 1,
 ) -> EmitResult:
     """Write paired view files plus a manifest for every utterance found.
 
@@ -135,29 +133,14 @@ def emit_dataset(
             mel = compute_log_mel(read_wav(path), n_mels=model.config.n_mels)
         return make_view_pair(mel, model, pool, policy, _file_seed(seed, rel))
 
-    results: dict[str, ViewPair | Exception] = {}
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool_exec:
-            futures = {rel: pool_exec.submit(process, rel) for rel in sources}
-            for rel, fut in futures.items():
-                try:
-                    results[rel] = fut.result()
-                except Exception as e:  # noqa: BLE001 - recorded per file
-                    results[rel] = e
-    else:
-        for rel in sources:
-            try:
-                results[rel] = process(rel)
-            except Exception as e:  # noqa: BLE001 - recorded per file
-                results[rel] = e
-
     failures: list[tuple[str, str]] = []
     lines: list[str] = []
     n_pairs = 0
     for rel in sources:
-        outcome = results[rel]
-        if isinstance(outcome, Exception):
-            failures.append((rel, str(outcome)))
+        try:
+            outcome = process(rel)
+        except Exception as e:  # noqa: BLE001 - recorded per file
+            failures.append((rel, str(e)))
             continue
         stem = rel.replace("/", "__")
         for suffix in (".melf", ".wav"):

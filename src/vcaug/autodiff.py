@@ -3,7 +3,7 @@
 Everything the conversion model needs is built from the primitives here:
 elementwise arithmetic with broadcasting, matmul, 1-d (transposed and
 depthwise) convolutions, reductions, the usual activations, embedding
-lookup, an LSTM cell, gradient reversal and the straight-through
+lookup, a fused LSTM layer, gradient reversal and the straight-through
 estimator.  Ops executed while a `Tape` is active record a backward rule;
 `Tape.backward` replays the records in reverse to fill in `.grad` arrays.
 
@@ -505,21 +505,77 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     return _record("embedding_lookup", out, bwd)
 
 
-def lstm_cell(x: Tensor, h: Tensor, c: Tensor, wx: Tensor, wh: Tensor, b: Tensor):
-    """One LSTM step.  x: [1, I], h/c: [1, H], wx: [I, 4H], wh: [H, 4H], b: [4H].
+def lstm_layer(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
+    """One LSTM direction over a whole sequence, recorded as a single op.
 
-    Gate order along the last axis is (input, forget, cell, output).
-    Returns (h_next, c_next).
+    x: [T, I], wx: [I, 4H], wh: [H, 4H], b: [4H]; returns h: [T, H] with
+    h[t] the state after consuming x[t].  The recurrence starts from zero
+    h and c and runs t = 0..T-1, or T-1..0 with `reverse`.  Gate order
+    along the last axis is (input, forget, cell, output); i, f, o use
+    sigmoid(z) = 1 / (1 + exp(-z)) and the cell gate uses tanh.
+
+    The input projection x @ wx + b is one [T, I] @ [I, 4H] GEMM before the
+    loop.  Backward saves the activated gates [T, 4H], c [T, H] and tanh(c)
+    [T, H]; backpropagation through time fills the pre-activation gradient
+    dZ [T, 4H] and then takes dwx = xT dZ, dwh = h_prevT dZ, dx = dZ wxT as
+    one GEMM each and db = sum_t dZ in float64.
     """
-    hidden = h.shape[1]
-    gates = add(add(matmul(x, wx), matmul(h, wh)), b)
-    i = sigmoid(narrow(gates, 1, 0, hidden))
-    f = sigmoid(narrow(gates, 1, hidden, hidden))
-    g = tanh(narrow(gates, 1, 2 * hidden, hidden))
-    o = sigmoid(narrow(gates, 1, 3 * hidden, hidden))
-    c_next = add(mul(f, c), mul(i, g))
-    h_next = mul(o, tanh(c_next))
-    return h_next, c_next
+    if (x.ndim != 2 or wx.ndim != 2 or wh.ndim != 2 or b.ndim != 1
+            or wx.shape[0] != x.shape[1] or wx.shape[1] != 4 * wh.shape[0]
+            or wh.shape[1] != wx.shape[1] or b.shape[0] != wx.shape[1]):
+        raise ShapeError("lstm_layer", x.shape, wx.shape, wh.shape, b.shape)
+    t, hidden = x.shape[0], wh.shape[0]
+    h2, h3 = 2 * hidden, 3 * hidden
+    whv = wh.values
+    gates = x.values @ wx.values + b.values
+    cs = np.empty((t, hidden), dtype=gates.dtype)
+    tcs = np.empty_like(cs)
+    hs = np.empty_like(cs)
+    h = np.zeros(hidden, dtype=gates.dtype)
+    c = np.zeros(hidden, dtype=gates.dtype)
+    steps = range(t - 1, -1, -1) if reverse else range(t)
+    for s in steps:
+        a = gates[s]
+        a += h @ whv
+        a[:h2] = 1.0 / (1.0 + np.exp(-a[:h2]))
+        a[h2:h3] = np.tanh(a[h2:h3])
+        a[h3:] = 1.0 / (1.0 + np.exp(-a[h3:]))
+        c = a[hidden:h2] * c + a[:hidden] * a[h2:h3]
+        tc = np.tanh(c)
+        h = a[h3:] * tc
+        cs[s], tcs[s], hs[s] = c, tc, h
+    out = Tensor(hs)
+
+    def bwd(g):
+        zero = np.zeros((1, hidden), dtype=cs.dtype)
+        if reverse:
+            c_prev, h_prev = np.concatenate([cs, zero])[1:], np.concatenate([hs, zero])[1:]
+        else:
+            c_prev, h_prev = np.concatenate([zero, cs])[:-1], np.concatenate([zero, hs])[:-1]
+        i, f, gg, o = (gates[:, k * hidden : (k + 1) * hidden] for k in range(4))
+        # d(pre-activation) per unit of dc for the i, f, g gates, and per
+        # unit of dh for the o gate
+        per_dc = np.stack([gg * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - gg * gg)], axis=1)
+        per_dh = tcs * o * (1.0 - o)
+        dc_dh = o * (1.0 - tcs * tcs)
+        dz = np.empty((t, 4, hidden), dtype=cs.dtype)
+        dz_flat = dz.reshape(t, 4 * hidden)
+        wh_t = whv.T
+        dh_next = np.zeros(hidden, dtype=cs.dtype)
+        dc_next = np.zeros(hidden, dtype=cs.dtype)
+        for s in reversed(steps):
+            dh = g[s] + dh_next
+            dc = dh * dc_dh[s] + dc_next
+            dz[s, :3] = per_dc[s] * dc
+            dz[s, 3] = per_dh[s] * dh
+            dc_next = dc * f[s]
+            dh_next = dz_flat[s] @ wh_t
+        _accum(x, dz_flat @ wx.values.T)
+        _accum(wx, x.values.T @ dz_flat)
+        _accum(wh, h_prev.T @ dz_flat)
+        _accum(b, dz_flat.sum(axis=0, dtype=np.float64))
+
+    return _record("lstm_layer", out, bwd)
 
 
 def layer_norm(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None,

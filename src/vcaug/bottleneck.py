@@ -28,7 +28,7 @@ class QuantizeResult:
 
 
 class Codebook:
-    """Per-group entry tables plus exponentially smoothed usage counts."""
+    """Per-group entry tables."""
 
     def __init__(self, dim: int, n_groups: int = 2, n_entries: int = 128,
                  seed: int = 0, dtype=np.float32):
@@ -43,7 +43,6 @@ class Codebook:
             Tensor(rng.uniform(-1.0, 1.0, size=(n_entries, self.group_dim)).astype(dtype))
             for _ in range(n_groups)
         ]
-        self.usage_ema = np.zeros((n_groups, n_entries))
 
     def init_from_outputs(self, z_e_values: np.ndarray, rng: np.random.Generator) -> None:
         """Reseed entries from rows of a batch of encoder outputs.
@@ -58,9 +57,6 @@ class Codebook:
 
     def parameters(self) -> dict[str, Tensor]:
         return {f"vq.group{g}.codebook": t for g, t in enumerate(self.groups)}
-
-    def smooth_usage(self, counts: np.ndarray, decay: float = 0.99) -> None:
-        self.usage_ema = decay * self.usage_ema + (1.0 - decay) * counts
 
 
 def perplexity(counts) -> float:

@@ -159,9 +159,7 @@ def cmd_augment(args) -> int:
         corpus_dir = Path(args.corpus)
     if corpus_dir is None:
         raise ConfigError("no corpus: set [data] corpus or pass --corpus")
-    result = aug.emit_dataset(
-        corpus_dir, model, pool, cfg.augment_policy(), args.out, seed, threads=args.threads
-    )
+    result = aug.emit_dataset(corpus_dir, model, pool, cfg.augment_policy(), args.out, seed)
     for rel, err in result.failures:
         print(f"augment: failed {rel}: {err}", file=sys.stderr)
     print(f"augment: wrote {result.n_pairs} view pairs, manifest {result.manifest_path}")
@@ -207,8 +205,8 @@ def cmd_inspect(args) -> int:
     print(f"step: {step}")
     print(f"content_hash: {meta['content_hash']}")
     print(f"config: {json.dumps(meta['config'], sort_keys=True)}")
-    extra = meta.get("extra", {})
-    if extra.get("run_config_sha256"):
+    extra = meta.get("extra")
+    if isinstance(extra, dict) and extra.get("run_config_sha256"):
         print(f"run_config_sha256: {extra['run_config_sha256']}")
     print(f"tensors: {len(named)}")
     for name in sorted(named):
@@ -266,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--corpus", default=None, help="override [data] corpus")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(handler=cmd_augment)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the full loss")

@@ -277,22 +277,12 @@ class VcModel:
         return ad.concat([bottleneck_out, tiled], axis=1)
 
     def _bilstm_layer(self, x: Tensor, layer: int) -> Tensor:
-        dec = self.config.decoder
-        t = x.shape[0]
-        outs: dict[str, list[Tensor]] = {}
+        outs = []
         for direction in ("fwd", "bwd"):
             p = f"dec.lstm{layer}.{direction}"
-            wx, wh, b = self.params[f"{p}.wx"], self.params[f"{p}.wh"], self.params[f"{p}.b"]
-            h = Tensor(np.zeros((1, dec.lstm_dim), dtype=self.dtype))
-            c = Tensor(np.zeros((1, dec.lstm_dim), dtype=self.dtype))
-            steps = range(t) if direction == "fwd" else range(t - 1, -1, -1)
-            collected = [None] * t
-            for i in steps:
-                h, c = ad.lstm_cell(ad.narrow(x, 0, i, 1), h, c, wx, wh, b)
-                collected[i] = h
-            outs[direction] = collected
-        rows = [ad.concat([outs["fwd"][i], outs["bwd"][i]], axis=1) for i in range(t)]
-        return ad.concat(rows, axis=0)
+            outs.append(ad.lstm_layer(x, self.params[f"{p}.wx"], self.params[f"{p}.wh"],
+                                      self.params[f"{p}.b"], reverse=direction == "bwd"))
+        return ad.concat(outs, axis=1)
 
     def decode(self, x: Tensor, target_len: int) -> Tensor:
         """BiLSTM stack, 4x transposed-conv upsample, project, trim to target_len."""
@@ -398,7 +388,10 @@ def save_checkpoint(model: VcModel, path, extra_meta: dict | None = None) -> Non
 
 
 def read_checkpoint_raw(path) -> tuple[dict, int, dict[str, np.ndarray]]:
-    """Parse and verify a checkpoint; returns (meta, step, name -> f32 array)."""
+    """Parse and verify a checkpoint; returns (meta, step, name -> f32 array).
+
+    Every way the file can be malformed raises `CheckpointError`.
+    """
     with open(path, "rb") as f:
         blob = f.read()
     if len(blob) < 20 or blob[:4] != CHECKPOINT_MAGIC:
@@ -409,11 +402,26 @@ def read_checkpoint_raw(path) -> tuple[dict, int, dict[str, np.ndarray]]:
     meta_end = 20 + meta_len
     if len(blob) < meta_end:
         raise CheckpointError(f"{path}: truncated metadata")
-    meta = json.loads(blob[20:meta_end].decode("utf-8"))
+    try:
+        meta = json.loads(blob[20:meta_end].decode("utf-8"))
+    except ValueError as e:
+        raise CheckpointError(f"{path}: unreadable metadata ({e})") from None
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: metadata is not a JSON object")
+    for key, kind in (("content_hash", str), ("config", dict)):
+        if not isinstance(meta.get(key), kind):
+            raise CheckpointError(f"{path}: metadata lacks {key}")
     table = blob[meta_end:]
     if hashlib.sha256(table).hexdigest() != meta["content_hash"]:
         raise CheckpointError(f"{path}: tensor table hash mismatch (corrupted)")
+    try:
+        named = _parse_tensor_table(table)
+    except (struct.error, ValueError) as e:
+        raise CheckpointError(f"{path}: malformed tensor table ({e})") from None
+    return meta, step, named
 
+
+def _parse_tensor_table(table: bytes) -> dict[str, np.ndarray]:
     named: dict[str, np.ndarray] = {}
     off = 0
     while off < len(table):
@@ -429,30 +437,41 @@ def read_checkpoint_raw(path) -> tuple[dict, int, dict[str, np.ndarray]]:
         arr = np.frombuffer(table, dtype="<f4", count=count, offset=off).reshape(shape)
         off += 4 * count
         named[name] = arr.copy()
-    return meta, step, named
+    return named
+
+
+def _config_from_meta(meta: dict, path) -> ModelConfig:
+    try:
+        return ModelConfig.from_dict(meta["config"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: invalid model config ({e!r})") from None
+
+
+def _checked_arrays(named: dict[str, np.ndarray], expected: dict[str, np.ndarray],
+                    path) -> dict[str, np.ndarray]:
+    """Pick the `expected` names out of `named`, requiring matching shapes."""
+    missing = sorted(set(expected) - set(named))
+    if missing:
+        raise CheckpointError(f"{path}: missing tensors {missing}")
+    for name, ref in expected.items():
+        if named[name].shape != ref.shape:
+            raise CheckpointError(
+                f"{path}: tensor {name} has shape {named[name].shape}, expected {ref.shape}"
+            )
+    return {name: named[name] for name in expected}
 
 
 def load_checkpoint(path, dtype=np.float32) -> VcModel:
     """Rebuild a model from its snapshot; forward outputs reproduce bit-exactly."""
     meta, step, named = read_checkpoint_raw(path)
-    model = VcModel(ModelConfig.from_dict(meta["config"]), dtype=dtype)
-    missing = sorted(set(model.params) - set(named))
-    if missing:
-        raise CheckpointError(f"{path}: missing tensors {missing}")
+    model = VcModel(_config_from_meta(meta, path), dtype=dtype)
+    arrays = _checked_arrays(named, _named_arrays(model), path)
     for name, tensor in model.params.items():
-        arr = named[name]
-        if arr.shape != tensor.values.shape:
-            raise CheckpointError(
-                f"{path}: tensor {name} has shape {arr.shape}, expected {tensor.values.shape}"
-            )
-        tensor.values = arr.astype(dtype)
-    model.feature_mean = named["norm.mean"].astype(dtype)
-    model.feature_std = named["norm.std"].astype(dtype)
+        tensor.values = arrays[name].astype(dtype)
+    model.feature_mean = arrays["norm.mean"].astype(dtype)
+    model.feature_std = arrays["norm.std"].astype(dtype)
     model.step = step
     return model
-
-
-ENCODER_CONFIG_KEYS = ("n_mels", "encoder")
 
 
 def load_encoder_from(model: VcModel, donor_path) -> None:
@@ -462,7 +481,7 @@ def load_encoder_from(model: VcModel, donor_path) -> None:
     "enc.*" keeps its fresh initialization.
     """
     meta, _, named = read_checkpoint_raw(donor_path)
-    donor_cfg = ModelConfig.from_dict(meta["config"])
+    donor_cfg = _config_from_meta(meta, donor_path)
     ours = model.config
     mismatched = []
     if donor_cfg.n_mels != ours.n_mels:
@@ -477,6 +496,6 @@ def load_encoder_from(model: VcModel, donor_path) -> None:
         raise CheckpointError(
             f"{donor_path}: encoder config mismatch on keys: {', '.join(mismatched)}"
         )
-    for name, tensor in model.params.items():
-        if name.startswith("enc."):
-            tensor.values = named[name].astype(model.dtype)
+    encoder = {name: t.values for name, t in model.params.items() if name.startswith("enc.")}
+    for name, arr in _checked_arrays(named, encoder, donor_path).items():
+        model.params[name].values = arr.astype(model.dtype)

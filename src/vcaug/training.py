@@ -302,7 +302,6 @@ def train(model: VcModel, dataset: Dataset, cfg: TrainConfig,
         optimizer.step()
         model.step = step
 
-        model.codebook.smooth_usage(counts)
         ledger.append(StepMetrics(
             step=step,
             recon=parts["recon"],

@@ -168,15 +168,3 @@ def test_emit_dataset_bad_file_listed_and_continues(tmp_path, toy_vc_model):
     assert result.n_pairs == 2
     assert len(result.failures) == 1
     assert result.failures[0][0] == "broken.melf"
-
-
-def test_emit_dataset_threaded_matches_sequential(tmp_path, toy_vc_model):
-    corpus = make_corpus_dir(tmp_path, n=6)
-    pool = aug.SpeakerPool(ids=(0, 1, 2))
-    policy = SpecAugmentPolicy(n_time_masks=1, max_time_width=4)
-    seq = aug.emit_dataset(corpus, toy_vc_model, pool, policy, tmp_path / "seq", seed=3)
-    par = aug.emit_dataset(corpus, toy_vc_model, pool, policy, tmp_path / "par",
-                           seed=3, threads=3)
-    assert seq.manifest_path.read_text() == par.manifest_path.read_text()
-    for rel in sorted(p.name for p in (tmp_path / "seq").glob("*.melf")):
-        assert (tmp_path / "seq" / rel).read_bytes() == (tmp_path / "par" / rel).read_bytes()

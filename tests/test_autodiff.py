@@ -144,9 +144,8 @@ def _primitive_cases(rng):
     dw = _rng_tensor(rng, (3, 2))
     table = _rng_tensor(rng, (5, 4))
     ids = rng.integers(0, 5, size=6)
-    lx = _rng_tensor(rng, (1, 3))
-    lh = _rng_tensor(rng, (1, 2))
-    lc = _rng_tensor(rng, (1, 2))
+    lx = _rng_tensor(rng, (4, 3))
+    lx1 = _rng_tensor(rng, (1, 3))
     lwx = _rng_tensor(rng, (3, 8))
     lwh = _rng_tensor(rng, (2, 8))
     lb = _rng_tensor(rng, (8,))
@@ -196,9 +195,17 @@ def _primitive_cases(rng):
             {"table": table},
             lambda: spread(ad.embedding_lookup(table, ids)),
         ),
-        "lstm_cell": (
-            {"x": lx, "h": lh, "c": lc, "wx": lwx, "wh": lwh, "b": lb},
-            lambda: spread(ad.concat(list(ad.lstm_cell(lx, lh, lc, lwx, lwh, lb)), axis=1)),
+        "lstm_layer": (
+            {"x": lx, "wx": lwx, "wh": lwh, "b": lb},
+            lambda: spread(ad.lstm_layer(lx, lwx, lwh, lb)),
+        ),
+        "lstm_layer_reverse": (
+            {"x": lx, "wx": lwx, "wh": lwh, "b": lb},
+            lambda: spread(ad.lstm_layer(lx, lwx, lwh, lb, reverse=True)),
+        ),
+        "lstm_layer_single_step": (
+            {"x": lx1, "wx": lwx, "wh": lwh, "b": lb},
+            lambda: spread(ad.lstm_layer(lx1, lwx, lwh, lb)),
         ),
         "cross_entropy": ({"logits": logits}, lambda: ad.cross_entropy(logits, 2)),
         "power": ({"a": pos}, lambda: spread(ad.power(pos, 1.7))),
@@ -215,6 +222,56 @@ def test_every_primitive_passes_fd_check():
             params, fn = cases[name]
             report = ad.check_gradients(fn, params, eps=1e-5)
             assert report.ok(1e-4), f"{name} seed {seed}: {report.per_param}"
+
+
+def _lstm_steps_oracle(x, wx, wh, b, reverse=False):
+    """The per-timestep composition `lstm_layer` replaces, from basic primitives."""
+    t, hidden = x.shape[0], wh.shape[0]
+    h = Tensor(np.zeros((1, hidden), dtype=x.dtype))
+    c = Tensor(np.zeros((1, hidden), dtype=x.dtype))
+    rows = [None] * t
+    for s in (range(t - 1, -1, -1) if reverse else range(t)):
+        gates = ad.add(ad.add(ad.matmul(ad.narrow(x, 0, s, 1), wx), ad.matmul(h, wh)), b)
+        i = ad.sigmoid(ad.narrow(gates, 1, 0, hidden))
+        f = ad.sigmoid(ad.narrow(gates, 1, hidden, hidden))
+        g = ad.tanh(ad.narrow(gates, 1, 2 * hidden, hidden))
+        o = ad.sigmoid(ad.narrow(gates, 1, 3 * hidden, hidden))
+        c = ad.add(ad.mul(f, c), ad.mul(i, g))
+        h = ad.mul(o, ad.tanh(c))
+        rows[s] = h
+    return ad.concat(rows, axis=0)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_lstm_layer_matches_per_step_oracle(reverse):
+    rng = np.random.default_rng(11)
+    x = _rng_tensor(rng, (9, 5))
+    wx = _rng_tensor(rng, (5, 16), scale=0.7)
+    wh = _rng_tensor(rng, (4, 16), scale=0.7)
+    b = _rng_tensor(rng, (16,))
+    weight = _rng_tensor(rng, (9, 4))
+    params = [x, wx, wh, b]
+
+    def loss(layer):
+        return lambda: ad.reduce_sum(ad.mul(layer(x, wx, wh, b, reverse=reverse), weight))
+
+    fused_out = ad.lstm_layer(x, wx, wh, b, reverse=reverse).values
+    oracle_out = _lstm_steps_oracle(x, wx, wh, b, reverse=reverse).values
+    np.testing.assert_allclose(fused_out, oracle_out, rtol=1e-10, atol=0)
+    fused = grads_of(loss(ad.lstm_layer), params)
+    oracle = grads_of(loss(_lstm_steps_oracle), params)
+    for name, gf, go in zip(("x", "wx", "wh", "b"), fused, oracle):
+        np.testing.assert_allclose(gf, go, rtol=1e-10, atol=0, err_msg=name)
+
+
+def test_lstm_layer_records_one_node_and_checks_shapes():
+    rng = np.random.default_rng(13)
+    x, wx, wh, b = (_rng_tensor(rng, s) for s in ((6, 3), (3, 8), (2, 8), (8,)))
+    with Tape() as tape:
+        ad.lstm_layer(x, wx, wh, b)
+    assert len(tape) == 1
+    with pytest.raises(ad.ShapeError, match="lstm_layer"):
+        ad.lstm_layer(x, wx, _rng_tensor(rng, (3, 8)), b)
 
 
 def test_stop_gradient_blocks_flow():

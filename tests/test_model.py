@@ -1,7 +1,12 @@
+import hashlib
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from vcaug import autodiff as ad
+from vcaug import cli
 from vcaug import model as vm
 from vcaug.autodiff import Tape, Tensor
 from vcaug.signal import MelSpectrogram
@@ -94,6 +99,17 @@ def test_decode_single_frame_input():
         assert model.decode(x, target).shape == (target, 80)
     with pytest.raises(ValueError, match="exceeds"):
         model.decode(x, 5)
+
+
+def test_decode_tape_length_does_not_grow_with_time():
+    model = vm.VcModel(toy_config(), dtype=np.float64)
+    lengths = []
+    for t in (1, 5, 20):
+        x = Tensor(np.random.default_rng(t).normal(size=(t, 16)))
+        with Tape() as tape:
+            model.decode(x, target_len=4 * t)
+        lengths.append(len(tape))
+    assert lengths[0] == lengths[1] == lengths[2], lengths
 
 
 def test_decode_outputs_finite_over_seeds():
@@ -223,6 +239,87 @@ def test_checkpoint_corrupted_payload_rejected(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(vm.CheckpointError, match="hash"):
         vm.load_checkpoint(path)
+
+
+def _rewrite_checkpoint(path, edit_meta=None, edit_table=None):
+    """Apply edits to a saved checkpoint, then re-seal its content hash."""
+    blob = path.read_bytes()
+    (meta_len,) = struct.unpack("<I", blob[16:20])
+    meta = json.loads(blob[20 : 20 + meta_len])
+    table = blob[20 + meta_len :]
+    if edit_table is not None:
+        table = edit_table(table)
+    meta["content_hash"] = hashlib.sha256(table).hexdigest()
+    if edit_meta is not None:
+        edit_meta(meta)
+    meta_bytes = json.dumps(meta).encode("utf-8")
+    path.write_bytes(blob[:16] + struct.pack("<I", len(meta_bytes)) + meta_bytes + table)
+
+
+def _drop_tensor(table, victim):
+    named = vm._parse_tensor_table(table)
+    del named[victim]
+    return vm._tensor_table_bytes(named)
+
+
+MALFORMED_CHECKPOINTS = {
+    "no_content_hash": dict(edit_meta=lambda m: m.pop("content_hash")),
+    "no_config": dict(edit_meta=lambda m: m.pop("config")),
+    "bad_config": dict(edit_meta=lambda m: m["config"].pop("encoder")),
+    "empty_metadata": dict(edit_meta=lambda m: m.clear()),
+    # keeps the first record's name and ndim, then half of its first dimension
+    "table_cut_in_record_header": dict(
+        edit_table=lambda t: t[: 2 + struct.unpack_from("<H", t)[0] + 1 + 2]
+    ),
+    "table_cut_in_tensor_data": dict(edit_table=lambda t: t[:-2]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+def test_malformed_checkpoint_raises_checkpoint_error(tmp_path, case):
+    path = tmp_path / "model.vcck"
+    vm.save_checkpoint(vm.VcModel(toy_config()), path)
+    _rewrite_checkpoint(path, **MALFORMED_CHECKPOINTS[case])
+    with pytest.raises(vm.CheckpointError):
+        vm.load_checkpoint(path)
+    with pytest.raises(vm.CheckpointError):
+        vm.load_encoder_from(vm.VcModel(toy_config()), path)
+
+
+@pytest.mark.parametrize("case", ["no_content_hash", "no_config", "table_cut_in_record_header"])
+def test_inspect_malformed_checkpoint_exits_with_data_error(tmp_path, case, capsys):
+    path = tmp_path / "model.vcck"
+    vm.save_checkpoint(vm.VcModel(toy_config()), path)
+    _rewrite_checkpoint(path, **MALFORMED_CHECKPOINTS[case])
+    assert cli.main(["inspect", "--checkpoint", str(path)]) == cli.EXIT_DATA
+    assert "data error" in capsys.readouterr().err
+
+
+def test_inspect_intact_checkpoint(tmp_path, capsys):
+    path = tmp_path / "model.vcck"
+    vm.save_checkpoint(vm.VcModel(toy_config()), path)
+    assert cli.main(["inspect", "--checkpoint", str(path)]) == cli.EXIT_OK
+    assert "content_hash" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("victim", ["enc.sub1.w", "norm.std"])
+def test_checkpoint_missing_tensor_raises_checkpoint_error(tmp_path, victim):
+    path = tmp_path / "model.vcck"
+    vm.save_checkpoint(vm.VcModel(toy_config()), path)
+    _rewrite_checkpoint(path, edit_table=lambda t: _drop_tensor(t, victim))
+    with pytest.raises(vm.CheckpointError, match=victim):
+        vm.load_checkpoint(path)
+
+
+def test_encoder_import_missing_tensor_raises_checkpoint_error(tmp_path):
+    path = tmp_path / "donor.vcck"
+    vm.save_checkpoint(vm.VcModel(toy_config()), path)
+    _rewrite_checkpoint(path, edit_table=lambda t: _drop_tensor(t, "enc.block0.ff.w1"))
+    model = vm.VcModel(toy_config(seed=1))
+    before = model.params["enc.sub1.w"].values.copy()
+    with pytest.raises(vm.CheckpointError, match="enc.block0.ff.w1"):
+        vm.load_encoder_from(model, path)
+    np.testing.assert_array_equal(model.params["enc.sub1.w"].values, before)
 
 
 def test_encoder_subtree_import(tmp_path):
