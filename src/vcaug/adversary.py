@@ -1,7 +1,7 @@
 """Speaker classifier probe behind gradient reversal.
 
-The head reads the quantized bottleneck output, mean-pools it over frames,
-and classifies the speaker.  Reversal makes its training signal adversarial
+The head reads the quantized bottleneck output, mean-pools it over frames
+(each row's valid frames, for a padded batch), and classifies the speaker.  Reversal makes its training signal adversarial
 to everything upstream: the head itself still learns to classify, while the
 encoder is pushed to scrub speaker information.  The head's accuracy doubles
 as the leakage metric logged during training.
@@ -28,7 +28,6 @@ class AdversaryHead:
 
     def __init__(self, in_dim: int, n_speakers: int, hidden_dim: int = 128,
                  seed: int = 0, dtype=np.float32):
-        self.in_dim = in_dim
         self.n_speakers = n_speakers
         self.hidden_dim = hidden_dim
         self.w1 = Tensor(_uniform_init((in_dim, hidden_dim), in_dim, "adv.w1", seed, dtype))
@@ -39,11 +38,11 @@ class AdversaryHead:
     def parameters(self) -> dict[str, Tensor]:
         return {"adv.w1": self.w1, "adv.b1": self.b1, "adv.w2": self.w2, "adv.b2": self.b2}
 
-    def logits(self, x: Tensor, reversal_weight: float) -> Tensor:
-        """Speaker logits for a [T', D] input; reversal affects gradients only."""
-        pooled = ad.reshape(ad.reduce_mean(x, axis=0), (1, self.in_dim))
-        rev = ad.grad_reverse(pooled, reversal_weight)
-        return self._head(rev)
+    def logits(self, x: Tensor, reversal_weight: float, lengths=None) -> Tensor:
+        """Speaker logits [S] for a [T', D] input, or [B, S] for a padded
+        [B, T', D] batch pooled over each row's first lengths[b] frames.
+        Reversal affects gradients only."""
+        return self._head(ad.grad_reverse(ad.frame_mean(x, lengths), reversal_weight))
 
     def logits_linearized(self, x: Tensor, reversal_weight: float,
                           x0_values: np.ndarray) -> Tensor:
@@ -55,15 +54,15 @@ class AdversaryHead:
         in the ordinary sense.
         """
         dtype = x.dtype
-        pooled = ad.reshape(ad.reduce_mean(x, axis=0), (1, self.in_dim))
-        pooled0 = Tensor(np.asarray(x0_values).mean(axis=0, keepdims=True).astype(dtype))
+        pooled = ad.frame_mean(x)
+        pooled0 = Tensor(np.asarray(x0_values).mean(axis=0).astype(dtype))
         w = Tensor(np.asarray(reversal_weight, dtype=dtype))
         rev = ad.sub(pooled0, ad.mul(w, ad.sub(pooled, pooled0)))
         return self._head(rev)
 
     def _head(self, rev: Tensor) -> Tensor:
         h = ad.relu(ad.add(ad.matmul(rev, self.w1), self.b1))
-        return ad.reshape(ad.add(ad.matmul(h, self.w2), self.b2), (self.n_speakers,))
+        return ad.add(ad.matmul(h, self.w2), self.b2)
 
 
 def adversarial_loss(head: AdversaryHead, bottleneck_out: Tensor,

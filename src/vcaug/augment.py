@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import bottleneck as bn
 from .data import DataError
 from .model import VcModel
 from .signal import (
@@ -53,13 +54,23 @@ class ViewPair:
 
 
 def convert(mel: MelSpectrogram, target_speaker_id: int, model: VcModel) -> MelSpectrogram:
-    """Re-render an utterance as the target speaker; parameters untouched."""
+    """Re-render an utterance as the target speaker; parameters untouched.
+
+    Inference only: encode, quantize, attach the target speaker, decode.
+    The adversary head plays no part in the output and is not run.
+    """
     if mel.n_mels != model.config.n_mels:
         raise DataError(
             f"feature dim {mel.n_mels} does not match model n_mels {model.config.n_mels}"
         )
-    out, _, _ = model.forward(mel, target_speaker_id)
-    return out
+    qr = bn.quantize(model.encode(mel), model.codebook,
+                     commitment_weight=model.config.commitment_weight)
+    recon = model.decode(model.embed_and_concat(qr.z_q, target_speaker_id), mel.n_frames)
+    return MelSpectrogram(
+        data=recon.values.astype(np.float32),
+        frame_size_ms=mel.frame_size_ms,
+        frame_shift_ms=mel.frame_shift_ms,
+    )
 
 
 def sample_target(pool: SpeakerPool, rng: np.random.Generator) -> int:

@@ -7,6 +7,14 @@ lookup, a fused LSTM layer, gradient reversal and the straight-through
 estimator.  Ops executed while a `Tape` is active record a backward rule;
 `Tape.backward` replays the records in reverse to fill in `.grad` arrays.
 
+Sequence ops take time on axis -2 and accept an optional leading batch
+axis: one utterance is `[T, C]`, a padded batch is `[B, T, C]`.  Row b of
+a batch holds `lengths[b]` valid frames followed by padding.  The length
+helpers (`length_mask`, `mask_frames`, `frame_mean`, `row_mean`) build the
+masks that make each row see exactly what it would see alone; each returns
+its input unmasked when no row is shorter than the time axis, so a
+full-length batch and an unbatched input record no mask op.
+
 Storage defaults to float32; sum/mean reductions accumulate in float64
 before casting back.  `check_gradients` is the correctness oracle: it
 compares every recorded gradient against central finite differences.
@@ -166,7 +174,11 @@ def _record(op: str, out: Tensor, bwd: Callable[[np.ndarray], None]) -> Tensor:
 def _accum(t: Tensor, g: np.ndarray) -> None:
     g = np.asarray(g, dtype=t.values.dtype)
     if t.grad is None:
-        t.grad = np.array(np.broadcast_to(g, t.values.shape), copy=True)
+        # always a private copy: add/sub hand one upstream array to both inputs
+        if g.shape == t.values.shape:
+            t.grad = g.copy()
+        else:
+            t.grad = np.array(np.broadcast_to(g, t.values.shape), copy=True)
     else:
         t.grad += g
 
@@ -313,22 +325,14 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 # shape ops
 
 
-def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
-    out = Tensor(a.values.reshape(shape))
-
-    def bwd(g):
-        _accum(a, g.reshape(a.values.shape))
-
-    return _record("reshape", out, bwd)
-
-
 def transpose(a: Tensor) -> Tensor:
-    if a.ndim != 2:
+    """Swap the last two axes."""
+    if a.ndim < 2:
         raise ShapeError("transpose", a.shape)
-    out = Tensor(a.values.T)
+    out = Tensor(np.swapaxes(a.values, -1, -2))
 
     def bwd(g):
-        _accum(a, g.T)
+        _accum(a, np.swapaxes(g, -1, -2))
 
     return _record("transpose", out, bwd)
 
@@ -396,71 +400,99 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    """`np.matmul` over leading axes: [..., K] @ [K, N], or [B, T, K] @ [B, K, S].
+
+    The first form runs as one 2-D GEMM over every leading row.
+    """
+    if b.ndim == 2 and a.ndim >= 1 and a.shape[-1] == b.shape[0]:
+        k, n = b.shape
+        a2 = a.values.reshape(-1, k)
+        out = Tensor((a2 @ b.values).reshape(a.shape[:-1] + (n,)))
+
+        def bwd(g):
+            g2 = g.reshape(-1, n)
+            _accum(a, (g2 @ b.values.T).reshape(a.shape))
+            _accum(b, a2.T @ g2)
+
+    elif a.ndim == b.ndim == 3 and a.shape[0] == b.shape[0] and a.shape[2] == b.shape[1]:
+        out = Tensor(a.values @ b.values)
+
+        def bwd(g):
+            _accum(a, g @ np.swapaxes(b.values, -1, -2))
+            _accum(b, np.swapaxes(a.values, -1, -2) @ g)
+
+    else:
         raise ShapeError("matmul", a.shape, b.shape)
-    out = Tensor(a.values @ b.values)
-
-    def bwd(g):
-        _accum(a, g @ b.values.T)
-        _accum(b, a.values.T @ g)
-
     return _record("matmul", out, bwd)
 
 
-def conv1d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """1-d convolution over time.  x: [T, Cin], w: [K, Cin, Cout].
+def _pad_time(x: np.ndarray, before: int, after: int) -> np.ndarray:
+    return np.pad(x, [(0, 0)] * (x.ndim - 2) + [(before, after), (0, 0)])
 
-    Output length is floor((T + 2*padding - K) / stride) + 1.
+
+def conv1d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+    """1-d convolution over time.  x: [..., T, Cin], w: [K, Cin, Cout].
+
+    Output length is floor((T + 2*padding - K) / stride) + 1.  Computed as
+    one [rows, Cin] @ [Cin, Cout] GEMM per kernel tap.
     """
-    if x.ndim != 2 or w.ndim != 3 or x.shape[1] != w.shape[1]:
+    if x.ndim < 2 or w.ndim != 3 or x.shape[-1] != w.shape[1]:
         raise ShapeError("conv1d", x.shape, w.shape)
-    k = w.shape[0]
-    xp = np.pad(x.values, ((padding, padding), (0, 0)))
-    t_pad = xp.shape[0]
+    k, cin, cout = w.shape
+    lead = x.shape[:-2]
+    xp = _pad_time(x.values, padding, padding)
+    t_pad = xp.shape[-2]
     if t_pad < k:
         raise ShapeError("conv1d", x.shape, w.shape)
-    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=0)[::stride]
-    t_out = windows.shape[0]
-    out = Tensor(np.einsum("tik,kio->to", windows, w.values))
+    t_out = (t_pad - k) // stride + 1
+    span = stride * (t_out - 1) + 1
+    taps = [xp[..., j : j + span : stride, :].reshape(-1, cin) for j in range(k)]
+    out2 = taps[0] @ w.values[0]
+    for j in range(1, k):
+        out2 += taps[j] @ w.values[j]
+    out = Tensor(out2.reshape(lead + (t_out, cout)))
 
     def bwd(g):
-        _accum(w, np.einsum("tik,to->kio", windows, g))
+        g2 = g.reshape(-1, cout)
+        _accum(w, np.stack([tap.T @ g2 for tap in taps]))
         gxp = np.zeros_like(xp)
         for j in range(k):
-            gxp[j : j + stride * t_out : stride] += g @ w.values[j].T
-        _accum(x, gxp[padding : t_pad - padding] if padding else gxp)
+            gxp[..., j : j + span : stride, :] += (g2 @ w.values[j].T).reshape(lead + (t_out, cin))
+        _accum(x, gxp[..., padding : t_pad - padding, :] if padding else gxp)
 
     return _record("conv1d", out, bwd)
 
 
 def conv1d_transpose(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Transposed 1-d convolution.  x: [T, Cin], w: [K, Cin, Cout].
+    """Transposed 1-d convolution.  x: [..., T, Cin], w: [K, Cin, Cout].
 
     Output length is (T - 1) * stride + K - 2*padding.
     """
-    if x.ndim != 2 or w.ndim != 3 or x.shape[1] != w.shape[1]:
+    if x.ndim < 2 or w.ndim != 3 or x.shape[-1] != w.shape[1]:
         raise ShapeError("conv1d_transpose", x.shape, w.shape)
-    t_in = x.shape[0]
-    k = w.shape[0]
+    k, cin, cout = w.shape
+    lead, t_in = x.shape[:-2], x.shape[-2]
     full_len = (t_in - 1) * stride + k
     out_len = full_len - 2 * padding
     if out_len <= 0:
         raise ShapeError("conv1d_transpose", x.shape, w.shape)
-    full = np.zeros((full_len, w.shape[2]), dtype=x.dtype)
+    span = stride * (t_in - 1) + 1
+    x2 = x.values.reshape(-1, cin)
+    full = np.zeros(lead + (full_len, cout), dtype=x.dtype)
     for j in range(k):
-        full[j : j + stride * t_in : stride] += x.values @ w.values[j]
-    out = Tensor(full[padding : full_len - padding] if padding else full)
+        full[..., j : j + span : stride, :] += (x2 @ w.values[j]).reshape(lead + (t_in, cout))
+    out = Tensor(full[..., padding : full_len - padding, :] if padding else full)
 
     def bwd(g):
-        g_full = np.zeros((full_len, w.shape[2]), dtype=g.dtype)
-        g_full[padding : full_len - padding] = g
-        gx = np.zeros_like(x.values)
+        g_full = np.zeros(lead + (full_len, cout), dtype=g.dtype)
+        g_full[..., padding : full_len - padding, :] = g
+        gx = np.zeros_like(x2)
         gw = np.zeros_like(w.values)
         for j in range(k):
-            seg = g_full[j : j + stride * t_in : stride]
+            seg = g_full[..., j : j + span : stride, :].reshape(-1, cout)
             gx += seg @ w.values[j].T
-            gw[j] = x.values.T @ seg
-        _accum(x, gx)
+            gw[j] = x2.T @ seg
+        _accum(x, gx.reshape(x.shape))
         _accum(w, gw)
 
     return _record("conv1d_transpose", out, bwd)
@@ -469,23 +501,26 @@ def conv1d_transpose(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) ->
 def depthwise_conv1d(x: Tensor, w: Tensor) -> Tensor:
     """Per-channel 1-d convolution, stride 1, same-length output.
 
-    x: [T, C], w: [K, C] with K odd.
+    x: [..., T, C], w: [K, C] with K odd; one multiply-add per kernel tap.
     """
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1] or w.shape[0] % 2 == 0:
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[1] or w.shape[0] % 2 == 0:
         raise ShapeError("depthwise_conv1d", x.shape, w.shape)
     k = w.shape[0]
     pad = (k - 1) // 2
-    xp = np.pad(x.values, ((pad, pad), (0, 0)))
-    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=0)
-    out = Tensor(np.einsum("tck,kc->tc", windows, w.values))
-    t = x.shape[0]
+    t = x.shape[-2]
+    xp = _pad_time(x.values, pad, pad)
+    y = xp[..., 0:t, :] * w.values[0]
+    for j in range(1, k):
+        y += xp[..., j : j + t, :] * w.values[j]
+    out = Tensor(y)
 
     def bwd(g):
-        _accum(w, np.einsum("tck,tc->kc", windows, g))
+        rows = tuple(range(g.ndim - 1))
+        _accum(w, np.stack([(xp[..., j : j + t, :] * g).sum(axis=rows) for j in range(k)]))
         gxp = np.zeros_like(xp)
         for j in range(k):
-            gxp[j : j + t] += g * w.values[j]
-        _accum(x, gxp[pad : pad + t])
+            gxp[..., j : j + t, :] += g * w.values[j]
+        _accum(x, gxp[..., pad : pad + t, :])
 
     return _record("depthwise_conv1d", out, bwd)
 
@@ -505,75 +540,111 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     return _record("embedding_lookup", out, bwd)
 
 
-def lstm_layer(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
+def lstm_layer(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, reverse: bool = False,
+               lengths=None) -> Tensor:
     """One LSTM direction over a whole sequence, recorded as a single op.
 
-    x: [T, I], wx: [I, 4H], wh: [H, 4H], b: [4H]; returns h: [T, H] with
-    h[t] the state after consuming x[t].  The recurrence starts from zero
-    h and c and runs t = 0..T-1, or T-1..0 with `reverse`.  Gate order
-    along the last axis is (input, forget, cell, output); i, f, o use
+    x: [T, I] or a padded batch [B, T, I], wx: [I, 4H], wh: [H, 4H], b: [4H];
+    returns h: [T, H] or [B, T, H] with h[t] the state after consuming x[t].
+    The recurrence starts from zero h and c and runs t = 0..T-1, or with
+    `reverse` from each row's last valid frame, lengths[b] - 1, down to 0.
+    Frames past a row's length are consumed after all of its valid ones in
+    both directions, so they never reach a valid output.  Gate order along
+    the last axis is (input, forget, cell, output); i, f, o use
     sigmoid(z) = 1 / (1 + exp(-z)) and the cell gate uses tanh.
 
-    The input projection x @ wx + b is one [T, I] @ [I, 4H] GEMM before the
-    loop.  Backward saves the activated gates [T, 4H], c [T, H] and tanh(c)
-    [T, H]; backpropagation through time fills the pre-activation gradient
-    dZ [T, 4H] and then takes dwx = xT dZ, dwh = h_prevT dZ, dx = dZ wxT as
-    one GEMM each and db = sum_t dZ in float64.
+    The input projection x @ wx + b is one [rows, I] @ [I, 4H] GEMM before
+    the loop.  The loop runs over contiguous time-major [T, (B,) 4H] rows in
+    the order the recurrence consumes frames (a reverse row is its valid
+    prefix flipped).  Backward saves the activated gates, c and tanh(c);
+    backpropagation through time fills the pre-activation gradient dZ and
+    then takes dwx = xT dZ, dwh = h_prevT dZ, dx = dZ wxT as one GEMM each
+    and db = sum dZ in float64.
     """
-    if (x.ndim != 2 or wx.ndim != 2 or wh.ndim != 2 or b.ndim != 1
-            or wx.shape[0] != x.shape[1] or wx.shape[1] != 4 * wh.shape[0]
+    if (x.ndim not in (2, 3) or wx.ndim != 2 or wh.ndim != 2 or b.ndim != 1
+            or wx.shape[0] != x.shape[-1] or wx.shape[1] != 4 * wh.shape[0]
             or wh.shape[1] != wx.shape[1] or b.shape[0] != wx.shape[1]):
         raise ShapeError("lstm_layer", x.shape, wx.shape, wh.shape, b.shape)
-    t, hidden = x.shape[0], wh.shape[0]
+    t, in_dim, hidden = x.shape[-2], x.shape[-1], wh.shape[0]
+    if lengths is not None:
+        lengths = np.asarray(lengths)
+        if x.ndim != 3 or lengths.shape != x.shape[:1] or lengths.min() < 1 or lengths.max() > t:
+            raise ShapeError("lstm_layer", x.shape, lengths.shape)
     h2, h3 = 2 * hidden, 3 * hidden
     whv = wh.values
-    gates = x.values @ wx.values + b.values
-    cs = np.empty((t, hidden), dtype=gates.dtype)
+
+    order = None   # [B, T, 1] frame each step reads, for a reverse batch with padding
+    if reverse and lengths is not None and lengths.min() < t:
+        steps = np.arange(t)
+        order = np.where(steps < lengths[:, None], lengths[:, None] - 1 - steps, steps)[..., None]
+
+    def permute(a):
+        """Reorder [..., T, F] frames into the order the recurrence reads them
+        (an involution, so it also maps back)."""
+        if not reverse:
+            return a
+        if order is None:
+            return a[..., ::-1, :]
+        return np.take_along_axis(a, order, axis=-2)
+
+    def to_steps(a):
+        """[..., T, F] in frame order -> contiguous [T, ..., F] in step order."""
+        return np.ascontiguousarray(np.moveaxis(permute(a), -2, 0))
+
+    def to_frames(a):
+        """Inverse of `to_steps`."""
+        return permute(np.moveaxis(a, 0, -2))
+
+    proj = x.values.reshape(-1, in_dim) @ wx.values + b.values
+    gates = to_steps(proj.reshape(x.shape[:-1] + (4 * hidden,)))
+    state = gates.shape[:-1] + (hidden,)
+    cs = np.empty(state, dtype=gates.dtype)
     tcs = np.empty_like(cs)
     hs = np.empty_like(cs)
-    h = np.zeros(hidden, dtype=gates.dtype)
-    c = np.zeros(hidden, dtype=gates.dtype)
-    steps = range(t - 1, -1, -1) if reverse else range(t)
-    for s in steps:
-        a = gates[s]
-        a += h @ whv
-        a[:h2] = 1.0 / (1.0 + np.exp(-a[:h2]))
-        a[h2:h3] = np.tanh(a[h2:h3])
-        a[h3:] = 1.0 / (1.0 + np.exp(-a[h3:]))
-        c = a[hidden:h2] * c + a[:hidden] * a[h2:h3]
+    h = np.zeros(state[1:], dtype=gates.dtype)
+    c = np.zeros(state[1:], dtype=gates.dtype)
+    i, f, gg, o = (gates[..., k * hidden : (k + 1) * hidden] for k in range(4))
+    i_f = gates[..., :h2]
+    for s in range(t):
+        gates[s] += h @ whv
+        i_f[s] = 1.0 / (1.0 + np.exp(-i_f[s]))
+        gg[s] = np.tanh(gg[s])
+        o[s] = 1.0 / (1.0 + np.exp(-o[s]))
+        c = f[s] * c + i[s] * gg[s]
         tc = np.tanh(c)
-        h = a[h3:] * tc
+        h = o[s] * tc
         cs[s], tcs[s], hs[s] = c, tc, h
-    out = Tensor(hs)
+    out = Tensor(to_frames(hs))
 
     def bwd(g):
-        zero = np.zeros((1, hidden), dtype=cs.dtype)
-        if reverse:
-            c_prev, h_prev = np.concatenate([cs, zero])[1:], np.concatenate([hs, zero])[1:]
-        else:
-            c_prev, h_prev = np.concatenate([zero, cs])[:-1], np.concatenate([zero, hs])[:-1]
-        i, f, gg, o = (gates[:, k * hidden : (k + 1) * hidden] for k in range(4))
+        zero = np.zeros((1,) + state[1:], dtype=cs.dtype)
+        c_prev, h_prev = np.concatenate([zero, cs[:-1]]), np.concatenate([zero, hs[:-1]])
         # d(pre-activation) per unit of dc for the i, f, g gates, and per
         # unit of dh for the o gate
-        per_dc = np.stack([gg * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - gg * gg)], axis=1)
+        per_dc = np.stack([gg * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - gg * gg)],
+                          axis=-2)
         per_dh = tcs * o * (1.0 - o)
         dc_dh = o * (1.0 - tcs * tcs)
-        dz = np.empty((t, 4, hidden), dtype=cs.dtype)
-        dz_flat = dz.reshape(t, 4 * hidden)
+        g_steps = to_steps(g)
+        dz = np.empty(state[:-1] + (4, hidden), dtype=cs.dtype)
+        dz_flat = dz.reshape(state[:-1] + (4 * hidden,))
+        dz_c, dz_o = dz[..., :3, :], dz[..., 3, :]
         wh_t = whv.T
-        dh_next = np.zeros(hidden, dtype=cs.dtype)
-        dc_next = np.zeros(hidden, dtype=cs.dtype)
-        for s in reversed(steps):
-            dh = g[s] + dh_next
+        dh_next = np.zeros(state[1:], dtype=cs.dtype)
+        dc_next = np.zeros(state[1:], dtype=cs.dtype)
+        for s in range(t - 1, -1, -1):
+            dh = g_steps[s] + dh_next
             dc = dh * dc_dh[s] + dc_next
-            dz[s, :3] = per_dc[s] * dc
-            dz[s, 3] = per_dh[s] * dh
+            np.multiply(per_dc[s], dc[..., None, :], out=dz_c[s])
+            np.multiply(per_dh[s], dh, out=dz_o[s])
             dc_next = dc * f[s]
             dh_next = dz_flat[s] @ wh_t
-        _accum(x, dz_flat @ wx.values.T)
-        _accum(wx, x.values.T @ dz_flat)
-        _accum(wh, h_prev.T @ dz_flat)
-        _accum(b, dz_flat.sum(axis=0, dtype=np.float64))
+        dz_rows = dz_flat.reshape(-1, 4 * hidden)
+        _accum(wh, h_prev.reshape(-1, hidden).T @ dz_rows)
+        _accum(b, dz_rows.sum(axis=0, dtype=np.float64))
+        dz_frames = to_frames(dz_flat).reshape(-1, 4 * hidden)
+        _accum(x, (dz_frames @ wx.values.T).reshape(x.shape))
+        _accum(wx, x.values.reshape(-1, in_dim).T @ dz_frames)
 
     return _record("lstm_layer", out, bwd)
 
@@ -629,19 +700,65 @@ def straight_through(z_e: Tensor, z_q: Tensor) -> Tensor:
     return _record("straight_through", out, bwd)
 
 
-def cross_entropy(logits: Tensor, label: int) -> Tensor:
-    """Softmax cross-entropy of a 1-d logit vector against an integer label."""
-    if logits.ndim != 1:
-        raise ShapeError("cross_entropy", logits.shape)
-    n = logits.shape[0]
-    if not 0 <= label < n:
+def cross_entropy(logits: Tensor, label) -> Tensor:
+    """Softmax cross-entropy of [S] logits against an integer label, or the
+    row mean over [B, S] logits against [B] labels."""
+    labels = np.asarray(label)
+    if logits.ndim not in (1, 2) or labels.shape != logits.shape[:-1]:
+        raise ShapeError("cross_entropy", logits.shape, labels.shape)
+    n = logits.shape[-1]
+    if labels.min() < 0 or labels.max() >= n:
         raise ValueError(f"label {label} out of range [0, {n})")
     # max-shift as a constant keeps logsumexp exact for values and gradients
-    shift = float(logits.values.max())
-    lse = add(log(reduce_sum(exp(sub(logits, Tensor(np.asarray(shift, dtype=logits.dtype)))))),
-              Tensor(np.asarray(shift, dtype=logits.dtype)))
-    picked = reshape(narrow(logits, 0, int(label), 1), ())
-    return sub(lse, picked)
+    shift = Tensor(logits.values.max(axis=-1, keepdims=True))
+    lse = add(log(reduce_sum(exp(sub(logits, shift)), axis=-1, keepdims=True)), shift)
+    onehot = Tensor((labels[..., None] == np.arange(n)).astype(logits.dtype))
+    picked = reduce_sum(mul(logits, onehot), axis=-1, keepdims=True)
+    return reduce_mean(sub(lse, picked))
+
+
+# ---------------------------------------------------------------------------
+# length masks for padded [B, T, ...] batches
+
+
+def length_mask(lengths, t: int, dtype) -> np.ndarray | None:
+    """[B, t] array: 1 on each row's first lengths[b] frames, 0 after.
+
+    None when `lengths` is None or no row is shorter than `t`; callers then
+    skip the mask op, since multiplying by 1 and adding 0 change nothing.
+    """
+    if lengths is None:
+        return None
+    lengths = np.asarray(lengths)
+    if lengths.min() >= t:
+        return None
+    return (np.arange(t) < lengths[:, None]).astype(dtype)
+
+
+def mask_frames(x: Tensor, lengths) -> Tensor:
+    """Zero the frames of [B, T, C] past each row's length."""
+    mask = length_mask(lengths, x.shape[-2], x.dtype)
+    return x if mask is None else mul(x, Tensor(mask[..., None]))
+
+
+def frame_mean(x: Tensor, lengths=None) -> Tensor:
+    """Mean over valid frames: [T, C] -> [C], or [B, T, C] -> [B, C] per row."""
+    mask = length_mask(lengths, x.shape[-2], x.dtype)
+    if mask is None:
+        return reduce_mean(x, axis=-2)
+    weights = mask / np.asarray(lengths)[:, None]
+    return reduce_sum(mul(x, Tensor(weights[..., None].astype(x.dtype))), axis=-2)
+
+
+def row_mean(x: Tensor, lengths=None) -> Tensor:
+    """Scalar mean of x: [B, T, ...] per row over its valid frames and every
+    later axis, then over rows; a plain mean when no row is padded."""
+    mask = None if lengths is None else length_mask(lengths, x.shape[1], x.dtype)
+    if mask is None:
+        return reduce_mean(x)
+    per_row = np.asarray(lengths) * (x.values[0, 0].size * x.shape[0])
+    weights = (mask / per_row[:, None]).reshape(mask.shape + (1,) * (x.ndim - 2))
+    return reduce_sum(mul(x, Tensor(weights.astype(x.dtype))))
 
 
 # ---------------------------------------------------------------------------

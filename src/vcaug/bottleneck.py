@@ -6,6 +6,10 @@ index).  The codebook learns only through the codebook loss; the encoder
 feels the bottleneck through the commitment loss and receives an identity
 gradient through the straight-through estimator.  Codebook usage is
 summarized as perplexity, the collapse diagnostic tracked during training.
+
+`quantize` takes one utterance's [T', D] encodings or a padded [B, T', D]
+batch with per-row valid lengths; padded frames are quantized but weigh
+nothing in the losses and are left out of the returned indices.
 """
 
 from __future__ import annotations
@@ -20,11 +24,10 @@ from .autodiff import Tensor
 
 @dataclass
 class QuantizeResult:
-    z_q: Tensor                 # [T', D], straight-through quantized output
-    indices: np.ndarray         # [T', G] selected entries per group
+    z_q: Tensor                 # [(B,) T', D], straight-through quantized output
+    indices: np.ndarray         # [valid frames, G] selected entries per group, rows in order
     codebook_loss: Tensor       # scalar, moves codebook entries only
     commit_loss: Tensor         # scalar (commitment weight applied), moves encoder only
-    perplexity: float           # exp usage entropy, mean over groups
 
 
 class Codebook:
@@ -87,42 +90,44 @@ def nearest_entries(block: np.ndarray, table: np.ndarray) -> np.ndarray:
     return np.argmin(d, axis=1)
 
 
-def quantize(z_e: Tensor, codebook: Codebook, commitment_weight: float = 0.25) -> QuantizeResult:
+def quantize(z_e: Tensor, codebook: Codebook, commitment_weight: float = 0.25,
+             lengths=None) -> QuantizeResult:
     """Quantize each frame group-wise and compute both bottleneck losses.
 
     codebook_loss averages, over frames and groups, the squared distance
     from detached encoder outputs to the selected entries; commit_loss is
     the mirrored term times `commitment_weight` and moves only the encoder.
+    For a [B, T', D] batch both are per-row means over the first lengths[b]
+    frames, averaged over rows.
     """
-    if z_e.ndim != 2 or z_e.shape[1] != codebook.dim:
+    if z_e.ndim not in (2, 3) or z_e.shape[-1] != codebook.dim:
         raise ad.ShapeError("quantize", z_e.shape, (codebook.dim,))
     gd = codebook.group_dim
+    last = z_e.ndim - 1
     parts, idx_cols = [], []
     cb_terms, cm_terms = [], []
     for g, table in enumerate(codebook.groups):
-        zg = ad.narrow(z_e, 1, g * gd, gd)
-        idx = nearest_entries(zg.values, table.values)
+        zg = ad.narrow(z_e, last, g * gd, gd)
+        idx = nearest_entries(zg.values.reshape(-1, gd), table.values).reshape(zg.shape[:-1])
         idx_cols.append(idx)
         e_sel = ad.embedding_lookup(table, idx)
 
         cb_diff = ad.sub(ad.stop_gradient(zg), e_sel)
-        cb_terms.append(ad.reduce_mean(ad.reduce_sum(ad.mul(cb_diff, cb_diff), axis=1)))
+        cb_terms.append(ad.row_mean(ad.reduce_sum(ad.mul(cb_diff, cb_diff), axis=last), lengths))
         cm_diff = ad.sub(zg, ad.stop_gradient(e_sel))
-        cm_terms.append(ad.reduce_mean(ad.reduce_sum(ad.mul(cm_diff, cm_diff), axis=1)))
+        cm_terms.append(ad.row_mean(ad.reduce_sum(ad.mul(cm_diff, cm_diff), axis=last), lengths))
 
         parts.append(ad.straight_through(zg, e_sel))
 
     scale = 1.0 / codebook.n_groups
-    codebook_loss = _weighted_sum(cb_terms, scale)
-    commit_loss = _weighted_sum(cm_terms, scale * commitment_weight)
-    indices = np.stack(idx_cols, axis=1)
-    ppl = float(np.mean([perplexity(c) for c in usage_counts(indices, codebook.n_entries)]))
+    indices = np.stack(idx_cols, axis=-1)
+    mask = ad.length_mask(lengths, z_e.shape[-2], bool)
+    indices = indices.reshape(-1, codebook.n_groups) if mask is None else indices[mask]
     return QuantizeResult(
-        z_q=ad.concat(parts, axis=1),
+        z_q=ad.concat(parts, axis=last),
         indices=indices,
-        codebook_loss=codebook_loss,
-        commit_loss=commit_loss,
-        perplexity=ppl,
+        codebook_loss=_weighted_sum(cb_terms, scale),
+        commit_loss=_weighted_sum(cm_terms, scale * commitment_weight),
     )
 
 
@@ -184,11 +189,9 @@ def quantize_frozen(
         parts.append(ad.add(zg, offset))
 
     scale = 1.0 / codebook.n_groups
-    ppl = float(np.mean([perplexity(c) for c in usage_counts(sel.indices, codebook.n_entries)]))
     return QuantizeResult(
         z_q=ad.concat(parts, axis=1),
         indices=sel.indices.copy(),
         codebook_loss=_weighted_sum(cb_terms, scale),
         commit_loss=_weighted_sum(cm_terms, scale * commitment_weight),
-        perplexity=ppl,
     )

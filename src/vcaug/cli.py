@@ -4,6 +4,10 @@ Subcommands: featurize, train, sweep, select, convert, augment, gradcheck,
 inspect.  Exit codes: 0 success, 1 configuration error, 2 data error,
 3 numeric divergence.  All randomness hangs off --seed (or the seed in the
 config file when the flag is absent).
+
+The adversarial-weight comparison on the synthetic corpus is
+`scripts/make_synthetic_corpus.py --out corpus` followed by
+`vcaug sweep --config configs/desk.cfg --out sweep_out`.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from . import augment as aug
 from . import data as vd
 from . import model as vm
 from . import training as tr
-from .bottleneck import perplexity  # noqa: F401  (re-exported for scripts)
 from .config import ConfigError, load_config, parse_pool
 from .signal import (
     MelfFormatError,
@@ -176,7 +179,7 @@ def cmd_gradcheck(args) -> int:
     frozen = model.capture_selection(mel)
     weights = tr.LossWeights(
         gamma=cfg.train.gamma, epsilon=cfg.train.epsilon, eta=cfg.train.eta,
-        beta=cfg.model.commitment_weight, delta=cfg.train.delta,
+        delta=cfg.train.delta,
     )
 
     def loss_fn():
@@ -234,7 +237,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(handler=cmd_train)
 
-    p = sub.add_parser("sweep", help="train once per adversarial weight and compare")
+    p = sub.add_parser(
+        "sweep", help="train once per adversarial weight and compare",
+        description="Train one model per reversal weight and apply the selection rule. "
+                    "On the synthetic corpus: scripts/make_synthetic_corpus.py --out corpus, "
+                    "then vcaug sweep --config configs/desk.cfg --out sweep_out.",
+    )
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--weights", default="0.0,0.1,0.5,1.0")

@@ -112,8 +112,7 @@ class RunConfig:
             seed=t.seed if seed is None else seed,
             adversarial_weight=t.adversarial_weight,
             weights=LossWeights(
-                gamma=t.gamma, epsilon=t.epsilon, eta=t.eta,
-                beta=self.model.commitment_weight, delta=t.delta,
+                gamma=t.gamma, epsilon=t.epsilon, eta=t.eta, delta=t.delta,
             ),
             batch_size=t.batch_size,
             checkpoint_every=t.checkpoint_every,

@@ -7,6 +7,17 @@ back to full frame rate by a BiLSTM stack plus two stride-2 transposed
 convolutions.  The time axis is right-padded to a multiple of 4 on the way
 in and the decoder output is trimmed back to the requested length.
 
+Every stage takes one utterance ([T, M] features) or a zero-padded batch
+([B, T, M], built by `pad_batch`) with per-row frame counts `lengths`.
+Masks make each row compute exactly what it would alone: normalized input
+rows are zero past their length (the subsampling convs never read past a
+row's own multiple-of-4 pad), padded attention keys get a large negative
+score bias, padded frames are zeroed before the depthwise conv and before
+each transposed conv (each reads one frame past a row's end), the reverse
+LSTM starts at each row's last valid frame, and every loss and the
+adversary's pooling average over valid frames only.  A batch whose rows
+are all full length records no mask op.
+
 Checkpoints are self-describing: a config snapshot, the step count, and a
 named-tensor table whose sha256 is verified on load.
 """
@@ -109,6 +120,23 @@ def _init_tensor(shape, fan_in: int, name: str, seed: int, dtype, gain: float = 
 # encoder before the decoder starts using the bottleneck.  A moderate gain on
 # decoder weights balances the two forces at small scale.
 DECODER_INIT_GAIN = 3.0
+
+# score bias on padded attention keys: exp() of it underflows to exactly 0
+PAD_KEY_BIAS = -1e9
+
+
+def pad_batch(arrays) -> tuple[np.ndarray, np.ndarray]:
+    """Stack [T_b, M] arrays into a zero-padded [B, max T_b, M] batch plus lengths [B]."""
+    lengths = np.array([a.shape[0] for a in arrays])
+    batch = np.zeros((len(arrays), lengths.max(), arrays[0].shape[1]), dtype=arrays[0].dtype)
+    for row, a in zip(batch, arrays):
+        row[: a.shape[0]] = a
+    return batch, lengths
+
+
+def _encoded_lengths(lengths):
+    """Valid encoder frames per row, ceil(T_b / 4); None passes through."""
+    return None if lengths is None else -(-np.asarray(lengths) // 4)
 
 
 class VcModel:
@@ -215,27 +243,32 @@ class VcModel:
     def _ln(self, x: Tensor, name: str) -> Tensor:
         return ad.layer_norm(x, self.params[f"{name}.g"], self.params[f"{name}.b"], eps=LN_EPS)
 
-    def _attention(self, x: Tensor, prefix: str) -> Tensor:
+    def _attention(self, x: Tensor, prefix: str, lengths=None) -> Tensor:
         enc = self.config.encoder
         head_dim = enc.model_dim // enc.n_heads
         scale = Tensor(np.asarray(1.0 / np.sqrt(head_dim), dtype=self.dtype))
+        mask = ad.length_mask(lengths, x.shape[-2], self.dtype)
+        key_bias = None if mask is None else Tensor((1.0 - mask[:, None, :]) * PAD_KEY_BIAS)
         q = ad.matmul(x, self.params[f"{prefix}.wq"])
         k = ad.matmul(x, self.params[f"{prefix}.wk"])
         v = ad.matmul(x, self.params[f"{prefix}.wv"])
+        last = x.ndim - 1
         outs = []
         for h in range(enc.n_heads):
             lo = h * head_dim
-            qh = ad.narrow(q, 1, lo, head_dim)
-            kh = ad.narrow(k, 1, lo, head_dim)
-            vh = ad.narrow(v, 1, lo, head_dim)
+            qh = ad.narrow(q, last, lo, head_dim)
+            kh = ad.narrow(k, last, lo, head_dim)
+            vh = ad.narrow(v, last, lo, head_dim)
             scores = ad.mul(ad.matmul(qh, ad.transpose(kh)), scale)
+            if key_bias is not None:
+                scores = ad.add(scores, key_bias)
             outs.append(ad.matmul(ad.softmax(scores, axis=-1), vh))
-        return ad.matmul(ad.concat(outs, axis=1), self.params[f"{prefix}.wo"])
+        return ad.matmul(ad.concat(outs, axis=last), self.params[f"{prefix}.wo"])
 
-    def _encoder_block(self, x: Tensor, i: int) -> Tensor:
+    def _encoder_block(self, x: Tensor, i: int, lengths=None) -> Tensor:
         p = f"enc.block{i}"
-        x = ad.add(x, self._attention(self._ln(x, f"{p}.ln1"), f"{p}.attn"))
-        c = self._ln(x, f"{p}.ln2")
+        x = ad.add(x, self._attention(self._ln(x, f"{p}.ln1"), f"{p}.attn", lengths))
+        c = ad.mask_frames(self._ln(x, f"{p}.ln2"), lengths)
         c = ad.relu(ad.depthwise_conv1d(c, self.params[f"{p}.conv.dw"]))
         c = ad.add(ad.matmul(c, self.params[f"{p}.conv.pw.w"]), self.params[f"{p}.conv.pw.b"])
         x = ad.add(x, c)
@@ -244,78 +277,109 @@ class VcModel:
         f = ad.add(ad.matmul(f, self.params[f"{p}.ff.w2"]), self.params[f"{p}.ff.b2"])
         return ad.add(x, f)
 
-    def encode(self, mel) -> Tensor:
-        """Map a [T, M] mel matrix to [ceil(T/4), model_dim] content encodings."""
+    def encode(self, mel, lengths=None) -> Tensor:
+        """Map [T, M] features to [ceil(T/4), model_dim] content encodings.
+
+        A padded [B, T, M] batch maps to [B, ceil(T/4), model_dim]; row b
+        is valid for its first ceil(lengths[b]/4) frames (all, without
+        `lengths`).
+        """
         values = mel.data if isinstance(mel, MelSpectrogram) else np.asarray(mel)
-        t = values.shape[0]
-        if t < 4:
-            raise ValueError(f"need at least 4 frames to encode, got {t}")
-        if values.shape[1] != self.config.n_mels:
+        if values.ndim not in (2, 3) or values.shape[-1] != self.config.n_mels:
             raise ad.ShapeError("encode", values.shape, (self.config.n_mels,))
+        t = values.shape[-2]
+        if lengths is not None and (values.ndim != 3 or np.shape(lengths) != values.shape[:1]
+                                    or np.max(lengths) > t):
+            raise ad.ShapeError("encode", values.shape, np.shape(lengths))
+        shortest = t if lengths is None else int(np.min(lengths))
+        if shortest < 4:
+            raise ValueError(f"need at least 4 frames to encode, got {shortest}")
         normalized = (values.astype(self.dtype) - self.feature_mean) / self.feature_std
+        mask = ad.length_mask(lengths, t, self.dtype)
+        if mask is not None:
+            normalized *= mask[..., None]
         pad = (-t) % 4
         if pad:
-            normalized = np.pad(normalized, ((0, pad), (0, 0)))
+            normalized = np.pad(normalized, [(0, 0)] * (values.ndim - 2) + [(0, pad), (0, 0)])
         x = Tensor(normalized)
         x = ad.relu(ad.add(ad.conv1d(x, self.params["enc.sub1.w"], stride=2, padding=1),
                            self.params["enc.sub1.b"]))
         x = ad.relu(ad.add(ad.conv1d(x, self.params["enc.sub2.w"], stride=2, padding=1),
                            self.params["enc.sub2.b"]))
+        enc_lengths = _encoded_lengths(lengths)
         for i in range(self.config.encoder.n_blocks):
-            x = self._encoder_block(x, i)
+            x = self._encoder_block(x, i, enc_lengths)
         return ad.layer_norm(x, eps=LN_EPS)
 
-    def embed_and_concat(self, bottleneck_out: Tensor, speaker_id: int) -> Tensor:
-        """Append the speaker embedding row to every frame: [T', D] -> [T', D+E]."""
-        if not 0 <= speaker_id < self.config.n_speakers:
+    def embed_and_concat(self, bottleneck_out: Tensor, speaker_id) -> Tensor:
+        """Append the speaker embedding row to every frame: [T', D] -> [T', D+E].
+
+        For a [B, T', D] batch, `speaker_id` holds one id per row.
+        """
+        ids = np.asarray(speaker_id)
+        if ids.shape != bottleneck_out.shape[:-2]:
+            raise ad.ShapeError("embed_and_concat", bottleneck_out.shape, ids.shape)
+        if ids.min() < 0 or ids.max() >= self.config.n_speakers:
             raise ValueError(
                 f"speaker id {speaker_id} out of range [0, {self.config.n_speakers})"
             )
-        t = bottleneck_out.shape[0]
-        emb = ad.embedding_lookup(self.params["spk.embedding"], [speaker_id])
-        tiled = ad.add(Tensor(np.zeros((t, self.config.speaker_dim), dtype=self.dtype)), emb)
-        return ad.concat([bottleneck_out, tiled], axis=1)
+        emb = ad.embedding_lookup(self.params["spk.embedding"], ids[..., None])
+        tiled = ad.add(Tensor(np.zeros(bottleneck_out.shape[:-1] + (self.config.speaker_dim,),
+                                       dtype=self.dtype)), emb)
+        return ad.concat([bottleneck_out, tiled], axis=bottleneck_out.ndim - 1)
 
-    def _bilstm_layer(self, x: Tensor, layer: int) -> Tensor:
+    def _bilstm_layer(self, x: Tensor, layer: int, lengths=None) -> Tensor:
         outs = []
         for direction in ("fwd", "bwd"):
             p = f"dec.lstm{layer}.{direction}"
             outs.append(ad.lstm_layer(x, self.params[f"{p}.wx"], self.params[f"{p}.wh"],
-                                      self.params[f"{p}.b"], reverse=direction == "bwd"))
-        return ad.concat(outs, axis=1)
+                                      self.params[f"{p}.b"], reverse=direction == "bwd",
+                                      lengths=lengths))
+        return ad.concat(outs, axis=x.ndim - 1)
 
-    def decode(self, x: Tensor, target_len: int) -> Tensor:
-        """BiLSTM stack, 4x transposed-conv upsample, project, trim to target_len."""
-        t_in = x.shape[0]
+    def decode(self, x: Tensor, target_len: int, lengths=None) -> Tensor:
+        """BiLSTM stack, 4x transposed-conv upsample, project, trim to target_len.
+
+        x is [T', D+E], or [B, T', D+E] with lengths[b] valid frames per row.
+        """
+        t_in = x.shape[-2]
         if target_len > 4 * t_in:
             raise ValueError(f"target_len {target_len} exceeds 4*T' = {4 * t_in}")
         if target_len < 1:
             raise ValueError("target_len must be positive")
         for layer in range(self.config.decoder.n_lstm_layers):
-            x = self._bilstm_layer(x, layer)
+            x = self._bilstm_layer(x, layer, lengths)
+        x = ad.mask_frames(x, lengths)
         x = ad.relu(ad.add(ad.conv1d_transpose(x, self.params["dec.up1.w"], stride=2, padding=1),
                            self.params["dec.up1.b"]))
+        x = ad.mask_frames(x, None if lengths is None else 2 * np.asarray(lengths))
         x = ad.relu(ad.add(ad.conv1d_transpose(x, self.params["dec.up2.w"], stride=2, padding=1),
                            self.params["dec.up2.b"]))
         x = ad.add(ad.matmul(x, self.params["dec.proj.w"]), self.params["dec.proj.b"])
-        x = ad.narrow(x, 0, 0, target_len)
+        x = ad.narrow(x, x.ndim - 2, 0, target_len)
         std = Tensor(self.feature_std)
         mean = Tensor(self.feature_mean)
         return ad.add(ad.mul(x, std), mean)
 
-    def forward_tensors(self, mel, speaker_id: int, adv_weight: float = 0.1,
-                        frozen_selection: bn.FrozenSelection | None = None):
+    def forward_tensors(self, mel, speaker_id, adv_weight: float = 0.1,
+                        frozen_selection: bn.FrozenSelection | None = None, lengths=None):
         """Differentiable end-to-end pass; returns (recon, quantize result, logits).
 
-        `frozen_selection` pins the quantizer assignment, which makes the
-        whole computation smooth for finite-difference verification.
+        One utterance ([T, M], an int speaker) gives recon [T, M] and logits
+        [S]; a padded batch ([B, T, M], B speaker ids, per-row `lengths`)
+        gives recon [B, T, M] and logits [B, S] in one graph.
+        `frozen_selection` pins the quantizer assignment of one utterance,
+        which makes the whole computation smooth for finite-difference
+        verification.
         """
         values = mel.data if isinstance(mel, MelSpectrogram) else np.asarray(mel)
-        z_e = self.encode(values)
+        z_e = self.encode(values, lengths)
+        enc_lengths = _encoded_lengths(lengths)
         if frozen_selection is None:
             qr = bn.quantize(z_e, self.codebook,
-                             commitment_weight=self.config.commitment_weight)
-            logits = self.adversary.logits(qr.z_q, adv_weight)
+                             commitment_weight=self.config.commitment_weight,
+                             lengths=enc_lengths)
+            logits = self.adversary.logits(qr.z_q, adv_weight, enc_lengths)
         else:
             qr = bn.quantize_frozen(z_e, self.codebook, frozen_selection,
                                     commitment_weight=self.config.commitment_weight)
@@ -323,7 +387,7 @@ class VcModel:
                 qr.z_q, adv_weight, frozen_selection.e_sel
             )
         cond = self.embed_and_concat(qr.z_q, speaker_id)
-        recon = self.decode(cond, target_len=values.shape[0])
+        recon = self.decode(cond, target_len=values.shape[-2], lengths=enc_lengths)
         return recon, qr, logits
 
     def capture_selection(self, mel) -> bn.FrozenSelection:
@@ -333,18 +397,6 @@ class VcModel:
         qr = bn.quantize(z_e, self.codebook,
                          commitment_weight=self.config.commitment_weight)
         return bn.freeze_selection(z_e.values, qr)
-
-    def forward(self, mel, speaker_id: int):
-        """Inference pass: (reconstruction mel, quantize result, logit array)."""
-        recon, qr, logits = self.forward_tensors(mel, speaker_id)
-        frame_size = mel.frame_size_ms if isinstance(mel, MelSpectrogram) else 25.0
-        frame_shift = mel.frame_shift_ms if isinstance(mel, MelSpectrogram) else 10.0
-        out = MelSpectrogram(
-            data=recon.values.astype(np.float32),
-            frame_size_ms=frame_size,
-            frame_shift_ms=frame_shift,
-        )
-        return out, qr, np.asarray(logits.values)
 
 
 # ---------------------------------------------------------------------------

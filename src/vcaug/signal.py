@@ -122,11 +122,6 @@ def mel_filterbank(
     return weights
 
 
-def mel_filter_centers_hz(n_mels: int, fmin_hz: float = MEL_FMIN_HZ, fmax_hz: float = MEL_FMAX_HZ) -> np.ndarray:
-    """Center frequency of each triangular filter."""
-    return mel_to_hz(np.linspace(hz_to_mel(fmin_hz), hz_to_mel(fmax_hz), n_mels + 2))[1:-1]
-
-
 def frame_count(n_samples: int, window: int, hop: int) -> int:
     """Frames produced without padding: 1 + floor((N - window) / hop)."""
     if n_samples < window:

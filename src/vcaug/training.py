@@ -6,6 +6,12 @@ adversarial strength is a single knob: the gradient-reversal scale.  The
 classifier always trains at full strength, so its accuracy stays a usable
 leakage probe even when the reversal scale is zero.
 
+Each step stacks its utterances into one zero-padded [B, T, M] batch with
+per-row lengths and runs a single forward and backward graph over it.  Every
+loss term is a per-utterance mean over that utterance's valid frames,
+averaged over the batch, so the objective equals the mean of B separate
+single-utterance losses.
+
 Per-step metrics go to a tab-separated ledger; candidate runs are compared
 on final-window means and ranked by the selection rule: keep candidates
 with low speaker accuracy and high codebook perplexity, then prefer the
@@ -23,16 +29,16 @@ import numpy as np
 from . import autodiff as ad
 from . import bottleneck as bn
 from .autodiff import Tensor
-from .model import VcModel, save_checkpoint
+from .model import VcModel, pad_batch, save_checkpoint
 from .signal import MelSpectrogram
 
 
 class DivergenceError(RuntimeError):
-    """Training hit a non-finite loss; carries the last good checkpoint path."""
+    """Training hit a non-finite loss or gradient; carries the last good checkpoint path."""
 
     def __init__(self, step: int, checkpoint_path=None):
         suffix = f"; last good state at {checkpoint_path}" if checkpoint_path else ""
-        super().__init__(f"non-finite loss at step {step}{suffix}")
+        super().__init__(f"non-finite loss or gradient at step {step}{suffix}")
         self.step = step
         self.checkpoint_path = checkpoint_path
 
@@ -41,26 +47,28 @@ class DivergenceError(RuntimeError):
 class LossWeights:
     """Multipliers of the four loss terms plus the Huber threshold.
 
-    `beta` scales the commitment term inside the quantizer; `delta` is the
-    Huber transition point.  The top-level term weights default to 1.0.
+    `delta` is the Huber transition point.  The term weights default to 1.0.
     """
 
     gamma: float = 1.0     # codebook term
     epsilon: float = 1.0   # commitment term
     eta: float = 1.0       # adversarial term
-    beta: float = 0.25     # commitment scale inside the quantizer
     delta: float = 1.0     # Huber threshold
 
     def __post_init__(self):
-        for name in ("gamma", "epsilon", "eta", "beta"):
+        for name in ("gamma", "epsilon", "eta"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         if self.delta <= 0:
             raise ValueError("delta must be positive")
 
 
-def huber(y, y_hat, delta: float = 1.0) -> Tensor:
-    """Mean Huber loss: 0.5*d^2 below `delta`, delta*(|d| - delta/2) beyond."""
+def huber(y, y_hat, delta: float = 1.0, lengths=None) -> Tensor:
+    """Mean Huber loss: 0.5*d^2 below `delta`, delta*(|d| - delta/2) beyond.
+
+    For padded [B, T, M] inputs with per-row `lengths` the mean is taken
+    per utterance over its [lengths[b], M] valid entries, then over rows.
+    """
     y = y if isinstance(y, Tensor) else Tensor(y)
     y_hat = y_hat if isinstance(y_hat, Tensor) else Tensor(y_hat)
     if y.shape != y_hat.shape:
@@ -75,7 +83,7 @@ def huber(y, y_hat, delta: float = 1.0) -> Tensor:
     quad = ad.mul(ad.mul(half, d), d)
     lin = ad.mul(Tensor(np.asarray(delta, dtype=d.dtype)),
                  ad.sub(abs_d, Tensor(np.asarray(0.5 * delta, dtype=d.dtype))))
-    return ad.reduce_mean(ad.add(ad.mul(mask, quad), ad.mul(inv_mask, lin)))
+    return ad.row_mean(ad.add(ad.mul(mask, quad), ad.mul(inv_mask, lin)), lengths)
 
 
 def total_loss(recon: Tensor, codebook: Tensor, commit: Tensor, adv: Tensor,
@@ -183,16 +191,6 @@ class MetricsLedger:
         tail = self.records[-n:]
         return {f: float(np.mean([getattr(m, f) for m in tail])) for f in LEDGER_FIELDS}
 
-    def ema(self, column: str, decay: float = 0.99) -> list[float]:
-        """Display smoothing for noisy per-step columns."""
-        out: list[float] = []
-        value = None
-        for m in self.records:
-            x = getattr(m, column)
-            value = x if value is None else decay * value + (1.0 - decay) * x
-            out.append(value)
-        return out
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -201,7 +199,7 @@ class TrainConfig:
     seed: int = 0
     adversarial_weight: float = 0.1   # gradient-reversal scale
     weights: LossWeights = field(default_factory=LossWeights)
-    batch_size: int = 1               # utterances per step, losses averaged
+    batch_size: int = 1               # utterances per step, one padded graph
     checkpoint_every: int = 0         # 0 = final checkpoint only
     out_dir: str | None = None
 
@@ -222,13 +220,20 @@ def feature_stats(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
     return stacked.mean(axis=0), stacked.std(axis=0)
 
 
+def _grad_norm(params: dict[str, Tensor]) -> float:
+    """Global L2 norm of every gradient; non-finite when any element is."""
+    return float(np.sqrt(sum(float(np.vdot(p.grad, p.grad))
+                             for p in params.values() if p.grad is not None)))
+
+
 def train(model: VcModel, dataset: Dataset, cfg: TrainConfig,
           checkpoint_meta: dict | None = None) -> TrainResult:
     """Run the Adam loop; deterministic given the seed.
 
     The same features serve as input and reconstruction target.  At step 0
     the feature statistics and the codebook are initialized from the data.
-    A non-finite loss halts training after writing the last good state.
+    A non-finite loss or gradient halts training before the update, after
+    writing the parameters of the last completed step.
     """
     if not dataset:
         raise ValueError("dataset is empty")
@@ -247,7 +252,6 @@ def train(model: VcModel, dataset: Dataset, cfg: TrainConfig,
     optimizer = Adam(model.parameters(trainable_only=True), lr=cfg.lr)
     ledger = MetricsLedger()
     checkpoints: list[str] = []
-    last_good: dict[str, np.ndarray] | None = None
 
     def write_checkpoint(tag: str) -> str:
         path = str(out_dir / f"step{tag}.vcck")
@@ -256,60 +260,39 @@ def train(model: VcModel, dataset: Dataset, cfg: TrainConfig,
         return path
 
     batch = max(1, cfg.batch_size)
-    inv_b = 1.0 / batch
     for i in range(cfg.steps):
         step = model.step + 1
         picks = [dataset[int(rng.integers(len(dataset)))] for _ in range(batch)]
+        values, lengths = pad_batch([mel.data for mel, _ in picks])
+        speakers = np.array([speaker for _, speaker in picks])
 
-        parts = {"recon": 0.0, "codebook": 0.0, "commit": 0.0, "adv": 0.0}
-        hits = 0.0
-        counts = np.zeros((model.codebook.n_groups, model.codebook.n_entries), dtype=np.int64)
         with ad.Tape() as tape:
-            loss = None
-            for mel, speaker in picks:
-                recon, qr, logits = model.forward_tensors(
-                    mel, speaker, adv_weight=cfg.adversarial_weight
-                )
-                recon_loss = huber(Tensor(mel.data.astype(model.dtype)), recon,
-                                   delta=cfg.weights.delta)
-                adv_loss = ad.cross_entropy(logits, speaker)
-                utt_loss = total_loss(recon_loss, qr.codebook_loss, qr.commit_loss,
-                                      adv_loss, cfg.weights)
-                loss = utt_loss if loss is None else ad.add(loss, utt_loss)
-                parts["recon"] += recon_loss.item() * inv_b
-                parts["codebook"] += qr.codebook_loss.item() * inv_b
-                parts["commit"] += qr.commit_loss.item() * inv_b
-                parts["adv"] += adv_loss.item() * inv_b
-                hits += inv_b * (1.0 if int(np.argmax(logits.values)) == speaker else 0.0)
-                counts += bn.usage_counts(qr.indices, model.codebook.n_entries)
-            if batch > 1:
-                loss = ad.mul(loss, Tensor(np.asarray(inv_b, dtype=loss.dtype)))
-        ppl = float(np.mean([bn.perplexity(c) for c in counts]))
-
-        if not np.isfinite(loss.values).all():
-            path = None
-            if last_good is not None:
-                for name, values in last_good.items():
-                    model.params[name].values = values
-                model.step = step - 1
-                if out_dir:
-                    path = write_checkpoint(f"{model.step:06d}-lastgood")
-            raise DivergenceError(step, path)
-
-        last_good = {name: p.values.copy() for name, p in model.params.items()}
+            recon, qr, logits = model.forward_tensors(
+                values, speakers, adv_weight=cfg.adversarial_weight, lengths=lengths
+            )
+            recon_loss = huber(Tensor(values.astype(model.dtype)), recon,
+                               delta=cfg.weights.delta, lengths=lengths)
+            adv_loss = ad.cross_entropy(logits, speakers)
+            loss = total_loss(recon_loss, qr.codebook_loss, qr.commit_loss, adv_loss,
+                              cfg.weights)
         optimizer.zero_grad()
         tape.backward(loss)
+        if not (np.isfinite(loss.values).all() and np.isfinite(_grad_norm(optimizer.params))):
+            # the live parameters are still those of the last completed step
+            path = write_checkpoint(f"{model.step:06d}-lastgood") if out_dir and i else None
+            raise DivergenceError(step, path)
         optimizer.step()
         model.step = step
 
+        counts = bn.usage_counts(qr.indices, model.codebook.n_entries)
         ledger.append(StepMetrics(
             step=step,
-            recon=parts["recon"],
-            codebook=parts["codebook"],
-            commit=parts["commit"],
-            adv=parts["adv"],
-            speaker_acc=hits,
-            perplexity=ppl,
+            recon=recon_loss.item(),
+            codebook=qr.codebook_loss.item(),
+            commit=qr.commit_loss.item(),
+            adv=adv_loss.item(),
+            speaker_acc=float(np.mean(np.argmax(logits.values, axis=-1) == speakers)),
+            perplexity=float(np.mean([bn.perplexity(c) for c in counts])),
         ))
 
         if out_dir and cfg.checkpoint_every and step % cfg.checkpoint_every == 0:

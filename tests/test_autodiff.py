@@ -153,6 +153,14 @@ def _primitive_cases(rng):
     lbv = _rng_tensor(rng, (3,))
     pos = Tensor(np.abs(rng.normal(size=(4, 3))).astype(np.float64) + 0.5)
     logits = _rng_tensor(rng, (6,))
+    # padded-batch shapes: [B, T, C] with time on axis -2
+    bm = _rng_tensor(rng, (2, 3, 4))
+    bk = _rng_tensor(rng, (2, 4, 3))
+    bw = _rng_tensor(rng, (4, 3))
+    bx = _rng_tensor(rng, (2, 5, 2))
+    blx = _rng_tensor(rng, (2, 5, 3))
+    blen = np.array([5, 3])
+    row_logits = _rng_tensor(rng, (3, 4))
 
     def spread(x):
         # mixes elements so every input influences the scalar nontrivially
@@ -208,6 +216,33 @@ def _primitive_cases(rng):
             lambda: spread(ad.lstm_layer(lx1, lwx, lwh, lb)),
         ),
         "cross_entropy": ({"logits": logits}, lambda: ad.cross_entropy(logits, 2)),
+        "matmul_rows": ({"a": bm, "b": bw}, lambda: spread(ad.matmul(bm, bw))),
+        "matmul_batched": ({"a": bm, "b": bk}, lambda: spread(ad.matmul(bm, bk))),
+        "transpose_batched": ({"a": bm}, lambda: spread(ad.matmul(bm, ad.transpose(bm)))),
+        "conv1d_batched": (
+            {"x": bx, "w": cw},
+            lambda: spread(ad.conv1d(bx, cw, stride=2, padding=1)),
+        ),
+        "conv1d_transpose_batched": (
+            {"x": bx, "w": tw},
+            lambda: spread(ad.conv1d_transpose(bx, tw, stride=2, padding=1)),
+        ),
+        "depthwise_conv1d_batched": (
+            {"x": bx, "w": dw},
+            lambda: spread(ad.depthwise_conv1d(bx, dw)),
+        ),
+        "lstm_layer_lengths": (
+            {"x": blx, "wx": lwx, "wh": lwh, "b": lb},
+            lambda: spread(ad.lstm_layer(blx, lwx, lwh, lb, lengths=blen)),
+        ),
+        "lstm_layer_lengths_reverse": (
+            {"x": blx, "wx": lwx, "wh": lwh, "b": lb},
+            lambda: spread(ad.lstm_layer(blx, lwx, lwh, lb, reverse=True, lengths=blen)),
+        ),
+        "cross_entropy_rows": (
+            {"logits": row_logits},
+            lambda: ad.cross_entropy(row_logits, np.array([1, 3, 0])),
+        ),
         "power": ({"a": pos}, lambda: spread(ad.power(pos, 1.7))),
         "exp": ({"a": a}, lambda: spread(ad.exp(a))),
         "log": ({"a": pos}, lambda: spread(ad.log(pos))),
@@ -262,6 +297,50 @@ def test_lstm_layer_matches_per_step_oracle(reverse):
     oracle = grads_of(loss(_lstm_steps_oracle), params)
     for name, gf, go in zip(("x", "wx", "wh", "b"), fused, oracle):
         np.testing.assert_allclose(gf, go, rtol=1e-10, atol=0, err_msg=name)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_lstm_layer_batch_rows_match_single_rows(reverse):
+    # a reverse row starts at its own last valid frame, not at the padded end
+    rng = np.random.default_rng(12)
+    lengths = np.array([6, 2, 4])
+    x = _rng_tensor(rng, (3, 6, 5))
+    wx, wh, b = (_rng_tensor(rng, s, scale=0.7) for s in ((5, 16), (4, 16), (16,)))
+    batched = ad.lstm_layer(x, wx, wh, b, reverse=reverse, lengths=lengths).values
+    for row, n in enumerate(lengths):
+        alone = ad.lstm_layer(Tensor(x.values[row, :n]), wx, wh, b, reverse=reverse).values
+        np.testing.assert_allclose(batched[row, :n], alone, rtol=1e-12, atol=1e-15)
+
+
+def test_cross_entropy_rows_is_mean_of_single_rows():
+    logits = np.random.default_rng(14).normal(size=(3, 5))
+    labels = np.array([4, 0, 2])
+    rows = ad.cross_entropy(t64(logits), labels).item()
+    singles = [ad.cross_entropy(t64(lg), int(lb)).item() for lg, lb in zip(logits, labels)]
+    assert rows == pytest.approx(np.mean(singles), rel=1e-12)
+    with pytest.raises(ad.ShapeError, match="cross_entropy"):
+        ad.cross_entropy(t64(logits), 1)
+
+
+def test_first_gradient_is_a_private_copy():
+    # add hands one upstream array to both inputs; each .grad must own its copy
+    a = t64([1.0, -2.0, 3.0])
+    with Tape() as tape:
+        out = ad.add(a, a)
+        loss = ad.reduce_sum(ad.mul(out, t64([1.0, 2.0, 3.0])))
+    tape.backward(loss)
+    np.testing.assert_array_equal(a.grad, [2.0, 4.0, 6.0])
+    np.testing.assert_array_equal(out.grad, [1.0, 2.0, 3.0])
+
+    # one output feeding two consumers accumulates both contributions
+    x = t64([0.5, 1.5])
+    with Tape() as tape:
+        y = ad.tanh(x)
+        loss = ad.add(ad.reduce_sum(ad.mul(y, t64([2.0, 2.0]))), ad.reduce_sum(ad.exp(y)))
+    tape.backward(loss)
+    expected_y = 2.0 + np.exp(np.tanh(x.values))
+    np.testing.assert_allclose(y.grad, expected_y, rtol=1e-15)
+    np.testing.assert_allclose(x.grad, expected_y * (1.0 - np.tanh(x.values) ** 2), rtol=1e-15)
 
 
 def test_lstm_layer_records_one_node_and_checks_shapes():

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from vcaug import augment as aug
 from vcaug import autodiff as ad
 from vcaug import cli
 from vcaug import model as vm
@@ -123,21 +124,23 @@ def test_decode_outputs_finite_over_seeds():
 def test_forward_shape_contract_and_determinism():
     model = desk_model()
     mel = MelSpectrogram(data=np.random.default_rng(6).normal(size=(98, 80)).astype(np.float32))
-    out1, qr1, logits1 = model.forward(mel, 1)
-    out2, qr2, logits2 = model.forward(mel, 1)
-    assert out1.data.shape == (98, 80)
-    np.testing.assert_array_equal(out1.data, out2.data)
+    out1, qr1, logits1 = model.forward_tensors(mel, 1)
+    out2, qr2, logits2 = model.forward_tensors(mel, 1)
+    assert out1.shape == (98, 80)
+    assert qr1.indices.shape == (25, 2)
+    assert logits1.shape == (4,)
+    np.testing.assert_array_equal(out1.values, out2.values)
     np.testing.assert_array_equal(qr1.indices, qr2.indices)
-    np.testing.assert_array_equal(logits1, logits2)
+    np.testing.assert_array_equal(logits1.values, logits2.values)
 
 
 def test_forward_speaker_changes_recon_not_indices():
     model = desk_model()
     mel = MelSpectrogram(data=np.random.default_rng(7).normal(size=(40, 80)).astype(np.float32))
-    out_a, qr_a, _ = model.forward(mel, 0)
-    out_b, qr_b, _ = model.forward(mel, 3)
+    out_a, qr_a, _ = model.forward_tensors(mel, 0)
+    out_b, qr_b, _ = model.forward_tensors(mel, 3)
     np.testing.assert_array_equal(qr_a.indices, qr_b.indices)
-    assert not np.array_equal(out_a.data, out_b.data)
+    assert not np.array_equal(out_a.values, out_b.values)
 
 
 def toy_loss_fn(model, mel, frozen_selection=None, adv_weight=0.1):
@@ -196,17 +199,97 @@ def test_frozen_surrogate_matches_real_graph():
             np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12, err_msg=name)
 
 
+BATCH_LENGTHS = (12, 7, 5, 9)
+BATCH_SPEAKERS = np.array([0, 2, 1, 2])
+
+
+def batch_loss(model, values, speakers, lengths=None):
+    from vcaug import training as tr
+
+    recon, qr, logits = model.forward_tensors(values, speakers, adv_weight=0.3, lengths=lengths)
+    return tr.total_loss(
+        tr.huber(Tensor(values), recon, delta=1.0, lengths=lengths),
+        qr.codebook_loss, qr.commit_loss, ad.cross_entropy(logits, speakers),
+        tr.LossWeights(gamma=0.7, epsilon=1.3, eta=0.9),
+    )
+
+
+def loss_and_grads(model, values, speakers, lengths=None):
+    with Tape() as tape:
+        loss = batch_loss(model, values, speakers, lengths)
+    ad.zero_grads(model.params.values())
+    tape.backward(loss)
+    return loss.item(), {
+        k: np.zeros_like(p.values) if p.grad is None else p.grad.copy()
+        for k, p in model.params.items()
+    }
+
+
+def test_padded_batch_loss_and_grads_equal_mean_of_single_utterances():
+    model = vm.VcModel(toy_config(seed=3), dtype=np.float64)
+    mels = [toy_mel(t=t, seed=20 + i) for i, t in enumerate(BATCH_LENGTHS)]
+    values, lengths = vm.pad_batch(mels)
+    loss, grads = loss_and_grads(model, values, BATCH_SPEAKERS, lengths)
+    singles = [loss_and_grads(model, m, int(s)) for m, s in zip(mels, BATCH_SPEAKERS)]
+    assert loss == pytest.approx(np.mean([s[0] for s in singles]), rel=1e-10)
+    for name, g in grads.items():
+        ref = np.mean([s[1][name] for s in singles], axis=0)
+        scale = max(np.abs(ref).max(), 1e-300)
+        assert np.abs(g - ref).max() <= 1e-10 * scale, name
+
+
+def test_padded_batch_rows_equal_single_utterance_forward():
+    model = vm.VcModel(toy_config(seed=5), dtype=np.float64)
+    model.set_feature_stats(np.full(8, 0.3), np.full(8, 1.7))
+    mels = [toy_mel(t=t, seed=30 + i) for i, t in enumerate(BATCH_LENGTHS)]
+    values, lengths = vm.pad_batch(mels)
+    assert values.shape == (4, 12, 8) and list(lengths) == list(BATCH_LENGTHS)
+    z_e = model.encode(values, lengths)
+    recon, qr, logits = model.forward_tensors(values, BATCH_SPEAKERS, lengths=lengths)
+    assert recon.shape == (4, 12, 8) and logits.shape == (4, 3)
+    single_indices = []
+    for row, (mel, spk) in enumerate(zip(mels, BATCH_SPEAKERS)):
+        n, n_enc = len(mel), -(-len(mel) // 4)
+        np.testing.assert_allclose(z_e.values[row, :n_enc], model.encode(mel).values,
+                                   rtol=0, atol=1e-12)
+        r, q, lg = model.forward_tensors(mel, int(spk))
+        np.testing.assert_allclose(recon.values[row, :n], r.values, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(logits.values[row], lg.values, rtol=0, atol=1e-12)
+        single_indices.append(q.indices)
+    np.testing.assert_array_equal(qr.indices, np.concatenate(single_indices))
+
+
+def test_full_length_batch_records_no_mask_op():
+    model = vm.VcModel(toy_config(seed=6), dtype=np.float64)
+    mel = toy_mel(t=12, seed=40)
+    with Tape() as single:
+        model.forward_tensors(mel, 1)
+    with Tape() as full:
+        model.forward_tensors(np.stack([mel, mel]), [1, 2], lengths=[12, 12])
+    with Tape() as padded:
+        model.forward_tensors(np.stack([mel, mel]), [1, 2], lengths=[12, 6])
+    assert len(full) == len(single) < len(padded)
+
+
+def test_convert_is_bit_identical_to_forward_tensors():
+    model = desk_model(seed=13)
+    mel = MelSpectrogram(data=np.random.default_rng(10).normal(size=(37, 80)).astype(np.float32))
+    out = aug.convert(mel, 3, model)
+    recon, _, _ = model.forward_tensors(mel, 3)
+    np.testing.assert_array_equal(out.data, recon.values)
+
+
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     model = desk_model(seed=11)
     model.set_feature_stats(np.full(80, -5.0), np.full(80, 2.0))
     model.step = 17
     mel = MelSpectrogram(data=np.random.default_rng(9).normal(size=(20, 80)).astype(np.float32))
-    before, _, _ = model.forward(mel, 2)
+    before = aug.convert(mel, 2, model)
 
     path = tmp_path / "model.vcck"
     vm.save_checkpoint(model, path)
     loaded = vm.load_checkpoint(path)
-    after, _, _ = loaded.forward(mel, 2)
+    after = aug.convert(mel, 2, loaded)
     assert loaded.step == 17
     np.testing.assert_array_equal(before.data, after.data)
 

@@ -7,7 +7,8 @@ from vcaug import autodiff as ad
 from vcaug import data as vd
 from vcaug import training as tr
 from vcaug.autodiff import Tensor
-from vcaug.model import VcModel
+from vcaug.model import VcModel, load_checkpoint
+from vcaug.signal import MelSpectrogram
 
 from conftest import toy_config
 
@@ -132,7 +133,7 @@ def toy_corpus(n_speakers=2, utts=3, seed=0):
 
 def toy_train_cfg(**kw):
     defaults = dict(steps=5, lr=1e-3, seed=0, adversarial_weight=0.1,
-                    weights=tr.LossWeights(beta=0.0))
+                    weights=tr.LossWeights())
     defaults.update(kw)
     return tr.TrainConfig(**defaults)
 
@@ -178,6 +179,92 @@ def test_train_divergence_tripwire(tmp_path):
     model.params["dec.proj.w"].values[:] = np.float32(1e30)  # provoke overflow
     with np.errstate(all="ignore"), pytest.raises(tr.DivergenceError):
         tr.train(model, toy_corpus(), toy_train_cfg(steps=10, out_dir=str(tmp_path)))
+
+
+def varied_corpus(lengths=(12, 7, 5, 9, 10, 6), n_speakers=3, seed=0):
+    rng = np.random.default_rng(seed)
+    return [(MelSpectrogram(data=rng.normal(size=(t, 8))), i % n_speakers)
+            for i, t in enumerate(lengths)]
+
+
+def per_utterance_reference(model, dataset, cfg):
+    """The loop `train` ran before batching: one graph per utterance, Σ/B."""
+    rng = np.random.default_rng(cfg.seed)
+    model.set_feature_stats(*tr.feature_stats(dataset))
+    model.codebook.init_from_outputs(
+        np.concatenate([model.encode(mel).values for mel, _ in dataset[:8]]), rng)
+    optimizer = tr.Adam(model.parameters(trainable_only=True), lr=cfg.lr)
+    for _ in range(cfg.steps):
+        picks = [dataset[int(rng.integers(len(dataset)))] for _ in range(cfg.batch_size)]
+        with ad.Tape() as tape:
+            losses = []
+            for mel, speaker in picks:
+                recon, qr, logits = model.forward_tensors(
+                    mel, speaker, adv_weight=cfg.adversarial_weight)
+                losses.append(tr.total_loss(
+                    tr.huber(Tensor(mel.data.astype(model.dtype)), recon, cfg.weights.delta),
+                    qr.codebook_loss, qr.commit_loss, ad.cross_entropy(logits, speaker),
+                    cfg.weights))
+            loss = losses[0]
+            for term in losses[1:]:
+                loss = ad.add(loss, term)
+            loss = ad.mul(loss, Tensor(np.asarray(1.0 / len(picks))))
+        optimizer.zero_grad()
+        tape.backward(loss)
+        optimizer.step()
+
+
+def test_batched_train_matches_per_utterance_reference():
+    cfg = toy_train_cfg(steps=2, batch_size=3)
+    batched = VcModel(toy_config(seed=7), dtype=np.float64)
+    tr.train(batched, varied_corpus(), cfg)
+    reference = VcModel(toy_config(seed=7), dtype=np.float64)
+    per_utterance_reference(reference, varied_corpus(), cfg)
+    for name, p in batched.params.items():
+        ref = reference.params[name].values
+        assert np.abs(p.values - ref).max() <= 1e-10 * np.abs(ref).max(), name
+
+
+def test_batched_train_bit_reproducible():
+    def run():
+        model = VcModel(toy_config(seed=8))
+        result = tr.train(model, varied_corpus(), toy_train_cfg(steps=4, batch_size=3))
+        return result.ledger.lines(), {k: p.values.tobytes() for k, p in model.params.items()}
+
+    assert run() == run()
+
+
+class PoisonedAfter(list):
+    """Training picks past the first `clean` come back as a mel of 3e38s."""
+
+    def __init__(self, items, clean):
+        super().__init__(items)
+        self.clean = clean
+        self.picks = 0
+
+    def __getitem__(self, index):
+        item = super().__getitem__(index)
+        if isinstance(index, slice):
+            return item
+        self.picks += 1
+        if self.picks <= self.clean:
+            return item
+        return MelSpectrogram(data=np.full_like(item[0].data, 3e38)), item[1]
+
+
+def test_divergence_checkpoint_holds_last_completed_step(tmp_path):
+    cfg = toy_train_cfg(steps=5, batch_size=2, out_dir=str(tmp_path))
+    model = VcModel(toy_config(seed=9))
+    with np.errstate(all="ignore"), pytest.raises(tr.DivergenceError) as err:
+        tr.train(model, PoisonedAfter(toy_corpus(), clean=4), cfg)
+    assert err.value.step == 3
+    assert err.value.checkpoint_path.endswith("step000002-lastgood.vcck")
+    saved = load_checkpoint(err.value.checkpoint_path)
+    clean = VcModel(toy_config(seed=9))
+    tr.train(clean, toy_corpus(), toy_train_cfg(steps=2, batch_size=2))
+    assert saved.step == clean.step == 2
+    for name, p in clean.params.items():
+        assert np.array_equal(saved.params[name].values, p.values), name
 
 
 def test_train_empty_dataset_rejected():
