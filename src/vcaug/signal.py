@@ -8,6 +8,7 @@ that does not fill a whole frame is dropped).
 
 from __future__ import annotations
 
+import functools
 import struct
 import wave
 from dataclasses import dataclass, field
@@ -122,6 +123,14 @@ def mel_filterbank(
     return weights
 
 
+@functools.lru_cache(maxsize=8)
+def _cached_filterbank(sample_rate_hz: int, n_fft: int, n_mels: int) -> np.ndarray:
+    """`mel_filterbank` at the default band edges, built once per shape; read-only."""
+    fbank = mel_filterbank(sample_rate_hz, n_fft, n_mels)
+    fbank.flags.writeable = False
+    return fbank
+
+
 def frame_count(n_samples: int, window: int, hop: int) -> int:
     """Frames produced without padding: 1 + floor((N - window) / hop)."""
     if n_samples < window:
@@ -145,7 +154,7 @@ def compute_log_mel(
     while n_fft < window:
         n_fft *= 2
     hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(window) / window)
-    fbank = mel_filterbank(wave_in.sample_rate_hz, n_fft, n_mels)
+    fbank = _cached_filterbank(wave_in.sample_rate_hz, n_fft, n_mels)
 
     starts = np.arange(t) * hop
     frames = wave_in.samples[starts[:, None] + np.arange(window)] * hann

@@ -111,6 +111,12 @@ class Adam:
         self.t = 0
         self._m = {k: np.zeros_like(p.values) for k, p in params.items()}
         self._v = {k: np.zeros_like(p.values) for k, p in params.items()}
+        # one flat buffer per dtype, sized for the largest parameter and
+        # reused by each parameter's update in turn
+        sizes: dict[np.dtype, int] = {}
+        for p in params.values():
+            sizes[p.values.dtype] = max(sizes.get(p.values.dtype, 0), p.values.size)
+        self._scratch = {dtype: np.empty(n, dtype=dtype) for dtype, n in sizes.items()}
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -126,11 +132,22 @@ class Adam:
                 g = np.zeros_like(p.values)
             m = self._m[name]
             v = self._v[name]
+            s = self._scratch[p.values.dtype][: p.values.size].reshape(p.values.shape)
+            # p - lr * (m / b1c) / (sqrt(v / b2c) + eps), one rounding per
+            # operation in the textbook order; p.values is rebound to a new
+            # array, so holders of the old one keep the old values
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(g, 1.0 - self.beta1, out=s)
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.values = p.values - self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            np.multiply(g, 1.0 - self.beta2, out=s)
+            v += np.multiply(s, g, out=s)
+            np.divide(v, b2c, out=s)
+            np.sqrt(s, out=s)
+            s += self.eps
+            update = np.divide(m, b1c)
+            update *= self.lr
+            update /= s
+            p.values = np.subtract(p.values, update, out=update)
 
 
 @dataclass

@@ -4,9 +4,18 @@ import numpy as np
 import pytest
 
 from vcaug import augment as aug
+from vcaug import autodiff as ad
 from vcaug import data as vd
-from vcaug.model import VcModel
-from vcaug.signal import MelSpectrogram, SpecAugmentPolicy, read_melf, write_melf
+from vcaug.model import VcModel, pad_batch
+from vcaug.signal import (
+    MelSpectrogram,
+    SpecAugmentPolicy,
+    Waveform,
+    read_melf,
+    spec_augment,
+    write_melf,
+    write_wav,
+)
 
 from conftest import toy_config
 
@@ -109,6 +118,22 @@ def test_make_view_pair_deterministic(toy_vc_model):
     assert different
 
 
+def test_make_view_pair_draw_order(toy_vc_model):
+    """One generator per seed draws the target, the original's masks, then the converted's."""
+    mel = toy_mel_spec(t=16, seed=6)
+    policy = SpecAugmentPolicy(n_freq_masks=2, max_freq_width=3,
+                               n_time_masks=2, max_time_width=4)
+    pool = aug.SpeakerPool(ids=(0, 1, 2))
+    pair = aug.make_view_pair(mel, toy_vc_model, pool, policy, seed=11)
+    rng = np.random.default_rng(11)
+    target = aug.sample_target(pool, rng)
+    original = spec_augment(mel, policy, rng)
+    converted = spec_augment(aug.convert(mel, target, toy_vc_model), policy, rng)
+    assert pair.target_speaker_id == target
+    np.testing.assert_array_equal(pair.original.data, original.data)
+    np.testing.assert_array_equal(pair.converted.data, converted.data)
+
+
 def make_corpus_dir(tmp_path, n=4, t=12):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
@@ -168,3 +193,137 @@ def test_emit_dataset_bad_file_listed_and_continues(tmp_path, toy_vc_model):
     assert result.n_pairs == 2
     assert len(result.failures) == 1
     assert result.failures[0][0] == "broken.melf"
+
+
+@pytest.fixture(scope="module")
+def toy_vc_model64():
+    model = VcModel(toy_config(seed=7), dtype=np.float64)
+    model.set_feature_stats(np.full(8, -2.0), np.full(8, 1.5))
+    return model
+
+
+def test_batched_rows_match_single_conversions(toy_vc_model64):
+    model = toy_vc_model64
+    mels = [toy_mel_spec(t=t, seed=20 + t) for t in (12, 7, 5, 9)]
+    targets = [2, 0, 1, 2]
+    batch, lengths = pad_batch([mel.data for mel in mels])
+    rows = aug._decode_as(batch, np.array(targets), model, lengths)
+    converted = aug._convert_batch(mels, targets, model)
+    for row, n, mel, target, out in zip(rows, lengths, mels, targets, converted):
+        alone = aug._decode_as(mel.data, target, model)
+        np.testing.assert_allclose(row[:n], alone, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.data, aug.convert(mel, target, model).data,
+                                   rtol=0, atol=1e-12)
+
+
+def test_full_length_batch_records_no_mask_op(toy_vc_model):
+    mels = [toy_mel_spec(t=12, seed=s) for s in (1, 2, 3)]
+    with ad.Tape() as single:
+        aug.convert(mels[0], 1, toy_vc_model)
+    with ad.Tape() as full:
+        aug._convert_batch(mels, [1, 0, 2], toy_vc_model)
+    with ad.Tape() as padded:
+        aug._convert_batch(mels[:2] + [toy_mel_spec(t=5, seed=3)], [1, 0, 2], toy_vc_model)
+    assert len(full) == len(single) < len(padded)
+
+
+def count_batches(monkeypatch):
+    sizes = []
+    real = aug._convert_batch
+
+    def counting(mels, targets, model):
+        sizes.append(len(mels))
+        return real(mels, targets, model)
+
+    monkeypatch.setattr(aug, "_convert_batch", counting)
+    return sizes
+
+
+def mixed_length_corpus(tmp_path, lengths):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for i, t in enumerate(lengths):
+        write_melf(corpus / f"utt{i}.melf", toy_mel_spec(t=t, seed=200 + i))
+    return corpus
+
+
+def test_emit_dataset_batch_budget_changes_only_float_rounding(tmp_path, monkeypatch,
+                                                               toy_vc_model64):
+    corpus = mixed_length_corpus(tmp_path, [12, 7, 5, 9, 16, 4, 11])
+    policy = SpecAugmentPolicy(n_freq_masks=1, max_freq_width=2,
+                               n_time_masks=1, max_time_width=3)
+    pool = aug.SpeakerPool(ids=(0, 1, 2))
+    sizes = count_batches(monkeypatch)
+    whole = aug.emit_dataset(corpus, toy_vc_model64, pool, policy, tmp_path / "one", seed=3)
+    assert sizes == [7]
+    monkeypatch.setattr(aug, "EMIT_BATCH_FRAMES", 24)
+    split = aug.emit_dataset(corpus, toy_vc_model64, pool, policy, tmp_path / "many", seed=3)
+    assert sizes[1:] == [2, 2, 1, 2]
+    assert whole.n_pairs == split.n_pairs == 7 and not whole.failures and not split.failures
+    assert whole.manifest_path.read_bytes() == split.manifest_path.read_bytes()
+    for line in whole.manifest_path.read_text().splitlines():
+        src, orig, conv, target, seed = line.split("\t")
+        assert (tmp_path / "one" / orig).read_bytes() == (tmp_path / "many" / orig).read_bytes()
+        alone = aug.make_view_pair(read_melf(corpus / src), toy_vc_model64, pool, policy,
+                                   int(seed))
+        assert alone.target_speaker_id == int(target)
+        np.testing.assert_array_equal(read_melf(tmp_path / "one" / orig).data,
+                                      alone.original.data)
+        # float64 rows agree to ~1e-15 before rounding to float32: one ulp at most
+        for out in ("one", "many"):
+            np.testing.assert_allclose(read_melf(tmp_path / out / conv).data,
+                                       alone.converted.data, rtol=2.0**-22, atol=0)
+
+
+def test_emit_dataset_bad_files_inside_a_batch_fail_alone(tmp_path, monkeypatch,
+                                                          toy_vc_model):
+    corpus = make_corpus_dir(tmp_path, n=4)
+    write_melf(corpus / "utt1_dim.melf", MelSpectrogram(data=np.zeros((12, 5))))
+    write_melf(corpus / "utt2_short.melf", toy_mel_spec(t=3, seed=9))
+    sizes = count_batches(monkeypatch)
+    result = aug.emit_dataset(corpus, toy_vc_model, aug.SpeakerPool(ids=(0, 1)),
+                              SpecAugmentPolicy(), tmp_path / "views", seed=0)
+    assert sizes == [4]
+    assert [rel for rel, _ in result.failures] == ["utt1_dim.melf", "utt2_short.melf"]
+    assert "feature dim 5" in result.failures[0][1]
+    assert "at least 4 frames" in result.failures[1][1]
+    rows = [line.split("\t")[0] for line in result.manifest_path.read_text().splitlines()]
+    assert rows == [f"utt{i}.melf" for i in range(4)] and result.n_pairs == 4
+    assert len(list((tmp_path / "views").glob("*.melf"))) == 8
+
+
+def test_emit_dataset_failed_batch_records_every_file(tmp_path, monkeypatch, toy_vc_model):
+    corpus = make_corpus_dir(tmp_path, n=3)
+
+    def broken(mels, targets, model):
+        raise FloatingPointError("overflow in decode")
+
+    monkeypatch.setattr(aug, "_convert_batch", broken)
+    result = aug.emit_dataset(corpus, toy_vc_model, aug.SpeakerPool(ids=(0,)),
+                              SpecAugmentPolicy(), tmp_path / "views", seed=0)
+    assert result.n_pairs == 0
+    assert [rel for rel, _ in result.failures] == [f"utt{i}.melf" for i in range(3)]
+    assert all("overflow in decode" in err for _, err in result.failures)
+    assert result.manifest_path.read_text() == ""
+
+
+def test_emit_dataset_rejects_colliding_output_names(tmp_path, toy_vc_model):
+    corpus = tmp_path / "corpus"
+    (corpus / "a").mkdir(parents=True)
+    (corpus / "x").mkdir()
+    write_melf(corpus / "a" / "b.melf", toy_mel_spec(seed=1))
+    write_melf(corpus / "a__b.melf", toy_mel_spec(seed=2))
+    write_melf(corpus / "x" / "y.melf", toy_mel_spec(seed=3))
+    write_wav(corpus / "x" / "y.wav", Waveform(np.zeros(4000), sample_rate_hz=16000))
+    write_melf(corpus / "c.melf", toy_mel_spec(seed=4))
+    out = tmp_path / "views"
+    result = aug.emit_dataset(corpus, toy_vc_model, aug.SpeakerPool(ids=(0, 1)),
+                              SpecAugmentPolicy(), out, seed=0)
+    assert dict(result.failures).keys() == {"a/b.melf", "a__b.melf", "x/y.melf", "x/y.wav"}
+    failures = dict(result.failures)
+    assert "a__b.melf" in failures["a/b.melf"] and "a/b.melf" in failures["a__b.melf"]
+    assert "x/y.wav" in failures["x/y.melf"] and "x/y.melf" in failures["x/y.wav"]
+    assert result.n_pairs == 1
+    assert result.manifest_path.read_text().startswith("c.melf\tc.orig.melf\tc.conv.melf\t")
+    assert sorted(p.name for p in out.iterdir()) == ["c.conv.melf", "c.orig.melf",
+                                                     "manifest.tsv"]

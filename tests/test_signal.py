@@ -65,6 +65,20 @@ def test_filterbank_has_no_empty_filters():
     assert (fbank.sum(axis=1) > 0).all()
 
 
+def test_log_mel_filterbank_cached_read_only_and_unchanged():
+    fbank = sig._cached_filterbank(16000, 512, 80)
+    assert sig._cached_filterbank(16000, 512, 80) is fbank
+    assert not fbank.flags.writeable and fbank.flags.c_contiguous
+    np.testing.assert_array_equal(fbank, sig.mel_filterbank(16000, 512, 80))
+    wave_in = tone(440.0, duration_s=0.3)
+    hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(400) / 400)
+    frames = wave_in.samples[np.arange(28)[:, None] * 160 + np.arange(400)] * hann
+    mag = np.abs(np.fft.rfft(frames, n=512, axis=1))
+    expected = np.log(np.maximum(mag @ sig.mel_filterbank(16000, 512, 80).T, sig.LOG_FLOOR))
+    np.testing.assert_array_equal(sig.compute_log_mel(wave_in).data,
+                                  expected.astype(np.float32))
+
+
 def rand_mel(rng, t=40, m=80):
     return sig.MelSpectrogram(data=rng.normal(size=(t, m)).astype(np.float32))
 

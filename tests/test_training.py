@@ -92,6 +92,37 @@ def test_adam_moves_against_gradient():
     assert p.values[0] < 1.0
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_step_bit_equal_to_textbook_update(dtype):
+    rng = np.random.default_rng(0)
+    params = {"a": Tensor(rng.normal(size=(3, 4)).astype(dtype)),
+              "b": Tensor(rng.normal(size=5).astype(dtype)),
+              "c": Tensor(rng.normal(size=2).astype(dtype))}
+    opt = tr.Adam(params, lr=1e-2)
+    ref = {k: p.values.copy() for k, p in params.items()}
+    m = {k: np.zeros_like(v) for k, v in ref.items()}
+    v2 = {k: np.zeros_like(v) for k, v in ref.items()}
+    for t in range(1, 5):
+        held = {k: p.values for k, p in params.items()}
+        snapshot = {k: a.copy() for k, a in held.items()}
+        for k, p in params.items():
+            p.grad = None if k == "c" else rng.normal(size=p.shape).astype(dtype)
+        grads = {k: np.zeros_like(ref[k]) if p.grad is None else p.grad.copy()
+                 for k, p in params.items()}
+        opt.step()
+        b1c, b2c = 1.0 - 0.9**t, 1.0 - 0.999**t
+        for k, g in grads.items():
+            m[k] = m[k] * 0.9 + (1.0 - 0.9) * g
+            v2[k] = v2[k] * 0.999 + (1.0 - 0.999) * g * g
+            ref[k] = ref[k] - 1e-2 * (m[k] / b1c) / (np.sqrt(v2[k] / b2c) + 1e-8)
+            np.testing.assert_array_equal(opt._m[k], m[k])
+            np.testing.assert_array_equal(opt._v[k], v2[k])
+            np.testing.assert_array_equal(params[k].values, ref[k])
+            assert params[k].values.dtype == dtype
+            # the update rebinds: an array taken before the step keeps its values
+            np.testing.assert_array_equal(held[k], snapshot[k])
+
+
 def test_ledger_round_trip_and_formatting(tmp_path):
     ledger = tr.MetricsLedger()
     ledger.append(tr.StepMetrics(1, 0.123456789123, 1.0, 0.25, 1.791759, 0.5, 17.0))
