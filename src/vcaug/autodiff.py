@@ -18,11 +18,16 @@ full-length batch and an unbatched input record no mask op.
 Storage defaults to float32; sum/mean reductions accumulate in float64
 before casting back.  `check_gradients` is the correctness oracle: it
 compares every recorded gradient against central finite differences.
+Gradient reversal is not differentiable in the ordinary sense, so
+`grad_reverse` takes an optional anchor: anchored, its forward is the
+smooth anchor - weight * (x - anchor), which matches the identity forward
+where x equals the anchor and has exactly the reversal's backward.
 """
 
 from __future__ import annotations
 
 import threading
+import zlib
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -85,42 +90,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype})"
-
-    def __add__(self, other):
-        return add(self, _lift(other, self.dtype))
-
-    def __radd__(self, other):
-        return add(_lift(other, self.dtype), self)
-
-    def __sub__(self, other):
-        return sub(self, _lift(other, self.dtype))
-
-    def __rsub__(self, other):
-        return sub(_lift(other, self.dtype), self)
-
-    def __mul__(self, other):
-        return mul(self, _lift(other, self.dtype))
-
-    def __rmul__(self, other):
-        return mul(_lift(other, self.dtype), self)
-
-    def __truediv__(self, other):
-        return div(self, _lift(other, self.dtype))
-
-    def __rtruediv__(self, other):
-        return div(_lift(other, self.dtype), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _lift(other, self.dtype))
-
-
-def _lift(x, dtype) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=dtype))
 
 
 class Tape:
@@ -199,6 +168,13 @@ def zero_grads(params: Iterable[Tensor]) -> None:
         p.grad = None
 
 
+def uniform_init(shape, fan_in: int, name: str, seed: int, dtype, gain: float = 1.0) -> Tensor:
+    """Uniform(-gain/sqrt(fan_in), +gain/sqrt(fan_in)); the stream is keyed by name."""
+    rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
+    bound = gain / np.sqrt(max(fan_in, 1))
+    return Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype))
+
+
 # ---------------------------------------------------------------------------
 # elementwise arithmetic (broadcasting)
 
@@ -226,14 +202,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     return _binary("mul", a, b, np.multiply, lambda g: g * b.values, lambda g: g * a.values)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    return _binary(
-        "div", a, b, np.divide,
-        lambda g: g / b.values,
-        lambda g: -g * a.values / (b.values * b.values),
-    )
 
 
 def neg(a: Tensor) -> Tensor:
@@ -673,11 +641,21 @@ def stop_gradient(a: Tensor) -> Tensor:
     return Tensor(a.values)
 
 
-def grad_reverse(x: Tensor, weight: float) -> Tensor:
-    """Identity forward; backward multiplies the incoming gradient by -weight."""
+def grad_reverse(x: Tensor, weight: float, anchor=None) -> Tensor:
+    """Gradient reversal: backward multiplies the incoming gradient by -weight.
+
+    Without `anchor` the forward is the identity.  With an `anchor` array it
+    is anchor - weight * (x - anchor): the same value where x equals the
+    anchor and the same backward, but an ordinary smooth function, which is
+    what the finite-difference oracle needs.
+    """
     if weight < 0:
         raise ValueError(f"grad_reverse weight must be >= 0, got {weight}")
-    out = Tensor(x.values)
+    if anchor is None:
+        out = Tensor(x.values)
+    else:
+        anchor = np.asarray(anchor, dtype=x.dtype)
+        out = Tensor(anchor - np.asarray(weight, dtype=x.dtype) * (x.values - anchor))
 
     def bwd(g):
         _accum(x, -weight * g)

@@ -10,6 +10,9 @@ summarized as perplexity, the collapse diagnostic tracked during training.
 `quantize` takes one utterance's [T', D] encodings or a padded [B, T', D]
 batch with per-row valid lengths; padded frames are quantized but weigh
 nothing in the losses and are left out of the returned indices.
+
+Pinned to a `FrozenSelection` captured from an earlier unbatched pass, the
+same `quantize` is the smooth surrogate the finite-difference oracle checks.
 """
 
 from __future__ import annotations
@@ -90,8 +93,17 @@ def nearest_entries(block: np.ndarray, table: np.ndarray) -> np.ndarray:
     return np.argmin(d, axis=1)
 
 
+@dataclass(frozen=True)
+class FrozenSelection:
+    """Entry assignment and values captured from one unbatched `quantize` pass."""
+
+    indices: np.ndarray   # [T', G]
+    e_sel: np.ndarray     # [T', D] entry values at capture time
+    z_e: np.ndarray       # [T', D] encoder outputs at capture time
+
+
 def quantize(z_e: Tensor, codebook: Codebook, commitment_weight: float = 0.25,
-             lengths=None) -> QuantizeResult:
+             lengths=None, pinned: FrozenSelection | None = None) -> QuantizeResult:
     """Quantize each frame group-wise and compute both bottleneck losses.
 
     codebook_loss averages, over frames and groups, the squared distance
@@ -99,25 +111,42 @@ def quantize(z_e: Tensor, codebook: Codebook, commitment_weight: float = 0.25,
     the mirrored term times `commitment_weight` and moves only the encoder.
     For a [B, T', D] batch both are per-row means over the first lengths[b]
     frames, averaged over rows.
+
+    With `pinned` (one [T', D] utterance only) the entries come from the
+    capture instead of the nearest-entry search, the two detached operands
+    are the captured constants, and the straight-through output is
+    z_e + (e_sel - z_e) at capture.  At the capture point values and tape
+    gradients equal the unpinned pass, but the function is smooth, so
+    central differences measure exactly the estimator's gradient.
     """
-    if z_e.ndim not in (2, 3) or z_e.shape[-1] != codebook.dim:
+    if (z_e.ndim not in (2, 3) or z_e.shape[-1] != codebook.dim
+            or (pinned is not None and z_e.ndim != 2)):
         raise ad.ShapeError("quantize", z_e.shape, (codebook.dim,))
     gd = codebook.group_dim
     last = z_e.ndim - 1
     parts, idx_cols = [], []
     cb_terms, cm_terms = [], []
     for g, table in enumerate(codebook.groups):
-        zg = ad.narrow(z_e, last, g * gd, gd)
-        idx = nearest_entries(zg.values.reshape(-1, gd), table.values).reshape(zg.shape[:-1])
+        lo = g * gd
+        zg = ad.narrow(z_e, last, lo, gd)
+        if pinned is None:
+            idx = nearest_entries(zg.values.reshape(-1, gd), table.values).reshape(zg.shape[:-1])
+        else:
+            idx = pinned.indices[:, g]
         idx_cols.append(idx)
         e_sel = ad.embedding_lookup(table, idx)
+        if pinned is None:
+            zg0, e0 = ad.stop_gradient(zg), ad.stop_gradient(e_sel)
+            parts.append(ad.straight_through(zg, e_sel))
+        else:
+            zg0 = Tensor(pinned.z_e[:, lo : lo + gd].astype(z_e.dtype))
+            e0 = Tensor(pinned.e_sel[:, lo : lo + gd].astype(z_e.dtype))
+            parts.append(ad.add(zg, Tensor(e0.values - zg0.values)))
 
-        cb_diff = ad.sub(ad.stop_gradient(zg), e_sel)
+        cb_diff = ad.sub(zg0, e_sel)
         cb_terms.append(ad.row_mean(ad.reduce_sum(ad.mul(cb_diff, cb_diff), axis=last), lengths))
-        cm_diff = ad.sub(zg, ad.stop_gradient(e_sel))
+        cm_diff = ad.sub(zg, e0)
         cm_terms.append(ad.row_mean(ad.reduce_sum(ad.mul(cm_diff, cm_diff), axis=last), lengths))
-
-        parts.append(ad.straight_through(zg, e_sel))
 
     scale = 1.0 / codebook.n_groups
     indices = np.stack(idx_cols, axis=-1)
@@ -136,62 +165,3 @@ def _weighted_sum(terms: list[Tensor], scale: float) -> Tensor:
     for t in terms[1:]:
         total = ad.add(total, t)
     return ad.mul(total, Tensor(np.asarray(scale, dtype=total.dtype)))
-
-
-@dataclass(frozen=True)
-class FrozenSelection:
-    """Entry assignment and values captured from one quantize pass.
-
-    Used to build the smooth surrogate the finite-difference oracle needs:
-    the estimator's gradient is the true gradient of the loss with the
-    selection held fixed and every stop-gradient realized as a constant.
-    """
-
-    indices: np.ndarray   # [T', G]
-    e_sel: np.ndarray     # [T', D] entry values at capture time
-    z_e: np.ndarray       # [T', D] encoder outputs at capture time
-
-
-def freeze_selection(z_e_values: np.ndarray, qr: QuantizeResult) -> FrozenSelection:
-    return FrozenSelection(
-        indices=qr.indices.copy(),
-        e_sel=qr.z_q.values.copy(),
-        z_e=np.asarray(z_e_values).copy(),
-    )
-
-
-def quantize_frozen(
-    z_e: Tensor, codebook: Codebook, sel: FrozenSelection, commitment_weight: float = 0.25
-) -> QuantizeResult:
-    """Quantize with a pinned entry assignment and constant detach captures.
-
-    At the capture point this produces the same values and the same tape
-    gradients as `quantize`, but the function it evaluates is smooth, so
-    central differences measure exactly the estimator's gradient.
-    """
-    if z_e.ndim != 2 or z_e.shape[1] != codebook.dim:
-        raise ad.ShapeError("quantize_frozen", z_e.shape, (codebook.dim,))
-    gd = codebook.group_dim
-    parts, cb_terms, cm_terms = [], [], []
-    for g, table in enumerate(codebook.groups):
-        lo = g * gd
-        zg = ad.narrow(z_e, 1, lo, gd)
-        e_live = ad.embedding_lookup(table, sel.indices[:, g])
-        zg0 = Tensor(sel.z_e[:, lo : lo + gd].astype(z_e.dtype))
-        e0 = Tensor(sel.e_sel[:, lo : lo + gd].astype(z_e.dtype))
-
-        cb_diff = ad.sub(zg0, e_live)
-        cb_terms.append(ad.reduce_mean(ad.reduce_sum(ad.mul(cb_diff, cb_diff), axis=1)))
-        cm_diff = ad.sub(zg, e0)
-        cm_terms.append(ad.reduce_mean(ad.reduce_sum(ad.mul(cm_diff, cm_diff), axis=1)))
-
-        offset = Tensor((e0.values - zg0.values).astype(z_e.dtype))
-        parts.append(ad.add(zg, offset))
-
-    scale = 1.0 / codebook.n_groups
-    return QuantizeResult(
-        z_q=ad.concat(parts, axis=1),
-        indices=sel.indices.copy(),
-        codebook_loss=_weighted_sum(cb_terms, scale),
-        commit_loss=_weighted_sum(cm_terms, scale * commitment_weight),
-    )

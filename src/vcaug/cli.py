@@ -177,10 +177,7 @@ def cmd_gradcheck(args) -> int:
     rng = np.random.default_rng(seed)
     mel = rng.normal(size=(12, model_cfg.n_mels))
     frozen = model.capture_selection(mel)
-    weights = tr.LossWeights(
-        gamma=cfg.train.gamma, epsilon=cfg.train.epsilon, eta=cfg.train.eta,
-        delta=cfg.train.delta,
-    )
+    weights = cfg.train_config().weights
 
     def loss_fn():
         recon, qr, logits = model.forward_tensors(

@@ -4,7 +4,8 @@ Sections: [model] (architecture), [train] (loop and loss weights), [data]
 (corpus locations), [augment] (masking policy and target pool).  Unknown
 sections or keys are rejected, referenced paths are checked at load time,
 and the canonical text form has a stable hash that is recorded into
-checkpoints.
+checkpoints.  A file that cannot be read, or whose values the model or
+loss-weight configs reject, raises `ConfigError`.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ class TrainSection:
     batch_size: int = 1
     adversarial_weight: float = 0.1
     gamma: float = 1.0
-    epsilon: float = 1.0
     eta: float = 1.0
     delta: float = 1.0
     checkpoint_every: int = 0
@@ -86,34 +86,39 @@ class RunConfig:
 
     def model_config(self, n_speakers: int) -> ModelConfig:
         m = self.model
-        return ModelConfig(
-            n_mels=m.n_mels,
-            n_speakers=n_speakers,
-            speaker_dim=m.speaker_dim,
-            encoder=EncoderConfig(
-                n_blocks=m.encoder_blocks,
-                model_dim=m.model_dim,
-                n_heads=m.n_heads,
-                frozen=m.frozen,
-            ),
-            decoder=DecoderConfig(n_lstm_layers=m.lstm_layers, lstm_dim=m.lstm_dim),
-            vq_groups=m.vq_groups,
-            vq_entries=m.vq_entries,
-            commitment_weight=m.commitment_weight,
-            adv_hidden=m.adv_hidden,
-            seed=m.init_seed,
-        )
+        try:
+            return ModelConfig(
+                n_mels=m.n_mels,
+                n_speakers=n_speakers,
+                speaker_dim=m.speaker_dim,
+                encoder=EncoderConfig(
+                    n_blocks=m.encoder_blocks,
+                    model_dim=m.model_dim,
+                    n_heads=m.n_heads,
+                    frozen=m.frozen,
+                ),
+                decoder=DecoderConfig(n_lstm_layers=m.lstm_layers, lstm_dim=m.lstm_dim),
+                vq_groups=m.vq_groups,
+                vq_entries=m.vq_entries,
+                commitment_weight=m.commitment_weight,
+                adv_hidden=m.adv_hidden,
+                seed=m.init_seed,
+            )
+        except ValueError as e:
+            raise ConfigError(f"[model] {e}") from None
 
     def train_config(self, seed: int | None = None, out_dir: str | None = None) -> TrainConfig:
         t = self.train
+        try:
+            weights = LossWeights(gamma=t.gamma, eta=t.eta, delta=t.delta)
+        except ValueError as e:
+            raise ConfigError(f"[train] {e}") from None
         return TrainConfig(
             steps=t.steps,
             lr=t.lr,
             seed=t.seed if seed is None else seed,
             adversarial_weight=t.adversarial_weight,
-            weights=LossWeights(
-                gamma=t.gamma, epsilon=t.epsilon, eta=t.eta, delta=t.delta,
-            ),
+            weights=weights,
             batch_size=t.batch_size,
             checkpoint_every=t.checkpoint_every,
             out_dir=out_dir,
@@ -217,13 +222,11 @@ def _check_paths(cfg: RunConfig) -> None:
 
 def load_config(path, validate_paths: bool = True) -> RunConfig:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    return parse_config_text(
-        path.read_text(encoding="utf-8"),
-        base_dir=str(path.parent),
-        validate_paths=validate_paths,
-    )
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read config file {path}: {e}") from None
+    return parse_config_text(text, base_dir=str(path.parent), validate_paths=validate_paths)
 
 
 def parse_pool(spec: str, n_speakers: int) -> tuple[int, ...]:

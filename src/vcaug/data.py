@@ -155,21 +155,6 @@ def synthetic_corpus(
     return corpus
 
 
-def corpus_envelopes(dataset) -> dict[int, np.ndarray]:
-    """Mean mel-bin vector per speaker; the reference for conversion probes."""
-    sums: dict[int, np.ndarray] = {}
-    counts: dict[int, int] = {}
-    for mel, spk in dataset:
-        bins = mel.data.mean(axis=0)
-        if spk in sums:
-            sums[spk] += bins
-            counts[spk] += 1
-        else:
-            sums[spk] = bins.copy()
-            counts[spk] = 1
-    return {spk: sums[spk] / counts[spk] for spk in sums}
-
-
 # ---------------------------------------------------------------------------
 # on-disk corpora
 

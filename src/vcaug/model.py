@@ -27,7 +27,6 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-import zlib
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -108,13 +107,6 @@ class ModelConfig:
         return ModelConfig(**d)
 
 
-def _init_tensor(shape, fan_in: int, name: str, seed: int, dtype, gain: float = 1.0) -> Tensor:
-    """Uniform(-gain/sqrt(fan_in), +gain/sqrt(fan_in)); the stream is keyed by name."""
-    rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
-    bound = gain / np.sqrt(max(fan_in, 1))
-    return Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype))
-
-
 # Plain 1/sqrt(fan_in) initialization attenuates the reconstruction gradient
 # so strongly across the decoder stack that the commitment pull collapses the
 # encoder before the decoder starts using the bottleneck.  A moderate gain on
@@ -154,7 +146,7 @@ class VcModel:
     # -- construction -------------------------------------------------------
 
     def _add(self, name: str, shape, fan_in: int, gain: float = 1.0) -> Tensor:
-        t = _init_tensor(shape, fan_in, name, self.config.seed, self.dtype, gain=gain)
+        t = ad.uniform_init(shape, fan_in, name, self.config.seed, self.dtype, gain=gain)
         self.params[name] = t
         return t
 
@@ -368,24 +360,18 @@ class VcModel:
         One utterance ([T, M], an int speaker) gives recon [T, M] and logits
         [S]; a padded batch ([B, T, M], B speaker ids, per-row `lengths`)
         gives recon [B, T, M] and logits [B, S] in one graph.
-        `frozen_selection` pins the quantizer assignment of one utterance,
-        which makes the whole computation smooth for finite-difference
-        verification.
+        `frozen_selection` (from `capture_selection`) pins the quantizer
+        assignment of one utterance and anchors the reversal at its captured
+        pooling, which makes the whole computation smooth for
+        finite-difference verification.
         """
         values = mel.data if isinstance(mel, MelSpectrogram) else np.asarray(mel)
         z_e = self.encode(values, lengths)
         enc_lengths = _encoded_lengths(lengths)
-        if frozen_selection is None:
-            qr = bn.quantize(z_e, self.codebook,
-                             commitment_weight=self.config.commitment_weight,
-                             lengths=enc_lengths)
-            logits = self.adversary.logits(qr.z_q, adv_weight, enc_lengths)
-        else:
-            qr = bn.quantize_frozen(z_e, self.codebook, frozen_selection,
-                                    commitment_weight=self.config.commitment_weight)
-            logits = self.adversary.logits_linearized(
-                qr.z_q, adv_weight, frozen_selection.e_sel
-            )
+        qr = bn.quantize(z_e, self.codebook, commitment_weight=self.config.commitment_weight,
+                         lengths=enc_lengths, pinned=frozen_selection)
+        anchor = None if frozen_selection is None else frozen_selection.e_sel.mean(axis=0)
+        logits = self.adversary.logits(qr.z_q, adv_weight, enc_lengths, anchor)
         cond = self.embed_and_concat(qr.z_q, speaker_id)
         recon = self.decode(cond, target_len=values.shape[-2], lengths=enc_lengths)
         return recon, qr, logits
@@ -396,7 +382,7 @@ class VcModel:
         z_e = self.encode(values)
         qr = bn.quantize(z_e, self.codebook,
                          commitment_weight=self.config.commitment_weight)
-        return bn.freeze_selection(z_e.values, qr)
+        return bn.FrozenSelection(indices=qr.indices, e_sel=qr.z_q.values, z_e=z_e.values)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import bottleneck as bn
+from .adversary import speaker_accuracy
 from .autodiff import Tensor
 from .model import VcModel, pad_batch, save_checkpoint
 from .signal import MelSpectrogram
@@ -45,18 +46,18 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Multipliers of the four loss terms plus the Huber threshold.
+    """Multipliers of the codebook and adversarial terms plus the Huber threshold.
 
+    The commitment term is scaled once, by `ModelConfig.commitment_weight`.
     `delta` is the Huber transition point.  The term weights default to 1.0.
     """
 
     gamma: float = 1.0     # codebook term
-    epsilon: float = 1.0   # commitment term
     eta: float = 1.0       # adversarial term
     delta: float = 1.0     # Huber threshold
 
     def __post_init__(self):
-        for name in ("gamma", "epsilon", "eta"):
+        for name in ("gamma", "eta"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         if self.delta <= 0:
@@ -88,13 +89,13 @@ def huber(y, y_hat, delta: float = 1.0, lengths=None) -> Tensor:
 
 def total_loss(recon: Tensor, codebook: Tensor, commit: Tensor, adv: Tensor,
                weights: LossWeights) -> Tensor:
-    """Weighted sum of the four components."""
+    """Sum of the four components; `commit` arrives already weighted."""
     def scaled(t: Tensor, w: float) -> Tensor:
         return ad.mul(t, Tensor(np.asarray(w, dtype=t.dtype)))
 
     return ad.add(
         ad.add(recon, scaled(codebook, weights.gamma)),
-        ad.add(scaled(commit, weights.epsilon), scaled(adv, weights.eta)),
+        ad.add(commit, scaled(adv, weights.eta)),
     )
 
 
@@ -308,7 +309,7 @@ def train(model: VcModel, dataset: Dataset, cfg: TrainConfig,
             codebook=qr.codebook_loss.item(),
             commit=qr.commit_loss.item(),
             adv=adv_loss.item(),
-            speaker_acc=float(np.mean(np.argmax(logits.values, axis=-1) == speakers)),
+            speaker_acc=speaker_accuracy(logits.values, speakers),
             perplexity=float(np.mean([bn.perplexity(c) for c in counts])),
         ))
 

@@ -15,7 +15,7 @@ def test_uniform_logits_loss_is_log_s():
     head.w2.values[:] = 0.0  # forces identical logits
     head.b2.values[:] = 0.0
     x = Tensor(np.random.default_rng(0).normal(size=(5, 4)))
-    loss = adv.adversarial_loss(head, x, 2, weight=0.3)
+    loss = ad.cross_entropy(head.logits(x, 0.3), 2)
     assert loss.item() == pytest.approx(np.log(4.0))
 
 
@@ -27,28 +27,28 @@ def test_confident_head_loss_near_zero():
     head.b2.values[:] = -100.0
     head.b2.values[1] = 100.0
     x = Tensor(np.random.default_rng(1).normal(size=(3, 4)))
-    loss = adv.adversarial_loss(head, x, 1, weight=1.0)
+    loss = ad.cross_entropy(head.logits(x, 1.0), 1)
     assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_invalid_label_rejected():
     head = make_head()
     with pytest.raises(ValueError):
-        adv.adversarial_loss(head, Tensor(np.zeros((2, 4))), 7, weight=0.5)
+        ad.cross_entropy(head.logits(Tensor(np.zeros((2, 4))), 0.5), 7)
 
 
 @pytest.mark.parametrize("weight", [0.0, 0.1, 1.0, 2.5])
 def test_loss_value_invariant_under_weight(weight):
     head = make_head()
     x = Tensor(np.random.default_rng(2).normal(size=(6, 4)))
-    base = adv.adversarial_loss(head, x, 1, weight=0.0).item()
-    assert adv.adversarial_loss(head, x, 1, weight=weight).item() == base
+    base = ad.cross_entropy(head.logits(x, 0.0), 1).item()
+    assert ad.cross_entropy(head.logits(x, weight), 1).item() == base
 
 
 def grad_wrt_input(head, x_values, weight):
     x = Tensor(x_values.copy())
     with Tape() as tape:
-        loss = adv.adversarial_loss(head, x, 1, weight=weight)
+        loss = ad.cross_entropy(head.logits(x, weight), 1)
     ad.zero_grads([x] + list(head.parameters().values()))
     tape.backward(loss)
     return np.zeros_like(x_values) if x.grad is None else x.grad.copy()
@@ -103,7 +103,7 @@ def test_head_parameters_get_unreversed_gradients():
     grads = {}
     for weight in (0.0, 1.0):
         with Tape() as tape:
-            loss = adv.adversarial_loss(head, x, 1, weight=weight)
+            loss = ad.cross_entropy(head.logits(x, weight), 1)
         ad.zero_grads(head.parameters().values())
         tape.backward(loss)
         grads[weight] = {k: v.grad.copy() for k, v in head.parameters().items()}

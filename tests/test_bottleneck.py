@@ -159,6 +159,15 @@ def test_fd_verifies_straight_through_and_loss_gradients():
         np.testing.assert_allclose(table.grad, expected, rtol=1e-5, atol=1e-7)
 
 
+def test_pinned_quantize_rejects_batched_input():
+    cb = make_codebook()
+    z0 = np.random.default_rng(6).normal(size=(4, 4))
+    qr = bn.quantize(Tensor(z0), cb)
+    sel = bn.FrozenSelection(indices=qr.indices, e_sel=qr.z_q.values, z_e=z0)
+    with pytest.raises(ad.ShapeError, match="quantize"):
+        bn.quantize(Tensor(np.stack([z0, z0])), cb, pinned=sel)
+
+
 def test_perplexity_uniform_usage():
     assert bn.perplexity(np.ones(128)) == pytest.approx(128.0)
 

@@ -1,0 +1,63 @@
+from pathlib import Path
+
+import pytest
+
+from vcaug import cli
+from vcaug.config import load_config
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("name", ["desk", "paper", "toy"])
+def test_shipped_configs_load(name):
+    cfg = load_config(CONFIGS / f"{name}.cfg", validate_paths=False)
+    cfg.model_config(n_speakers=4)
+    cfg.train_config()
+
+
+def toy_text(replace: str = "", add: str = "") -> str:
+    """configs/toy.cfg with one `key = value` line replaced, or a line added to [train]."""
+    text = (CONFIGS / "toy.cfg").read_text(encoding="utf-8")
+    if replace:
+        key = replace.split("=")[0].strip()
+        lines = [replace if line.split("=")[0].strip() == key else line
+                 for line in text.splitlines()]
+        assert lines != text.splitlines(), key
+        text = "\n".join(lines) + "\n"
+    if add:
+        text = text.replace("[train]\n", f"[train]\n{add}\n")
+    return text
+
+
+def run_gradcheck(path, capsys):
+    code = cli.main(["gradcheck", "--config", str(path), "--samples", "1"])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("replace, add, named", [
+    ("", "epsilon = 1.0", "'epsilon'"),
+    ("vq_groups = 3", "", "[model]"),
+    ("n_heads = 3", "", "[model]"),
+    ("", "gamma = -1.0", "[train] gamma"),
+    ("", "delta = 0.0", "[train] delta"),
+], ids=["removed_epsilon", "vq_groups", "n_heads", "gamma", "delta"])
+def test_invalid_config_values_exit_with_config_error(tmp_path, capsys, replace, add, named):
+    path = tmp_path / "bad.cfg"
+    path.write_text(toy_text(replace, add), encoding="utf-8")
+    code, err = run_gradcheck(path, capsys)
+    assert code == cli.EXIT_CONFIG
+    assert "config error" in err and named in err
+
+
+def test_config_directory_exits_with_config_error(tmp_path, capsys):
+    code = cli.main(["train", "--config", str(tmp_path), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+def test_non_utf8_config_exits_with_config_error(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(toy_text().replace("# Minimal", "# Min\xefmal").encode("latin-1"))
+    code, err = run_gradcheck(path, capsys)
+    assert code == cli.EXIT_CONFIG
+    assert "utf-8" in err

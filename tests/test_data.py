@@ -30,7 +30,8 @@ def test_synthetic_corpus_layout():
 
 def test_speakers_have_distinct_envelopes():
     corpus = vd.synthetic_corpus(n_speakers=3, utts_per_speaker=4, seed=0, duration_s=0.5)
-    envs = vd.corpus_envelopes(corpus)
+    envs = {spk: np.mean([mel.data.mean(axis=0) for mel, s in corpus if s == spk], axis=0)
+            for spk in range(3)}
     for a in range(3):
         for b in range(a + 1, 3):
             assert np.linalg.norm(envs[a] - envs[b]) > 1.0

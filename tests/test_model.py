@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -210,7 +211,7 @@ def batch_loss(model, values, speakers, lengths=None):
     return tr.total_loss(
         tr.huber(Tensor(values), recon, delta=1.0, lengths=lengths),
         qr.codebook_loss, qr.commit_loss, ad.cross_entropy(logits, speakers),
-        tr.LossWeights(gamma=0.7, epsilon=1.3, eta=0.9),
+        tr.LossWeights(gamma=0.7, eta=0.9),
     )
 
 
@@ -226,7 +227,7 @@ def loss_and_grads(model, values, speakers, lengths=None):
 
 
 def test_padded_batch_loss_and_grads_equal_mean_of_single_utterances():
-    model = vm.VcModel(toy_config(seed=3), dtype=np.float64)
+    model = vm.VcModel(replace(toy_config(seed=3), commitment_weight=1.3), dtype=np.float64)
     mels = [toy_mel(t=t, seed=20 + i) for i, t in enumerate(BATCH_LENGTHS)]
     values, lengths = vm.pad_batch(mels)
     loss, grads = loss_and_grads(model, values, BATCH_SPEAKERS, lengths)
