@@ -78,24 +78,24 @@ def _check_features(mel: MelSpectrogram, model: VcModel) -> None:
 
 
 def _decode_as(values: np.ndarray, target, model: VcModel, lengths=None) -> np.ndarray:
-    """Encode, quantize, attach the target speaker, decode; model-dtype values.
+    """Encode, select codebook entries, attach the target speaker, decode; model-dtype values.
 
     `values` is one [T, M] utterance with an int `target`, or a padded
     [B, T, M] batch with B targets and per-row `lengths`.  A batch whose
     rows are all full length runs no mask op.
     """
     enc_lengths = _encoded_lengths(lengths)
-    qr = bn.quantize(model.encode(values, lengths), model.codebook,
-                     commitment_weight=model.config.commitment_weight, lengths=enc_lengths)
-    cond = model.embed_and_concat(qr.z_q, target)
-    return model.decode(cond, values.shape[-2], enc_lengths).values
+    e, _ = bn.select(model.encode(values, lengths), model.codebook)
+    return model.decode(model.embed_and_concat(e, target), values.shape[-2], enc_lengths).values
 
 
 def convert(mel: MelSpectrogram, target_speaker_id: int, model: VcModel) -> MelSpectrogram:
     """Re-render an utterance as the target speaker; parameters untouched.
 
-    Inference only: encode, quantize, attach the target speaker, decode.
-    The adversary head plays no part in the output and is not run.
+    Inference only: encode, take the nearest codebook entries
+    (`bottleneck.select`), attach the target speaker, decode.  Neither the
+    bottleneck losses nor the adversary head play a part in the output, and
+    neither is run.
     """
     _check_features(mel, model)
     return MelSpectrogram(
@@ -140,20 +140,6 @@ def _view_pairs(mels, seeds, pool: SpeakerPool, policy: SpecAugmentPolicy,
         pairs.append(ViewPair(original=original_view, converted=converted_view,
                               target_speaker_id=target, seed=seed))
     return pairs
-
-
-def make_view_pair(
-    mel: MelSpectrogram,
-    model: VcModel,
-    pool: SpeakerPool,
-    policy: SpecAugmentPolicy,
-    seed: int,
-) -> ViewPair:
-    """Build both views with a fixed draw order: target, then per-view masks."""
-    def convert_one(mels, targets):
-        return [convert(mels[0], targets[0], model)]
-
-    return _view_pairs([mel], [seed], pool, policy, convert_one)[0]
 
 
 def _file_seed(seed: int, rel_path: str) -> int:

@@ -37,15 +37,6 @@ DEFAULT_DTYPE = np.float32
 
 _STATE = threading.local()
 
-_DEBUG_CHECKS = False
-
-
-def set_debug_checks(enabled: bool) -> None:
-    """Toggle the NaN/Inf tripwire that runs after every primitive."""
-    global _DEBUG_CHECKS
-    _DEBUG_CHECKS = bool(enabled)
-
-
 class ShapeError(ValueError):
     """Raised when an op receives incompatible shapes; names the op and shapes."""
 
@@ -56,7 +47,7 @@ class ShapeError(ValueError):
 
 
 class NonFiniteError(FloatingPointError):
-    """Raised by the debug tripwire when an op produces NaN or Inf."""
+    """Raised by `check_gradients` when the checked function returns NaN or Inf."""
 
 
 class Tensor:
@@ -131,9 +122,7 @@ def _active_tape() -> Tape | None:
     return getattr(_STATE, "tape", None)
 
 
-def _record(op: str, out: Tensor, bwd: Callable[[np.ndarray], None]) -> Tensor:
-    if _DEBUG_CHECKS and not np.isfinite(out.values).all():
-        raise NonFiniteError(f"{op} produced non-finite values")
+def _record(out: Tensor, bwd: Callable[[np.ndarray], None]) -> Tensor:
     tape = _active_tape()
     if tape is not None:
         tape._nodes.append((out, bwd))
@@ -189,7 +178,7 @@ def _binary(op: str, a: Tensor, b: Tensor, fwd, da, db) -> Tensor:
         _accum(a, _unbroadcast(da(g), a.shape))
         _accum(b, _unbroadcast(db(g), b.shape))
 
-    return _record(op, out, bwd)
+    return _record(out, bwd)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -204,15 +193,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _binary("mul", a, b, np.multiply, lambda g: g * b.values, lambda g: g * a.values)
 
 
-def neg(a: Tensor) -> Tensor:
-    out = Tensor(-a.values)
-
-    def bwd(g):
-        _accum(a, -g)
-
-    return _record("neg", out, bwd)
-
-
 def power(a: Tensor, p: float) -> Tensor:
     """Elementwise a**p for a constant exponent."""
     out = Tensor(a.values ** p)
@@ -220,7 +200,7 @@ def power(a: Tensor, p: float) -> Tensor:
     def bwd(g):
         _accum(a, g * p * a.values ** (p - 1.0))
 
-    return _record("power", out, bwd)
+    return _record(out, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +214,7 @@ def tanh(a: Tensor) -> Tensor:
     def bwd(g):
         _accum(a, g * (1.0 - y * y))
 
-    return _record("tanh", out, bwd)
+    return _record(out, bwd)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -244,7 +224,7 @@ def sigmoid(a: Tensor) -> Tensor:
     def bwd(g):
         _accum(a, g * y * (1.0 - y))
 
-    return _record("sigmoid", out, bwd)
+    return _record(out, bwd)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -254,7 +234,7 @@ def relu(a: Tensor) -> Tensor:
     def bwd(g):
         _accum(a, g * (a.values > 0.0))
 
-    return _record("relu", out, bwd)
+    return _record(out, bwd)
 
 
 def exp(a: Tensor) -> Tensor:
@@ -264,7 +244,7 @@ def exp(a: Tensor) -> Tensor:
     def bwd(g):
         _accum(a, g * y)
 
-    return _record("exp", out, bwd)
+    return _record(out, bwd)
 
 
 def log(a: Tensor) -> Tensor:
@@ -273,7 +253,7 @@ def log(a: Tensor) -> Tensor:
     def bwd(g):
         _accum(a, g / a.values)
 
-    return _record("log", out, bwd)
+    return _record(out, bwd)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -286,7 +266,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         inner = (g * y).sum(axis=axis, keepdims=True, dtype=np.float64)
         _accum(a, y * (g - inner.astype(g.dtype)))
 
-    return _record("softmax", out, bwd)
+    return _record(out, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +282,7 @@ def transpose(a: Tensor) -> Tensor:
     def bwd(g):
         _accum(a, np.swapaxes(g, -1, -2))
 
-    return _record("transpose", out, bwd)
+    return _record(out, bwd)
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -316,7 +296,7 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
             idx[axis] = slice(lo, hi)
             _accum(p, g[tuple(idx)])
 
-    return _record("concat", out, bwd)
+    return _record(out, bwd)
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -333,7 +313,7 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
         full[idx] = g
         _accum(a, full)
 
-    return _record("narrow", out, bwd)
+    return _record(out, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +328,7 @@ def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axis)
         _accum(a, np.broadcast_to(g, a.values.shape))
 
-    return _record("sum", out, bwd)
+    return _record(out, bwd)
 
 
 def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -360,7 +340,7 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axis)
         _accum(a, np.broadcast_to(g / n, a.values.shape))
 
-    return _record("mean", out, bwd)
+    return _record(out, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +371,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     else:
         raise ShapeError("matmul", a.shape, b.shape)
-    return _record("matmul", out, bwd)
+    return _record(out, bwd)
 
 
 def _pad_time(x: np.ndarray, before: int, after: int) -> np.ndarray:
@@ -428,7 +408,7 @@ def conv1d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
             gxp[..., j : j + span : stride, :] += (g2 @ w.values[j].T).reshape(lead + (t_out, cin))
         _accum(x, gxp[..., padding : t_pad - padding, :] if padding else gxp)
 
-    return _record("conv1d", out, bwd)
+    return _record(out, bwd)
 
 
 def conv1d_transpose(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -463,7 +443,7 @@ def conv1d_transpose(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) ->
         _accum(x, gx.reshape(x.shape))
         _accum(w, gw)
 
-    return _record("conv1d_transpose", out, bwd)
+    return _record(out, bwd)
 
 
 def depthwise_conv1d(x: Tensor, w: Tensor) -> Tensor:
@@ -490,7 +470,7 @@ def depthwise_conv1d(x: Tensor, w: Tensor) -> Tensor:
             gxp[..., j : j + t, :] += g * w.values[j]
         _accum(x, gxp[..., pad : pad + t, :])
 
-    return _record("depthwise_conv1d", out, bwd)
+    return _record(out, bwd)
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
@@ -505,7 +485,7 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         np.add.at(gt, ids, g)
         _accum(table, gt)
 
-    return _record("embedding_lookup", out, bwd)
+    return _record(out, bwd)
 
 
 def lstm_layer(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, reverse: bool = False,
@@ -614,7 +594,7 @@ def lstm_layer(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, reverse: bool = Fal
         _accum(x, (dz_frames @ wx.values.T).reshape(x.shape))
         _accum(wx, x.values.reshape(-1, in_dim).T @ dz_frames)
 
-    return _record("lstm_layer", out, bwd)
+    return _record(out, bwd)
 
 
 def layer_norm(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None,
@@ -660,7 +640,7 @@ def grad_reverse(x: Tensor, weight: float, anchor=None) -> Tensor:
     def bwd(g):
         _accum(x, -weight * g)
 
-    return _record("grad_reverse", out, bwd)
+    return _record(out, bwd)
 
 
 def straight_through(z_e: Tensor, z_q: Tensor) -> Tensor:
@@ -675,7 +655,7 @@ def straight_through(z_e: Tensor, z_q: Tensor) -> Tensor:
     def bwd(g):
         _accum(z_e, g)
 
-    return _record("straight_through", out, bwd)
+    return _record(out, bwd)
 
 
 def cross_entropy(logits: Tensor, label) -> Tensor:

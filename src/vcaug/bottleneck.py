@@ -2,9 +2,14 @@
 
 The channel dimension is split into groups, each with its own codebook.
 Frames map to their nearest entry under squared L2 (ties take the lowest
-index).  The codebook learns only through the codebook loss; the encoder
-feels the bottleneck through the commitment loss and receives an identity
-gradient through the straight-through estimator.  Codebook usage is
+index).  `select` does only that: the search in numpy, then one lookup per
+group.  It is the whole bottleneck at inference.
+
+`quantize` is the training form.  The codebook learns only through the
+codebook loss; the encoder feels the bottleneck through the commitment
+loss and receives an identity gradient through the straight-through
+estimator.  Each loss is one squared distance over the whole vector,
+divided by the number of groups, as in VQ-VAE.  Codebook usage is
 summarized as perplexity, the collapse diagnostic tracked during training.
 
 `quantize` takes one utterance's [T', D] encodings or a padded [B, T', D]
@@ -102,12 +107,38 @@ class FrozenSelection:
     z_e: np.ndarray       # [T', D] encoder outputs at capture time
 
 
+def select(z_e: Tensor, codebook: Codebook, indices=None) -> tuple[Tensor, np.ndarray]:
+    """Gather each frame's codebook entries: ([(B,) T', D] entries, [(B,) T', G] indices).
+
+    Without `indices` every group takes its nearest entry.  The only
+    recorded ops are one lookup per group and a concat.
+    """
+    gd = codebook.group_dim
+    if indices is None:
+        flat = z_e.values.reshape(-1, codebook.dim)
+        indices = np.stack([
+            nearest_entries(flat[:, g * gd : (g + 1) * gd], table.values)
+            for g, table in enumerate(codebook.groups)
+        ], axis=-1).reshape(z_e.shape[:-1] + (codebook.n_groups,))
+    parts = [ad.embedding_lookup(table, indices[..., g])
+             for g, table in enumerate(codebook.groups)]
+    return ad.concat(parts, axis=z_e.ndim - 1), indices
+
+
+def _sq_distance(a: Tensor, b: Tensor, lengths, scale: float) -> Tensor:
+    """scale * mean over valid frames of the squared L2 distance over all channels."""
+    diff = ad.sub(a, b)
+    per_frame = ad.reduce_sum(ad.mul(diff, diff), axis=a.ndim - 1)
+    return ad.mul(ad.row_mean(per_frame, lengths), Tensor(np.asarray(scale, dtype=a.dtype)))
+
+
 def quantize(z_e: Tensor, codebook: Codebook, commitment_weight: float = 0.25,
              lengths=None, pinned: FrozenSelection | None = None) -> QuantizeResult:
     """Quantize each frame group-wise and compute both bottleneck losses.
 
-    codebook_loss averages, over frames and groups, the squared distance
-    from detached encoder outputs to the selected entries; commit_loss is
+    codebook_loss is the squared distance from the detached encoder output
+    to its selected entries over all D channels, averaged over frames and
+    divided by the number of groups (the per-group mean); commit_loss is
     the mirrored term times `commitment_weight` and moves only the encoder.
     For a [B, T', D] batch both are per-row means over the first lengths[b]
     frames, averaged over rows.
@@ -122,46 +153,20 @@ def quantize(z_e: Tensor, codebook: Codebook, commitment_weight: float = 0.25,
     if (z_e.ndim not in (2, 3) or z_e.shape[-1] != codebook.dim
             or (pinned is not None and z_e.ndim != 2)):
         raise ad.ShapeError("quantize", z_e.shape, (codebook.dim,))
-    gd = codebook.group_dim
-    last = z_e.ndim - 1
-    parts, idx_cols = [], []
-    cb_terms, cm_terms = [], []
-    for g, table in enumerate(codebook.groups):
-        lo = g * gd
-        zg = ad.narrow(z_e, last, lo, gd)
-        if pinned is None:
-            idx = nearest_entries(zg.values.reshape(-1, gd), table.values).reshape(zg.shape[:-1])
-        else:
-            idx = pinned.indices[:, g]
-        idx_cols.append(idx)
-        e_sel = ad.embedding_lookup(table, idx)
-        if pinned is None:
-            zg0, e0 = ad.stop_gradient(zg), ad.stop_gradient(e_sel)
-            parts.append(ad.straight_through(zg, e_sel))
-        else:
-            zg0 = Tensor(pinned.z_e[:, lo : lo + gd].astype(z_e.dtype))
-            e0 = Tensor(pinned.e_sel[:, lo : lo + gd].astype(z_e.dtype))
-            parts.append(ad.add(zg, Tensor(e0.values - zg0.values)))
-
-        cb_diff = ad.sub(zg0, e_sel)
-        cb_terms.append(ad.row_mean(ad.reduce_sum(ad.mul(cb_diff, cb_diff), axis=last), lengths))
-        cm_diff = ad.sub(zg, e0)
-        cm_terms.append(ad.row_mean(ad.reduce_sum(ad.mul(cm_diff, cm_diff), axis=last), lengths))
+    e, indices = select(z_e, codebook, None if pinned is None else pinned.indices)
+    if pinned is None:
+        z0, e0 = ad.stop_gradient(z_e), ad.stop_gradient(e)
+        z_q = ad.straight_through(z_e, e)
+    else:
+        z0 = Tensor(pinned.z_e.astype(z_e.dtype))
+        e0 = Tensor(pinned.e_sel.astype(z_e.dtype))
+        z_q = ad.add(z_e, Tensor(e0.values - z0.values))
 
     scale = 1.0 / codebook.n_groups
-    indices = np.stack(idx_cols, axis=-1)
     mask = ad.length_mask(lengths, z_e.shape[-2], bool)
-    indices = indices.reshape(-1, codebook.n_groups) if mask is None else indices[mask]
     return QuantizeResult(
-        z_q=ad.concat(parts, axis=last),
-        indices=indices,
-        codebook_loss=_weighted_sum(cb_terms, scale),
-        commit_loss=_weighted_sum(cm_terms, scale * commitment_weight),
+        z_q=z_q,
+        indices=indices.reshape(-1, codebook.n_groups) if mask is None else indices[mask],
+        codebook_loss=_sq_distance(z0, e, lengths, scale),
+        commit_loss=_sq_distance(z_e, e0, lengths, scale * commitment_weight),
     )
-
-
-def _weighted_sum(terms: list[Tensor], scale: float) -> Tensor:
-    total = terms[0]
-    for t in terms[1:]:
-        total = ad.add(total, t)
-    return ad.mul(total, Tensor(np.asarray(scale, dtype=total.dtype)))

@@ -118,7 +118,7 @@ def cmd_sweep(args) -> int:
         ppl_min=args.ppl_min,
     )
     for label, ledger in result.ledgers.items():
-        ledger.write(out_dir / f"eta{label}.ledger")
+        ledger.write(out_dir / f"adv{label}.ledger")
     report_path = out_dir / "selection.txt"
     report_path.write_text("".join(line + "\n" for line in result.report.lines()), encoding="utf-8")
     print("\n".join(result.report.lines()))

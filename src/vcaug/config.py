@@ -5,7 +5,7 @@ Sections: [model] (architecture), [train] (loop and loss weights), [data]
 sections or keys are rejected, referenced paths are checked at load time,
 and the canonical text form has a stable hash that is recorded into
 checkpoints.  A file that cannot be read, or whose values the model or
-loss-weight configs reject, raises `ConfigError`.
+training configs reject, raises `ConfigError`.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ class TrainSection:
     batch_size: int = 1
     adversarial_weight: float = 0.1
     gamma: float = 1.0
-    eta: float = 1.0
     delta: float = 1.0
     checkpoint_every: int = 0
 
@@ -110,19 +109,18 @@ class RunConfig:
     def train_config(self, seed: int | None = None, out_dir: str | None = None) -> TrainConfig:
         t = self.train
         try:
-            weights = LossWeights(gamma=t.gamma, eta=t.eta, delta=t.delta)
+            return TrainConfig(
+                steps=t.steps,
+                lr=t.lr,
+                seed=t.seed if seed is None else seed,
+                adversarial_weight=t.adversarial_weight,
+                weights=LossWeights(gamma=t.gamma, delta=t.delta),
+                batch_size=t.batch_size,
+                checkpoint_every=t.checkpoint_every,
+                out_dir=out_dir,
+            )
         except ValueError as e:
             raise ConfigError(f"[train] {e}") from None
-        return TrainConfig(
-            steps=t.steps,
-            lr=t.lr,
-            seed=t.seed if seed is None else seed,
-            adversarial_weight=t.adversarial_weight,
-            weights=weights,
-            batch_size=t.batch_size,
-            checkpoint_every=t.checkpoint_every,
-            out_dir=out_dir,
-        )
 
     def augment_policy(self) -> SpecAugmentPolicy:
         a = self.augment

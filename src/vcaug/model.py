@@ -380,9 +380,8 @@ class VcModel:
         """Snapshot the quantizer assignment for this input at current parameters."""
         values = mel.data if isinstance(mel, MelSpectrogram) else np.asarray(mel)
         z_e = self.encode(values)
-        qr = bn.quantize(z_e, self.codebook,
-                         commitment_weight=self.config.commitment_weight)
-        return bn.FrozenSelection(indices=qr.indices, e_sel=qr.z_q.values, z_e=z_e.values)
+        e, indices = bn.select(z_e, self.codebook)
+        return bn.FrozenSelection(indices=indices, e_sel=e.values, z_e=z_e.values)
 
 
 # ---------------------------------------------------------------------------

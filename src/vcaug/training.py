@@ -1,10 +1,12 @@
 """Composite objective, Adam loop, metrics ledger, sweep, and model selection.
 
 The total objective is reconstruction (Huber) plus codebook, commitment,
-and adversarial cross-entropy terms with configurable weights.  The
-adversarial strength is a single knob: the gradient-reversal scale.  The
-classifier always trains at full strength, so its accuracy stays a usable
-leakage probe even when the reversal scale is zero.
+and adversarial cross-entropy terms.  Each term has at most one knob: the
+codebook term `gamma`, the commitment term the model's commitment weight.
+The adversarial term enters unscaled; its strength is the gradient-reversal
+scale `adversarial_weight`, the one factor by which it reaches the encoder.
+The classifier always trains at full strength, so its accuracy stays a
+usable leakage probe even when the reversal scale is zero.
 
 Each step stacks its utterances into one zero-padded [B, T, M] batch with
 per-row lengths and runs a single forward and backward graph over it.  Every
@@ -46,20 +48,19 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Multipliers of the codebook and adversarial terms plus the Huber threshold.
+    """Multiplier of the codebook term plus the Huber threshold.
 
-    The commitment term is scaled once, by `ModelConfig.commitment_weight`.
-    `delta` is the Huber transition point.  The term weights default to 1.0.
+    The commitment term is scaled once, by `ModelConfig.commitment_weight`,
+    and the adversarial term once, by `TrainConfig.adversarial_weight`.
+    `delta` is the Huber transition point.
     """
 
     gamma: float = 1.0     # codebook term
-    eta: float = 1.0       # adversarial term
     delta: float = 1.0     # Huber threshold
 
     def __post_init__(self):
-        for name in ("gamma", "eta"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        if self.gamma < 0:
+            raise ValueError("gamma must be non-negative")
         if self.delta <= 0:
             raise ValueError("delta must be positive")
 
@@ -75,9 +76,10 @@ def huber(y, y_hat, delta: float = 1.0, lengths=None) -> Tensor:
     if y.shape != y_hat.shape:
         raise ad.ShapeError("huber", y.shape, y_hat.shape)
     d = ad.sub(y, y_hat)
-    abs_d = ad.add(ad.relu(d), ad.relu(ad.neg(d)))
-    # branch choice is locally constant; both branches agree in value and
-    # slope at |d| = delta, so treating the mask as constant is exact
+    # the sign and the branch choice are locally constant; both branches
+    # agree in value and slope at |d| = delta, so treating them as constants
+    # is exact
+    abs_d = ad.mul(d, Tensor(np.sign(d.values)))
     mask = Tensor((np.abs(d.values) < delta).astype(d.dtype))
     inv_mask = Tensor((1.0 - mask.values).astype(d.dtype))
     half = Tensor(np.asarray(0.5, dtype=d.dtype))
@@ -89,14 +91,10 @@ def huber(y, y_hat, delta: float = 1.0, lengths=None) -> Tensor:
 
 def total_loss(recon: Tensor, codebook: Tensor, commit: Tensor, adv: Tensor,
                weights: LossWeights) -> Tensor:
-    """Sum of the four components; `commit` arrives already weighted."""
-    def scaled(t: Tensor, w: float) -> Tensor:
-        return ad.mul(t, Tensor(np.asarray(w, dtype=t.dtype)))
-
-    return ad.add(
-        ad.add(recon, scaled(codebook, weights.gamma)),
-        ad.add(commit, scaled(adv, weights.eta)),
-    )
+    """Sum of the four components; `commit` arrives already weighted and the
+    adversarial term enters unscaled (its strength is the reversal weight)."""
+    gamma = Tensor(np.asarray(weights.gamma, dtype=codebook.dtype))
+    return ad.add(ad.add(recon, ad.mul(codebook, gamma)), ad.add(commit, adv))
 
 
 class Adam:
@@ -221,6 +219,14 @@ class TrainConfig:
     checkpoint_every: int = 0         # 0 = final checkpoint only
     out_dir: str | None = None
 
+    def __post_init__(self):
+        for name, least in (("steps", 0), ("batch_size", 1), ("checkpoint_every", 0),
+                            ("adversarial_weight", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        if not self.lr > 0:
+            raise ValueError(f"lr must be positive, got {self.lr}")
+
 
 @dataclass
 class TrainResult:
@@ -277,10 +283,9 @@ def train(model: VcModel, dataset: Dataset, cfg: TrainConfig,
         checkpoints.append(path)
         return path
 
-    batch = max(1, cfg.batch_size)
     for i in range(cfg.steps):
         step = model.step + 1
-        picks = [dataset[int(rng.integers(len(dataset)))] for _ in range(batch)]
+        picks = [dataset[int(rng.integers(len(dataset)))] for _ in range(cfg.batch_size)]
         values, lengths = pad_batch([mel.data for mel, _ in picks])
         speakers = np.array([speaker for _, speaker in picks])
 

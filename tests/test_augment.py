@@ -5,6 +5,7 @@ import pytest
 
 from vcaug import augment as aug
 from vcaug import autodiff as ad
+from vcaug import bottleneck as bn
 from vcaug import data as vd
 from vcaug.model import VcModel, pad_batch
 from vcaug.signal import (
@@ -89,10 +90,18 @@ def test_sample_target_seeded_sequence():
     assert a == b
 
 
+def view_pair(mel, model, pool, policy, seed):
+    """Both views of one utterance: `_view_pairs` with a one-utterance convert."""
+    def convert_one(mels, targets):
+        return [aug.convert(mels[0], targets[0], model)]
+
+    return aug._view_pairs([mel], [seed], pool, policy, convert_one)[0]
+
+
 def test_make_view_pair_no_masks_keeps_original(toy_vc_model):
     mel = toy_mel_spec(t=10, seed=3)
-    pair = aug.make_view_pair(mel, toy_vc_model, aug.SpeakerPool(ids=(0, 1, 2)),
-                              SpecAugmentPolicy(), seed=5)
+    pair = view_pair(mel, toy_vc_model, aug.SpeakerPool(ids=(0, 1, 2)),
+                     SpecAugmentPolicy(), seed=5)
     assert np.array_equal(pair.original.data, mel.data)
     assert pair.converted.data.shape == mel.data.shape
     assert pair.target_speaker_id in (0, 1, 2)
@@ -104,9 +113,9 @@ def test_make_view_pair_deterministic(toy_vc_model):
     policy = SpecAugmentPolicy(n_freq_masks=1, max_freq_width=3,
                                n_time_masks=1, max_time_width=3)
     pool = aug.SpeakerPool(ids=(0, 1, 2))
-    a = aug.make_view_pair(mel, toy_vc_model, pool, policy, seed=9)
-    b = aug.make_view_pair(mel, toy_vc_model, pool, policy, seed=9)
-    c = aug.make_view_pair(mel, toy_vc_model, pool, policy, seed=10)
+    a = view_pair(mel, toy_vc_model, pool, policy, seed=9)
+    b = view_pair(mel, toy_vc_model, pool, policy, seed=9)
+    c = view_pair(mel, toy_vc_model, pool, policy, seed=10)
     assert np.array_equal(a.original.data, b.original.data)
     assert np.array_equal(a.converted.data, b.converted.data)
     assert a.target_speaker_id == b.target_speaker_id
@@ -124,7 +133,7 @@ def test_make_view_pair_draw_order(toy_vc_model):
     policy = SpecAugmentPolicy(n_freq_masks=2, max_freq_width=3,
                                n_time_masks=2, max_time_width=4)
     pool = aug.SpeakerPool(ids=(0, 1, 2))
-    pair = aug.make_view_pair(mel, toy_vc_model, pool, policy, seed=11)
+    pair = view_pair(mel, toy_vc_model, pool, policy, seed=11)
     rng = np.random.default_rng(11)
     target = aug.sample_target(pool, rng)
     original = spec_augment(mel, policy, rng)
@@ -227,6 +236,21 @@ def test_full_length_batch_records_no_mask_op(toy_vc_model):
     assert len(full) == len(single) < len(padded)
 
 
+def test_conversion_runs_no_bottleneck_loss(tmp_path, monkeypatch, toy_vc_model):
+    mel = toy_mel_spec(t=13, seed=8)
+    expected = aug.convert(mel, 2, toy_vc_model).data
+
+    def training_only(*args, **kwargs):
+        raise AssertionError("conversion ran the bottleneck losses")
+
+    monkeypatch.setattr(bn, "quantize", training_only)
+    np.testing.assert_array_equal(aug.convert(mel, 2, toy_vc_model).data, expected)
+    result = aug.emit_dataset(make_corpus_dir(tmp_path, n=3), toy_vc_model,
+                              aug.SpeakerPool(ids=(0, 1)), SpecAugmentPolicy(),
+                              tmp_path / "views", seed=0)
+    assert result.n_pairs == 3 and not result.failures
+
+
 def count_batches(monkeypatch):
     sizes = []
     real = aug._convert_batch
@@ -264,8 +288,7 @@ def test_emit_dataset_batch_budget_changes_only_float_rounding(tmp_path, monkeyp
     for line in whole.manifest_path.read_text().splitlines():
         src, orig, conv, target, seed = line.split("\t")
         assert (tmp_path / "one" / orig).read_bytes() == (tmp_path / "many" / orig).read_bytes()
-        alone = aug.make_view_pair(read_melf(corpus / src), toy_vc_model64, pool, policy,
-                                   int(seed))
+        alone = view_pair(read_melf(corpus / src), toy_vc_model64, pool, policy, int(seed))
         assert alone.target_speaker_id == int(target)
         np.testing.assert_array_equal(read_melf(tmp_path / "one" / orig).data,
                                       alone.original.data)

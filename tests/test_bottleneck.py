@@ -5,7 +5,10 @@ from hypothesis import strategies as st
 
 from vcaug import autodiff as ad
 from vcaug import bottleneck as bn
+from vcaug import model as vm
 from vcaug.autodiff import Tape, Tensor
+
+from conftest import toy_config, toy_mel
 
 
 def make_codebook(dim=4, n_groups=2, n_entries=8, seed=0):
@@ -217,3 +220,103 @@ def test_init_from_outputs_uses_batch_rows():
         block = z[:, g * 2 : (g + 1) * 2]
         for entry in table.values:
             assert any(np.allclose(entry, row) for row in block)
+
+
+def per_group_quantize(z_e, codebook, commitment_weight, lengths=None, pinned=None):
+    """Reference: one narrow, lookup, straight-through part and pair of loss
+    chains per group, summed and scaled at the end."""
+    gd, last = codebook.group_dim, z_e.ndim - 1
+    parts, idx_cols, cb_terms, cm_terms = [], [], [], []
+    for g, table in enumerate(codebook.groups):
+        lo = g * gd
+        zg = ad.narrow(z_e, last, lo, gd)
+        if pinned is None:
+            idx = bn.nearest_entries(zg.values.reshape(-1, gd), table.values)
+            idx = idx.reshape(zg.shape[:-1])
+        else:
+            idx = pinned.indices[:, g]
+        idx_cols.append(idx)
+        e_sel = ad.embedding_lookup(table, idx)
+        if pinned is None:
+            zg0, e0 = ad.stop_gradient(zg), ad.stop_gradient(e_sel)
+            parts.append(ad.straight_through(zg, e_sel))
+        else:
+            zg0 = Tensor(pinned.z_e[:, lo : lo + gd])
+            e0 = Tensor(pinned.e_sel[:, lo : lo + gd])
+            parts.append(ad.add(zg, Tensor(e0.values - zg0.values)))
+        for a, b, terms in ((zg0, e_sel, cb_terms), (zg, e0, cm_terms)):
+            diff = ad.sub(a, b)
+            terms.append(ad.row_mean(ad.reduce_sum(ad.mul(diff, diff), axis=last), lengths))
+
+    def weighted_sum(terms, scale):
+        total = terms[0]
+        for t in terms[1:]:
+            total = ad.add(total, t)
+        return ad.mul(total, Tensor(np.asarray(scale)))
+
+    indices = np.stack(idx_cols, axis=-1)
+    mask = ad.length_mask(lengths, z_e.shape[-2], bool)
+    scale = 1.0 / codebook.n_groups
+    return bn.QuantizeResult(
+        z_q=ad.concat(parts, axis=last),
+        indices=indices.reshape(-1, codebook.n_groups) if mask is None else indices[mask],
+        codebook_loss=weighted_sum(cb_terms, scale),
+        commit_loss=weighted_sum(cm_terms, scale * commitment_weight),
+    )
+
+
+def quantize_through_encoder(model, quantize_fn, values, lengths, pinned):
+    """Encode, quantize and backpropagate a mix of z_q and both losses."""
+    with Tape() as tape:
+        z_e = model.encode(values, lengths)
+        qr = quantize_fn(z_e, model.codebook, 0.3, vm._encoded_lengths(lengths), pinned)
+        probe = Tensor(np.random.default_rng(9).normal(size=qr.z_q.shape))
+        loss = ad.add(ad.reduce_sum(ad.mul(qr.z_q, probe)),
+                      ad.add(ad.mul(qr.codebook_loss, Tensor(np.asarray(0.7))),
+                             ad.mul(qr.commit_loss, Tensor(np.asarray(1.9)))))
+    ad.zero_grads(model.params.values())
+    tape.backward(loss)
+    grads = {k: p.grad.copy() for k, p in model.params.items() if p.grad is not None}
+    return qr, grads
+
+
+@pytest.mark.parametrize("case", ["unbatched", "pinned", "padded"])
+def test_whole_vector_quantize_matches_per_group_composition(case):
+    model = vm.VcModel(toy_config(seed=4), dtype=np.float64)
+    mels = [toy_mel(t=t, seed=30 + i) for i, t in enumerate((12, 7, 5, 9))]
+    values, lengths, pinned = mels[0], None, None
+    if case == "pinned":
+        pinned = model.capture_selection(values)
+    elif case == "padded":
+        values, lengths = vm.pad_batch(mels)
+
+    def live(z_e, codebook, cw, enc_lengths, pin):
+        return bn.quantize(z_e, codebook, commitment_weight=cw, lengths=enc_lengths, pinned=pin)
+
+    qr, grads = quantize_through_encoder(model, live, values, lengths, pinned)
+    ref, ref_grads = quantize_through_encoder(model, per_group_quantize, values, lengths, pinned)
+    np.testing.assert_array_equal(qr.z_q.values, ref.z_q.values)
+    np.testing.assert_array_equal(qr.indices, ref.indices)
+    for name in ("codebook_loss", "commit_loss"):
+        a, b = getattr(qr, name).item(), getattr(ref, name).item()
+        assert b > 0 and abs(a - b) <= 1e-12 * b, name
+    assert grads.keys() == ref_grads.keys()
+    assert any(k.startswith("vq.") for k in grads) and any(k.startswith("enc.") for k in grads)
+    for name, g in grads.items():
+        scale = max(np.abs(ref_grads[name]).max(), 1e-300)
+        assert np.abs(g - ref_grads[name]).max() <= 1e-12 * scale, name
+
+
+def test_select_records_one_lookup_per_group_and_a_concat():
+    cb = make_codebook(dim=6, n_groups=3)
+    z = Tensor(np.random.default_rng(10).normal(size=(2, 5, 6)))
+    with Tape() as tape:
+        e, indices = bn.select(z, cb)
+    assert len(tape) == 4 and indices.shape == (2, 5, 3)
+    for g, table in enumerate(cb.groups):
+        np.testing.assert_array_equal(e.values[..., 2 * g : 2 * g + 2],
+                                      table.values[indices[..., g]])
+    with Tape() as tape:
+        bn.quantize(z, cb)
+    # select, straight-through, then sub, mul, sum, mean and scale per loss
+    assert len(tape) == 4 + 1 + 2 * 5

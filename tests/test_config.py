@@ -36,11 +36,18 @@ def run_gradcheck(path, capsys):
 
 @pytest.mark.parametrize("replace, add, named", [
     ("", "epsilon = 1.0", "'epsilon'"),
+    ("", "eta = 1.0", "'eta'"),
     ("vq_groups = 3", "", "[model]"),
     ("n_heads = 3", "", "[model]"),
     ("", "gamma = -1.0", "[train] gamma"),
     ("", "delta = 0.0", "[train] delta"),
-], ids=["removed_epsilon", "vq_groups", "n_heads", "gamma", "delta"])
+    ("steps = -3", "", "[train] steps"),
+    ("", "batch_size = 0", "[train] batch_size"),
+    ("lr = -0.5", "", "[train] lr"),
+    ("", "checkpoint_every = -1", "[train] checkpoint_every"),
+    ("adversarial_weight = -0.1", "", "[train] adversarial_weight"),
+], ids=["removed_epsilon", "removed_eta", "vq_groups", "n_heads", "gamma", "delta",
+        "steps", "batch_size", "lr", "checkpoint_every", "adversarial_weight"])
 def test_invalid_config_values_exit_with_config_error(tmp_path, capsys, replace, add, named):
     path = tmp_path / "bad.cfg"
     path.write_text(toy_text(replace, add), encoding="utf-8")

@@ -211,7 +211,7 @@ def batch_loss(model, values, speakers, lengths=None):
     return tr.total_loss(
         tr.huber(Tensor(values), recon, delta=1.0, lengths=lengths),
         qr.codebook_loss, qr.commit_loss, ad.cross_entropy(logits, speakers),
-        tr.LossWeights(gamma=0.7, eta=0.9),
+        tr.LossWeights(gamma=0.7),
     )
 
 

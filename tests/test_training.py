@@ -63,9 +63,10 @@ def test_total_loss_unit_weights():
 
 
 def test_total_loss_recon_only():
-    # the commitment term arrives scaled by ModelConfig.commitment_weight, here 0
-    parts = [Tensor(np.asarray(v)) for v in (1.5, 2.0, 0.0 * 3.0, 4.0)]
-    out = tr.total_loss(*parts, tr.LossWeights(gamma=0.0, eta=0.0))
+    # the commitment term arrives scaled by ModelConfig.commitment_weight and
+    # the adversarial term unscaled (its knob is the reversal weight): both 0 here
+    parts = [Tensor(np.asarray(v)) for v in (1.5, 2.0, 0.0 * 3.0, 0.0)]
+    out = tr.total_loss(*parts, tr.LossWeights(gamma=0.0))
     assert out.item() == pytest.approx(1.5)
 
 
