@@ -3,17 +3,24 @@
 
 import argparse
 
-from vcaug.data import write_corpus_tree
+from vcaug.data import CROSSFADE_S, write_corpus_tree
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="corpus")
     parser.add_argument("--speakers", type=int, default=6)
     parser.add_argument("--utterances", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--duration", type=float, default=1.0)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    if args.speakers < 1:
+        parser.error(f"--speakers must be at least 1, got {args.speakers}")
+    if args.utterances < 1:
+        parser.error(f"--utterances must be at least 1, got {args.utterances}")
+    if not args.duration >= CROSSFADE_S:
+        parser.error(f"--duration must be at least one {CROSSFADE_S * 1000:g}-ms crossfade, "
+                     f"got {args.duration:g} s")
     map_path = write_corpus_tree(
         args.out,
         n_speakers=args.speakers,

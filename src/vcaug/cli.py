@@ -104,11 +104,15 @@ def cmd_train(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
+    train_cfg = cfg.train_config(seed=args.seed)
+    try:
+        weights = [float(w) for w in args.weights.split(",") if w.strip()]
+        tr.sweep_configs(weights, train_cfg)
+    except ValueError as e:
+        raise ConfigError(f"--weights: {e}") from None
     speaker_map, corpus = _load_training_inputs(cfg)
-    weights = [float(w) for w in args.weights.split(",") if w.strip()]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    train_cfg = cfg.train_config(seed=args.seed)
     result = tr.sweep_adversarial_weight(
         weights,
         lambda: _build_model(cfg, len(speaker_map)),

@@ -86,6 +86,9 @@ def _phone_gain(phone: Phone, freqs_hz: np.ndarray) -> np.ndarray:
     return 10.0 ** (gain_db / 20.0)
 
 
+CROSSFADE_S = 0.008   # moving-average length that blends neighbouring phones
+
+
 def synth_utterance(
     profile: SpeakerProfile,
     rng: np.random.Generator,
@@ -93,46 +96,81 @@ def synth_utterance(
     sample_rate_hz: int = 16000,
     alphabet: list[Phone] | None = None,
 ) -> Waveform:
-    """One utterance: a random phone sequence rendered with the speaker envelope."""
+    """One utterance: a random phone sequence rendered with the speaker envelope.
+
+    The signal is `rhythm(t) * sum_k amps_k * content_k(t) * sin(k*theta + phi_k)`
+    with `theta = 2*pi*f0*t`, where `content_k` holds each phone's harmonic
+    gain over its segment, smoothed by a `fade`-sample moving average (the
+    crossfade), then peak-normalised to 0.3.
+
+    It is rendered one segment at a time, with no `[n_harmonics, n]` array.
+    The moving average of a signal that is constant on each segment is a sum
+    of per-segment weights: `np.convolve(r, ones(fade) / fade, mode="same")`
+    averages samples `[i - (fade - 1 - lead), i + lead]` with
+    `lead = (fade - 1) // 2` and zeros outside `[0, n)`, so segment `[a, b)`
+    weighs `|that window ∩ [a, b)| / fade` at sample `i`, which is nonzero
+    only on `[a - lead, b + fade - 1 - lead)`.  On that slice the segment's
+    harmonic sum is `Im(P(z))` with `z = exp(i*theta)` and
+    `P(z) = sum_k amps_k * gain_k * exp(i*phi_k) * z**k`, evaluated by
+    Horner's rule.  Both steps are exact identities, so the waveform equals
+    the per-harmonic composition up to float64 rounding.
+
+    Raises `ValueError` when the utterance is shorter than one crossfade.
+    """
     if alphabet is None:
         alphabet = phone_alphabet()
     n = int(round(duration_s * sample_rate_hz))
-    t = np.arange(n) / sample_rate_hz
+    fade = max(1, int(CROSSFADE_S * sample_rate_hz))
+    if n < fade:
+        raise ValueError(f"utterance of {n} samples is shorter than one "
+                         f"{fade}-sample crossfade")
     n_harmonics = max(3, int(7000.0 / profile.f0_hz))
-    k = np.arange(1, n_harmonics + 1)
-    freqs = profile.f0_hz * k
+    freqs = profile.f0_hz * np.arange(1, n_harmonics + 1)
     speaker_amps = _envelope(profile, freqs)
 
     # segment the utterance into phone-length spans (roughly 80-160 ms)
-    seg_samples = []
-    remaining = n
-    while remaining > 0:
+    bounds = [0]
+    while bounds[-1] < n:
         span = int(rng.uniform(0.08, 0.16) * sample_rate_hz)
-        span = min(span, remaining)
-        seg_samples.append(span)
-        remaining -= span
-    phone_ids = rng.integers(0, len(alphabet), size=len(seg_samples))
-
-    # per-sample harmonic amplitude matrix with short crossfades between phones
-    content = np.empty((n_harmonics, n))
-    pos = 0
-    for span, pid in zip(seg_samples, phone_ids):
-        content[:, pos : pos + span] = _phone_gain(alphabet[pid], freqs)[:, None]
-        pos += span
-    fade = max(1, int(0.008 * sample_rate_hz))
-    kernel = np.ones(fade) / fade
-    content = np.apply_along_axis(lambda r: np.convolve(r, kernel, mode="same"), 1, content)
-
+        bounds.append(min(bounds[-1] + span, n))
+    phone_ids = rng.integers(0, len(alphabet), size=len(bounds) - 1)
     rhythm_hz = rng.uniform(2.0, 6.0)
     rhythm_phase = rng.uniform(0.0, 2 * np.pi)
-    rhythm = 0.75 + 0.25 * np.sin(2 * np.pi * rhythm_hz * t + rhythm_phase)
     phases = rng.uniform(0.0, 2 * np.pi, size=n_harmonics)
-    partials = np.sin(2 * np.pi * freqs[:, None] * t + phases[:, None])
-    x = (speaker_amps[:, None] * content * partials).sum(axis=0) * rhythm
+
+    t = np.arange(n) / sample_rate_hz
+    z = np.exp(2j * np.pi * profile.f0_hz * t)
+    coeffs = speaker_amps * np.exp(1j * phases)
+    lead = (fade - 1) // 2
+    x = np.zeros(n)
+    for a, b, pid in zip(bounds[:-1], bounds[1:], phone_ids):
+        lo, hi = max(0, a - lead), min(n, b + fade - 1 - lead)
+        i = np.arange(lo, hi)
+        weight = (np.minimum(i + lead + 1, b) - np.maximum(i + lead + 1 - fade, a)) / fade
+        c = coeffs * _phone_gain(alphabet[pid], freqs)
+        zs = z[lo:hi]
+        # Horner's rule for P(zs) = sum_k c[k-1] * zs**k, k = 1..n_harmonics
+        acc = c[-1] * zs
+        for ck in c[-2::-1]:
+            acc += ck
+            acc *= zs
+        x[lo:hi] += weight * acc.imag
+    x *= 0.75 + 0.25 * np.sin(2 * np.pi * rhythm_hz * t + rhythm_phase)
     peak = np.abs(x).max()
     if peak > 0:
         x = 0.3 * x / peak
     return Waveform(samples=x, sample_rate_hz=sample_rate_hz)
+
+
+def _corpus_waves(n_speakers: int, utts_per_speaker: int, seed: int, duration_s: float,
+                  sample_rate_hz: int):
+    """Yield `(speaker, index, waveform)` for the fixed-seed corpus, speaker by speaker."""
+    profiles = speaker_profiles(n_speakers, seed)
+    alphabet = phone_alphabet()
+    rng = np.random.default_rng([seed, 1])
+    for spk, profile in enumerate(profiles):
+        for u in range(utts_per_speaker):
+            yield spk, u, synth_utterance(profile, rng, duration_s, sample_rate_hz, alphabet)
 
 
 def synthetic_corpus(
@@ -144,15 +182,8 @@ def synthetic_corpus(
     n_mels: int = 80,
 ) -> list[tuple[MelSpectrogram, int]]:
     """Featurized fixed-seed corpus as (mel, speaker_id) pairs."""
-    profiles = speaker_profiles(n_speakers, seed)
-    alphabet = phone_alphabet()
-    rng = np.random.default_rng([seed, 1])
-    corpus = []
-    for spk, profile in enumerate(profiles):
-        for _ in range(utts_per_speaker):
-            wave = synth_utterance(profile, rng, duration_s, sample_rate_hz, alphabet)
-            corpus.append((compute_log_mel(wave, n_mels=n_mels), spk))
-    return corpus
+    waves = _corpus_waves(n_speakers, utts_per_speaker, seed, duration_s, sample_rate_hz)
+    return [(compute_log_mel(wave, n_mels=n_mels), spk) for spk, _, wave in waves]
 
 
 # ---------------------------------------------------------------------------
@@ -202,16 +233,12 @@ def write_corpus_tree(
 ) -> Path:
     """Materialize a synthetic corpus: `<dir>/<speaker>/uNN.wav` + speakers.tsv."""
     corpus_dir = Path(corpus_dir)
-    profiles = speaker_profiles(n_speakers, seed)
-    alphabet = phone_alphabet()
-    rng = np.random.default_rng([seed, 1])
+    corpus_dir.mkdir(parents=True, exist_ok=True)
     names = [f"spk{idx}" for idx in range(n_speakers)]
-    for spk, profile in enumerate(profiles):
-        spk_dir = corpus_dir / names[spk]
-        spk_dir.mkdir(parents=True, exist_ok=True)
-        for u in range(utts_per_speaker):
-            wave = synth_utterance(profile, rng, duration_s, sample_rate_hz, alphabet)
-            write_wav(spk_dir / f"u{u:02d}.wav", wave)
+    for spk, u, wave in _corpus_waves(n_speakers, utts_per_speaker, seed, duration_s,
+                                      sample_rate_hz):
+        (corpus_dir / names[spk]).mkdir(exist_ok=True)
+        write_wav(corpus_dir / names[spk] / f"u{u:02d}.wav", wave)
     map_path = corpus_dir / "speakers.tsv"
     write_speaker_map(map_path, names)
     return map_path

@@ -222,7 +222,7 @@ class TrainConfig:
     def __post_init__(self):
         for name, least in (("steps", 0), ("batch_size", 1), ("checkpoint_every", 0),
                             ("adversarial_weight", 0)):
-            if getattr(self, name) < least:
+            if not getattr(self, name) >= least:   # NaN fails too
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if not self.lr > 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
@@ -410,17 +410,17 @@ def sweep_adversarial_weight(
     acc_max: float = 0.2,
     ppl_min: float | None = None,
 ) -> SweepResult:
-    """One fresh training run per reversal weight, compared on final-window means."""
-    if len(weights) < 2:
-        raise ValueError("sweep needs at least two weights")
+    """One fresh training run per reversal weight, compared on final-window means.
+
+    Every candidate's config is built, and so range-checked, before the first run.
+    """
     ledgers: dict[str, MetricsLedger] = {}
     candidates: list[CandidateMetrics] = []
     n_entries = None
-    for w in weights:
-        label = format_weight(w)
+    for label, run_cfg in sweep_configs(weights, cfg).items():
         model = model_factory()
         n_entries = model.config.vq_entries
-        result = train(model, dataset, replace(cfg, adversarial_weight=w, out_dir=None))
+        result = train(model, dataset, run_cfg)
         ledgers[label] = result.ledger
         means = result.ledger.final_window_means(window)
         candidates.append(CandidateMetrics(
@@ -433,6 +433,23 @@ def sweep_adversarial_weight(
         ppl_min = n_entries / 2
     report = select_model(candidates, acc_max=acc_max, ppl_min=ppl_min)
     return SweepResult(ledgers=ledgers, report=report)
+
+
+def sweep_configs(weights: Sequence[float], cfg: TrainConfig) -> dict[str, TrainConfig]:
+    """One in-memory `TrainConfig` per reversal weight, keyed by its label.
+
+    Raises `ValueError` for fewer than two weights, a weight the config rejects,
+    or two weights with the same label (their ledgers would overwrite each other).
+    """
+    if len(weights) < 2:
+        raise ValueError("sweep needs at least two weights")
+    configs: dict[str, TrainConfig] = {}
+    for w in weights:
+        label = format_weight(w)
+        if label in configs:
+            raise ValueError(f"weight {w!r} repeats the label {label!r}")
+        configs[label] = replace(cfg, adversarial_weight=w, out_dir=None)
+    return configs
 
 
 def format_weight(w: float) -> str:

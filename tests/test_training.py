@@ -1,9 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vcaug import autodiff as ad
+from vcaug import cli
 from vcaug import data as vd
 from vcaug import training as tr
 from vcaug.autodiff import Tensor
@@ -348,6 +351,50 @@ def test_select_model_empty_rejected():
 def test_sweep_requires_two_weights():
     with pytest.raises(ValueError, match="two weights"):
         tr.sweep_adversarial_weight([0.1], lambda: None, [(None, 0)], toy_train_cfg())
+
+
+@pytest.mark.parametrize("weights, named", [
+    ("0.1,-0.1", "adversarial_weight must be at least 0"),
+    ("0.1,nan", "adversarial_weight must be at least 0, got nan"),
+    ("0.1,abc", "could not convert"),
+    ("0.1,0.10", "repeats the label '0.1'"),
+    ("0.5", "at least two weights"),
+])
+def test_sweep_rejects_bad_weights_before_training(tmp_path, monkeypatch, capsys,
+                                                   weights, named):
+    vd.write_corpus_tree(tmp_path / "corpus", n_speakers=2, utts_per_speaker=1,
+                         seed=0, duration_s=0.3)
+    toy = Path(__file__).resolve().parent.parent / "configs" / "toy.cfg"
+    config = tmp_path / "sweep.cfg"
+    config.write_text(toy.read_text(encoding="utf-8")
+                      + "\n[data]\ncorpus = corpus\nspeaker_map = corpus/speakers.tsv\n",
+                      encoding="utf-8")
+    calls = []
+
+    class Trained(Exception):
+        pass
+
+    def fake_train(*args, **kwargs):
+        calls.append(args)
+        raise Trained
+
+    monkeypatch.setattr(tr, "train", fake_train)
+    argv = ["sweep", "--config", str(config), "--out", str(tmp_path / "out")]
+    with pytest.raises(Trained):   # well-formed weights reach the first run
+        cli.main(argv + ["--weights", "0,1"])
+    assert len(calls) == 1
+    calls.clear()
+    assert cli.main(argv + ["--weights", weights]) == cli.EXIT_CONFIG
+    assert calls == []
+    err = capsys.readouterr().err
+    assert "config error: --weights" in err and named in err
+
+
+def test_sweep_configs_one_checked_config_per_label():
+    configs = tr.sweep_configs([0.0, 0.5], toy_train_cfg(out_dir="somewhere"))
+    assert list(configs) == ["0", "0.5"]
+    assert [c.adversarial_weight for c in configs.values()] == [0.0, 0.5]
+    assert all(c.out_dir is None for c in configs.values())
 
 
 def test_sweep_runs_and_reports():
