@@ -3,9 +3,17 @@
 Everything the conversion model needs is built from the primitives here:
 elementwise arithmetic with broadcasting, matmul, 1-d (transposed and
 depthwise) convolutions, reductions, the usual activations, embedding
-lookup, a fused LSTM layer, gradient reversal and the straight-through
-estimator.  Ops executed while a `Tape` is active record a backward rule;
-`Tape.backward` replays the records in reverse to fill in `.grad` arrays.
+lookup, gradient reversal and the straight-through estimator.  Three ops
+fuse what would otherwise be long compositions, each recorded as one node
+with a hand-written backward: `layer_norm`; `split_heads`/`merge_heads`,
+which put attention heads on a batch axis so that `matmul` (which accepts
+any equal leading axes) serves every head at once; and `bilstm_layer`,
+which runs both directions of an LSTM layer in one time loop.
+`bilstm_layer` takes the i, f, o gates' sigmoid as 1/2 + tanh(z/2)/2, so
+all four gates cost one tanh per step; in float32 this rounds differently
+from 1/(1 + exp(-z)), by about an ulp.  Ops executed while a `Tape` is
+active record a backward rule; `Tape.backward` replays the records in
+reverse to fill in `.grad` arrays.
 
 Sequence ops take time on axis -2 and accept an optional leading batch
 axis: one utterance is `[T, C]`, a padded batch is `[B, T, C]`.  Row b of
@@ -193,16 +201,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _binary("mul", a, b, np.multiply, lambda g: g * b.values, lambda g: g * a.values)
 
 
-def power(a: Tensor, p: float) -> Tensor:
-    """Elementwise a**p for a constant exponent."""
-    out = Tensor(a.values ** p)
-
-    def bwd(g):
-        _accum(a, g * p * a.values ** (p - 1.0))
-
-    return _record(out, bwd)
-
-
 # ---------------------------------------------------------------------------
 # activations and pointwise transcendentals
 
@@ -257,9 +255,9 @@ def log(a: Tensor) -> Tensor:
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.values - a.values.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = a.values - a.values.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
     out = Tensor(y)
 
     def bwd(g):
@@ -316,6 +314,34 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     return _record(out, bwd)
 
 
+def split_heads(x: Tensor, n_heads: int) -> Tensor:
+    """[..., T, n_heads * d] -> [..., n_heads, T, d]: each head's channels on a
+    batch axis ahead of time, so one batched matmul serves every head."""
+    if x.ndim < 2 or n_heads < 1 or x.shape[-1] % n_heads:
+        raise ShapeError("split_heads", x.shape, (n_heads,))
+    d = x.shape[-1] // n_heads
+    out = Tensor(np.swapaxes(x.values.reshape(x.shape[:-1] + (n_heads, d)), -2, -3))
+
+    def bwd(g):
+        _accum(x, np.swapaxes(g, -2, -3).reshape(x.shape))
+
+    return _record(out, bwd)
+
+
+def merge_heads(x: Tensor) -> Tensor:
+    """[..., n_heads, T, d] -> [..., T, n_heads * d], the inverse of `split_heads`."""
+    if x.ndim < 3:
+        raise ShapeError("merge_heads", x.shape)
+    n_heads, t, d = x.shape[-3:]
+    moved = np.swapaxes(x.values, -2, -3)
+    out = Tensor(moved.reshape(moved.shape[:-2] + (n_heads * d,)))
+
+    def bwd(g):
+        _accum(x, np.swapaxes(g.reshape(moved.shape), -2, -3))
+
+    return _record(out, bwd)
+
+
 # ---------------------------------------------------------------------------
 # reductions (float64 accumulators)
 
@@ -348,7 +374,8 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """`np.matmul` over leading axes: [..., K] @ [K, N], or [B, T, K] @ [B, K, S].
+    """`np.matmul` over leading axes: [..., K] @ [K, N], or [..., T, K] @ [..., K, S]
+    with equal leading axes (a batch, or a batch and attention heads).
 
     The first form runs as one 2-D GEMM over every leading row.
     """
@@ -362,7 +389,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _accum(a, (g2 @ b.values.T).reshape(a.shape))
             _accum(b, a2.T @ g2)
 
-    elif a.ndim == b.ndim == 3 and a.shape[0] == b.shape[0] and a.shape[2] == b.shape[1]:
+    elif a.ndim == b.ndim >= 3 and a.shape[:-2] == b.shape[:-2] and a.shape[-1] == b.shape[-2]:
         out = Tensor(a.values @ b.values)
 
         def bwd(g):
@@ -375,7 +402,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def _pad_time(x: np.ndarray, before: int, after: int) -> np.ndarray:
-    return np.pad(x, [(0, 0)] * (x.ndim - 2) + [(before, after), (0, 0)])
+    """Zero-pad the time axis (-2) of x: one zeros buffer and one slice copy."""
+    t = x.shape[-2]
+    out = np.zeros(x.shape[:-2] + (before + t + after, x.shape[-1]), dtype=x.dtype)
+    out[..., before : before + t, :] = x
+    return out
 
 
 def conv1d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -488,84 +519,106 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     return _record(out, bwd)
 
 
-def lstm_layer(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, reverse: bool = False,
-               lengths=None) -> Tensor:
-    """One LSTM direction over a whole sequence, recorded as a single op.
+def bilstm_layer(x: Tensor, fwd_weights: Sequence[Tensor], bwd_weights: Sequence[Tensor],
+                 lengths=None) -> Tensor:
+    """A bidirectional LSTM layer over a whole sequence, recorded as a single op.
 
-    x: [T, I] or a padded batch [B, T, I], wx: [I, 4H], wh: [H, 4H], b: [4H];
-    returns h: [T, H] or [B, T, H] with h[t] the state after consuming x[t].
-    The recurrence starts from zero h and c and runs t = 0..T-1, or with
-    `reverse` from each row's last valid frame, lengths[b] - 1, down to 0.
-    Frames past a row's length are consumed after all of its valid ones in
-    both directions, so they never reach a valid output.  Gate order along
-    the last axis is (input, forget, cell, output); i, f, o use
-    sigmoid(z) = 1 / (1 + exp(-z)) and the cell gate uses tanh.
+    x: [T, I] or a padded batch [B, T, I]; `fwd_weights` and `bwd_weights`
+    are each one direction's (wx [I, 4H], wh [H, 4H], b [4H]).  Returns [T, 2H] or
+    [B, T, 2H]: the forward direction's h on the first H channels and the
+    reverse direction's on the last H, with h[t] the state after consuming
+    x[t].  Each direction starts from zero h and c; the forward one runs
+    t = 0..T-1, the reverse one from each row's last valid frame,
+    lengths[b] - 1, down to 0.  Frames past a row's length are consumed after
+    all of its valid ones in both directions, so they never reach a valid
+    output.  Gate order along the last axis is (input, forget, cell, output).
 
-    The input projection x @ wx + b is one [rows, I] @ [I, 4H] GEMM before
-    the loop.  The loop runs over contiguous time-major [T, (B,) 4H] rows in
-    the order the recurrence consumes frames (a reverse row is its valid
-    prefix flipped).  Backward saves the activated gates, c and tanh(c);
-    backpropagation through time fills the pre-activation gradient dZ and
-    then takes dwx = xT dZ, dwh = h_prevT dZ, dx = dZ wxT as one GEMM each
-    and db = sum dZ in float64.
+    Before the loop, each direction's input projection is one
+    [rows, I] @ [I, 4H] GEMM, copied into contiguous step-major
+    [T, 2, B, 4H] gates in the order that direction reads frames (a reverse
+    row is its valid prefix flipped).  The loop advances both directions
+    with one [2, B, H] @ [2, H, 4H] recurrent matmul per step and activates
+    the gates in place.  All four take one tanh: the
+    cell gate is tanh(z), and i, f, o use sigmoid(z) = 1/2 + tanh(z/2)/2.
+    The z/2 costs nothing, because the i, f, o columns of wx, wh and b are
+    halved before the loop, which rounds nothing (a power-of-two scale).
+    The identity rounds differently from 1/(1 + exp(-z)): in float32 both
+    stay within about 1e-7 of the exact sigmoid, but near 0 the identity's
+    values are multiples of 2**-25 and it reaches exactly 0 below about
+    z = -19.5.
+
+    Backward saves the activated gates, c and tanh(c) (with no active
+    tape, only the current step's c and tanh(c) are kept).  Backpropagation
+    through time fills the pre-activation gradient dZ of both directions,
+    one step at a time; then dwh is one batched [2, H, rows] @ [2, rows, 4H]
+    GEMM, and each direction's dwx = xT dZ, its part of dx = dZ wxT and its
+    db = sum dZ (float64) take one operation each.
     """
-    if (x.ndim not in (2, 3) or wx.ndim != 2 or wh.ndim != 2 or b.ndim != 1
-            or wx.shape[0] != x.shape[-1] or wx.shape[1] != 4 * wh.shape[0]
-            or wh.shape[1] != wx.shape[1] or b.shape[0] != wx.shape[1]):
-        raise ShapeError("lstm_layer", x.shape, wx.shape, wh.shape, b.shape)
-    t, in_dim, hidden = x.shape[-2], x.shape[-1], wh.shape[0]
+    (wxf, whf, bf), (wxb, whb, bb) = fwd_weights, bwd_weights
+    hidden = whf.shape[0] if whf.ndim else 0
+    h4 = 4 * hidden
+    if (x.ndim not in (2, 3) or hidden == 0
+            or any(w.shape != (x.shape[-1], h4) for w in (wxf, wxb))
+            or any(w.shape != (hidden, h4) for w in (whf, whb))
+            or any(v.shape != (h4,) for v in (bf, bb))):
+        raise ShapeError("bilstm_layer", x.shape,
+                         *(p.shape for p in (*fwd_weights, *bwd_weights)))
+    t, in_dim = x.shape[-2], x.shape[-1]
     if lengths is not None:
         lengths = np.asarray(lengths)
         if x.ndim != 3 or lengths.shape != x.shape[:1] or lengths.min() < 1 or lengths.max() > t:
-            raise ShapeError("lstm_layer", x.shape, lengths.shape)
-    h2, h3 = 2 * hidden, 3 * hidden
-    whv = wh.values
+            raise ShapeError("bilstm_layer", x.shape, lengths.shape)
+    rows, dtype = x.shape[0] if x.ndim == 3 else 1, x.dtype
+    x2 = x.values.reshape(-1, in_dim)
 
-    order = None   # [B, T, 1] frame each step reads, for a reverse batch with padding
-    if reverse and lengths is not None and lengths.min() < t:
-        steps = np.arange(t)
-        order = np.where(steps < lengths[:, None], lengths[:, None] - 1 - steps, steps)[..., None]
+    valid = [t] * rows if lengths is None else lengths.tolist()
 
-    def permute(a):
-        """Reorder [..., T, F] frames into the order the recurrence reads them
-        (an involution, so it also maps back)."""
-        if not reverse:
-            return a
-        if order is None:
-            return a[..., ::-1, :]
-        return np.take_along_axis(a, order, axis=-2)
-
-    def to_steps(a):
-        """[..., T, F] in frame order -> contiguous [T, ..., F] in step order."""
-        return np.ascontiguousarray(np.moveaxis(permute(a), -2, 0))
+    def flip(a):
+        """Reverse each row's valid frames of a [B, T, F] view in place: frame order
+        <-> the order the reverse direction reads them (an involution)."""
+        for row, n in zip(a, valid):
+            row[:n] = row[n - 1 :: -1]
 
     def to_frames(a):
-        """Inverse of `to_steps`."""
-        return permute(np.moveaxis(a, 0, -2))
+        """[T, 2, B, F] in step order -> a new [B, T, 2F] in frame order."""
+        frames = a.transpose(2, 0, 1, 3).copy()
+        flip(frames[:, :, 1])
+        return frames.reshape(rows, t, -1)
 
-    proj = x.values.reshape(-1, in_dim) @ wx.values + b.values
-    gates = to_steps(proj.reshape(x.shape[:-1] + (4 * hidden,)))
-    state = gates.shape[:-1] + (hidden,)
-    cs = np.empty(state, dtype=gates.dtype)
+    sigmoid_cols = np.arange(h4) // hidden != 2
+    scale = np.where(sigmoid_cols, 0.5, 1.0).astype(dtype)
+    offset = np.where(sigmoid_cols, 0.5, 0.0).astype(dtype)
+    gates = np.empty((t, 2, rows, h4), dtype=dtype)
+    proj = np.empty((rows * t, h4), dtype=dtype)
+    for d, (wx, b) in enumerate(((wxf, bf), (wxb, bb))):
+        np.matmul(x2, wx.values * scale, out=proj)
+        proj += b.values * scale
+        gates[:, d] = proj.reshape(rows, t, h4).transpose(1, 0, 2)
+    del proj   # unused in the loop; freeing it lowers peak memory
+    flip(gates[:, 1].transpose(1, 0, 2))
+    wh2 = np.stack([whf.values * scale, whb.values * scale])
+    hs = np.empty((t, 2, rows, hidden), dtype=dtype)
+    # only backward reads every step's c and tanh(c); without a tape one slot is reused
+    kept = t if _active_tape() is not None else 1
+    cs = np.empty((kept,) + hs.shape[1:], dtype=dtype)
     tcs = np.empty_like(cs)
-    hs = np.empty_like(cs)
-    h = np.zeros(state[1:], dtype=gates.dtype)
-    c = np.zeros(state[1:], dtype=gates.dtype)
+    h = np.zeros(hs.shape[1:], dtype=dtype)
+    c = np.zeros_like(h)
     i, f, gg, o = (gates[..., k * hidden : (k + 1) * hidden] for k in range(4))
-    i_f = gates[..., :h2]
     for s in range(t):
-        gates[s] += h @ whv
-        i_f[s] = 1.0 / (1.0 + np.exp(-i_f[s]))
-        gg[s] = np.tanh(gg[s])
-        o[s] = 1.0 / (1.0 + np.exp(-o[s]))
-        c = f[s] * c + i[s] * gg[s]
-        tc = np.tanh(c)
-        h = o[s] * tc
-        cs[s], tcs[s], hs[s] = c, tc, h
-    out = Tensor(to_frames(hs))
+        z = gates[s]
+        z += np.matmul(h, wh2)
+        np.tanh(z, out=z)
+        z *= scale
+        z += offset
+        c = np.multiply(f[s], c, out=cs[s % kept])
+        c += i[s] * gg[s]
+        h = np.multiply(o[s], np.tanh(c, out=tcs[s % kept]), out=hs[s])
+    out_frames = to_frames(hs)
+    out = Tensor(out_frames if x.ndim == 3 else out_frames[0])
 
     def bwd(g):
-        zero = np.zeros((1,) + state[1:], dtype=cs.dtype)
+        zero = np.zeros((1,) + cs.shape[1:], dtype=dtype)
         c_prev, h_prev = np.concatenate([zero, cs[:-1]]), np.concatenate([zero, hs[:-1]])
         # d(pre-activation) per unit of dc for the i, f, g gates, and per
         # unit of dh for the o gate
@@ -573,43 +626,72 @@ def lstm_layer(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, reverse: bool = Fal
                           axis=-2)
         per_dh = tcs * o * (1.0 - o)
         dc_dh = o * (1.0 - tcs * tcs)
-        g_steps = to_steps(g)
-        dz = np.empty(state[:-1] + (4, hidden), dtype=cs.dtype)
-        dz_flat = dz.reshape(state[:-1] + (4 * hidden,))
+        g_steps = g.reshape(rows, t, 2, hidden).transpose(1, 2, 0, 3).copy()
+        flip(g_steps[:, 1].transpose(1, 0, 2))
+        dz = np.empty(cs.shape[:-1] + (4, hidden), dtype=dtype)
+        dz_flat = dz.reshape(cs.shape[:-1] + (h4,))
         dz_c, dz_o = dz[..., :3, :], dz[..., 3, :]
-        wh_t = whv.T
-        dh_next = np.zeros(state[1:], dtype=cs.dtype)
-        dc_next = np.zeros(state[1:], dtype=cs.dtype)
+        wh_t = np.stack([whf.values.T, whb.values.T])
+        dh_next = np.zeros_like(h)
+        dc_next = np.zeros_like(h)
         for s in range(t - 1, -1, -1):
             dh = g_steps[s] + dh_next
-            dc = dh * dc_dh[s] + dc_next
+            dc = dh * dc_dh[s]
+            dc += dc_next
             np.multiply(per_dc[s], dc[..., None, :], out=dz_c[s])
             np.multiply(per_dh[s], dh, out=dz_o[s])
             dc_next = dc * f[s]
-            dh_next = dz_flat[s] @ wh_t
-        dz_rows = dz_flat.reshape(-1, 4 * hidden)
-        _accum(wh, h_prev.reshape(-1, hidden).T @ dz_rows)
-        _accum(b, dz_rows.sum(axis=0, dtype=np.float64))
-        dz_frames = to_frames(dz_flat).reshape(-1, 4 * hidden)
-        _accum(x, (dz_frames @ wx.values.T).reshape(x.shape))
-        _accum(wx, x.values.reshape(-1, in_dim).T @ dz_frames)
+            dh_next = np.matmul(dz_flat[s], wh_t)
+        # [2, H, steps*B] @ [2, steps*B, 4H], rows in step order
+        dwh = np.matmul(h_prev.transpose(1, 3, 0, 2).reshape(2, hidden, -1),
+                        dz_flat.transpose(1, 0, 2, 3).reshape(2, -1, h4))
+        _accum(whf, dwh[0])
+        _accum(whb, dwh[1])
+        dz_frames = to_frames(dz_flat).reshape(-1, 2, h4)
+        dx = np.zeros_like(x2)
+        for d, (wx, b) in enumerate(((wxf, bf), (wxb, bb))):
+            _accum(b, dz_frames[:, d].sum(axis=0, dtype=np.float64))
+            _accum(wx, x2.T @ dz_frames[:, d])
+            dx += dz_frames[:, d] @ wx.values.T
+        _accum(x, dx.reshape(x.shape))
 
     return _record(out, bwd)
 
 
 def layer_norm(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None,
                eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then optional affine."""
-    m = reduce_mean(x, axis=-1, keepdims=True)
-    centered = sub(x, m)
-    var = reduce_mean(mul(centered, centered), axis=-1, keepdims=True)
-    inv = power(add(var, Tensor(np.asarray(eps, dtype=x.dtype))), -0.5)
-    normalized = mul(centered, inv)
-    if gain is not None:
-        normalized = mul(normalized, gain)
+    """Normalize the last axis to zero mean and unit variance, then an optional
+    gain and bias ([D] each); one op.
+
+    y = (x - mean) / sqrt(var + eps) * gain + bias, with the mean and the
+    variance accumulated in float64 and cast back.  With x_hat the
+    normalized input and g' = dy * gain, backward is
+    dx = (g' - mean(g') - x_hat * mean(g' * x_hat)) / sqrt(var + eps),
+    dgain = sum(dy * x_hat) and dbias = sum(dy) over every leading row.
+    """
+    if x.ndim == 0 or any(p is not None and p.shape != x.shape[-1:] for p in (gain, bias)):
+        raise ShapeError("layer_norm", x.shape, *(p.shape for p in (gain, bias) if p is not None))
+    xv = x.values
+    x_hat = xv - xv.mean(axis=-1, keepdims=True, dtype=np.float64).astype(xv.dtype)
+    var = (x_hat * x_hat).mean(axis=-1, keepdims=True, dtype=np.float64).astype(xv.dtype)
+    inv = (var + np.asarray(eps, dtype=xv.dtype)) ** -0.5
+    x_hat *= inv
+    y = x_hat if gain is None else x_hat * gain.values
     if bias is not None:
-        normalized = add(normalized, bias)
-    return normalized
+        y = y + bias.values
+    out = Tensor(y)
+
+    def bwd(g):
+        gh = g if gain is None else g * gain.values
+        m1 = gh.mean(axis=-1, keepdims=True, dtype=np.float64).astype(g.dtype)
+        m2 = (gh * x_hat).mean(axis=-1, keepdims=True, dtype=np.float64).astype(g.dtype)
+        _accum(x, inv * (gh - m1 - x_hat * m2))
+        if gain is not None:
+            _accum(gain, _unbroadcast(g * x_hat, gain.shape))
+        if bias is not None:
+            _accum(bias, _unbroadcast(g, bias.shape))
+
+    return _record(out, bwd)
 
 
 # ---------------------------------------------------------------------------

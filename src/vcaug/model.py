@@ -7,6 +7,14 @@ back to full frame rate by a BiLSTM stack plus two stride-2 transposed
 convolutions.  The time axis is right-padded to a multiple of 4 on the way
 in and the decoder output is trimmed back to the requested length.
 
+Each layer norm is one `ad.layer_norm` op; attention puts its heads on a
+batch axis, so one QKᵀ, one softmax and one ·V serve every head of a
+block; each BiLSTM layer is one `ad.bilstm_layer` op over the layer's
+`fwd` and `bwd` parameters (stored, and checkpointed, per direction), both
+directions in one time loop.  Its i, f, o gates use
+sigmoid(z) = 1/2 + tanh(z/2)/2, which in float32 rounds differently from
+1/(1 + exp(-z)) by about an ulp, and decoder outputs carry that rounding.
+
 Every stage takes one utterance ([T, M] features) or a zero-padded batch
 ([B, T, M], built by `pad_batch`) with per-row frame counts `lengths`.
 Masks make each row compute exactly what it would alone: normalized input
@@ -236,26 +244,19 @@ class VcModel:
         return ad.layer_norm(x, self.params[f"{name}.g"], self.params[f"{name}.b"], eps=LN_EPS)
 
     def _attention(self, x: Tensor, prefix: str, lengths=None) -> Tensor:
+        """Multi-head self-attention with the heads on a batch axis: one QKᵀ,
+        one softmax and one ·V over [..., heads, T, head_dim]."""
         enc = self.config.encoder
-        head_dim = enc.model_dim // enc.n_heads
-        scale = Tensor(np.asarray(1.0 / np.sqrt(head_dim), dtype=self.dtype))
+        scale = Tensor(np.asarray(1.0 / np.sqrt(enc.model_dim // enc.n_heads), dtype=self.dtype))
+        q, k, v = (ad.split_heads(ad.matmul(x, self.params[f"{prefix}.{w}"]), enc.n_heads)
+                   for w in ("wq", "wk", "wv"))
+        scores = ad.mul(ad.matmul(q, ad.transpose(k)), scale)
         mask = ad.length_mask(lengths, x.shape[-2], self.dtype)
-        key_bias = None if mask is None else Tensor((1.0 - mask[:, None, :]) * PAD_KEY_BIAS)
-        q = ad.matmul(x, self.params[f"{prefix}.wq"])
-        k = ad.matmul(x, self.params[f"{prefix}.wk"])
-        v = ad.matmul(x, self.params[f"{prefix}.wv"])
-        last = x.ndim - 1
-        outs = []
-        for h in range(enc.n_heads):
-            lo = h * head_dim
-            qh = ad.narrow(q, last, lo, head_dim)
-            kh = ad.narrow(k, last, lo, head_dim)
-            vh = ad.narrow(v, last, lo, head_dim)
-            scores = ad.mul(ad.matmul(qh, ad.transpose(kh)), scale)
-            if key_bias is not None:
-                scores = ad.add(scores, key_bias)
-            outs.append(ad.matmul(ad.softmax(scores, axis=-1), vh))
-        return ad.matmul(ad.concat(outs, axis=last), self.params[f"{prefix}.wo"])
+        if mask is not None:
+            # [B, 1, 1, T]: one bias per key, shared by every head and query
+            scores = ad.add(scores, Tensor((1.0 - mask[:, None, None, :]) * PAD_KEY_BIAS))
+        heads = ad.matmul(ad.softmax(scores, axis=-1), v)
+        return ad.matmul(ad.merge_heads(heads), self.params[f"{prefix}.wo"])
 
     def _encoder_block(self, x: Tensor, i: int, lengths=None) -> Tensor:
         p = f"enc.block{i}"
@@ -286,13 +287,13 @@ class VcModel:
         shortest = t if lengths is None else int(np.min(lengths))
         if shortest < 4:
             raise ValueError(f"need at least 4 frames to encode, got {shortest}")
-        normalized = (values.astype(self.dtype) - self.feature_mean) / self.feature_std
+        # right-pad time to a multiple of 4: a zeros buffer and one slice copy
+        normalized = np.zeros(values.shape[:-2] + (t + (-t) % 4, values.shape[-1]), dtype=self.dtype)
+        valid = normalized[..., :t, :]
+        np.divide(values.astype(self.dtype) - self.feature_mean, self.feature_std, out=valid)
         mask = ad.length_mask(lengths, t, self.dtype)
         if mask is not None:
-            normalized *= mask[..., None]
-        pad = (-t) % 4
-        if pad:
-            normalized = np.pad(normalized, [(0, 0)] * (values.ndim - 2) + [(0, pad), (0, 0)])
+            valid *= mask[..., None]
         x = Tensor(normalized)
         x = ad.relu(ad.add(ad.conv1d(x, self.params["enc.sub1.w"], stride=2, padding=1),
                            self.params["enc.sub1.b"]))
@@ -320,15 +321,6 @@ class VcModel:
                                        dtype=self.dtype)), emb)
         return ad.concat([bottleneck_out, tiled], axis=bottleneck_out.ndim - 1)
 
-    def _bilstm_layer(self, x: Tensor, layer: int, lengths=None) -> Tensor:
-        outs = []
-        for direction in ("fwd", "bwd"):
-            p = f"dec.lstm{layer}.{direction}"
-            outs.append(ad.lstm_layer(x, self.params[f"{p}.wx"], self.params[f"{p}.wh"],
-                                      self.params[f"{p}.b"], reverse=direction == "bwd",
-                                      lengths=lengths))
-        return ad.concat(outs, axis=x.ndim - 1)
-
     def decode(self, x: Tensor, target_len: int, lengths=None) -> Tensor:
         """BiLSTM stack, 4x transposed-conv upsample, project, trim to target_len.
 
@@ -340,7 +332,9 @@ class VcModel:
         if target_len < 1:
             raise ValueError("target_len must be positive")
         for layer in range(self.config.decoder.n_lstm_layers):
-            x = self._bilstm_layer(x, layer, lengths)
+            fwd, bwd = ([self.params[f"dec.lstm{layer}.{d}.{w}"] for w in ("wx", "wh", "b")]
+                        for d in ("fwd", "bwd"))
+            x = ad.bilstm_layer(x, fwd, bwd, lengths)
         x = ad.mask_frames(x, lengths)
         x = ad.relu(ad.add(ad.conv1d_transpose(x, self.params["dec.up1.w"], stride=2, padding=1),
                            self.params["dec.up1.b"]))
@@ -429,8 +423,11 @@ def read_checkpoint_raw(path) -> tuple[dict, int, dict[str, np.ndarray]]:
 
     Every way the file can be malformed raises `CheckpointError`.
     """
-    with open(path, "rb") as f:
-        blob = f.read()
+    try:
+        with open(path, "rb") as f:
+            blob = f.read()
+    except OSError as e:
+        raise CheckpointError(f"{path}: cannot read ({e.strerror or e})") from None
     if len(blob) < 20 or blob[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
     version, step, meta_len = struct.unpack("<IQI", blob[4:20])

@@ -9,9 +9,11 @@ that does not fill a whole frame is dropped).
 from __future__ import annotations
 
 import functools
+import io
 import struct
 import wave
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -195,9 +197,19 @@ def spec_augment(
 
 
 def read_wav(path) -> Waveform:
-    """Read a RIFF PCM-16 mono file; samples scaled by 1/32768."""
+    """Read a RIFF PCM-16 mono file; samples scaled by 1/32768.
+
+    Every way the file can fail to give that raises `WavFormatError` naming
+    the path: it cannot be read (missing, a directory), its header is cut
+    short or malformed, or its data chunk holds fewer bytes than the header
+    declares (a truncated file).
+    """
     try:
-        with wave.open(str(path), "rb") as f:
+        blob = Path(path).read_bytes()
+    except OSError as e:
+        raise WavFormatError(f"{path}: cannot read ({e.strerror or e})") from None
+    try:
+        with wave.open(io.BytesIO(blob), "rb") as f:
             n_channels = f.getnchannels()
             sampwidth = f.getsampwidth()
             rate = f.getframerate()
@@ -206,9 +218,18 @@ def read_wav(path) -> Waveform:
                 raise WavFormatError(f"{path}: expected mono, got {n_channels} channels")
             if sampwidth != 2:
                 raise WavFormatError(f"{path}: expected 16-bit PCM, got {8 * sampwidth}-bit")
+            if rate <= 0:
+                raise WavFormatError(f"{path}: sample rate {rate} Hz")
             raw = f.readframes(n_frames)
-    except wave.Error as e:
-        raise WavFormatError(f"{path}: {e}") from None
+    except (wave.Error, EOFError, RuntimeError) as e:
+        # EOFError: a chunk header cut short; RuntimeError: a chunk size
+        # that points past the end of the RIFF chunk
+        reason = str(e) if isinstance(e, wave.Error) else "malformed RIFF header"
+        raise WavFormatError(f"{path}: {reason} ({len(blob)} bytes in file)") from None
+    if len(raw) != 2 * n_frames:
+        raise WavFormatError(
+            f"{path}: data chunk holds {len(raw)} bytes, header declares {2 * n_frames}"
+        )
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return Waveform(samples=samples, sample_rate_hz=rate)
 
@@ -233,8 +254,13 @@ def write_melf(path, mel: MelSpectrogram) -> None:
 
 
 def read_melf(path) -> MelSpectrogram:
-    with open(path, "rb") as f:
-        blob = f.read()
+    """Read a MELF file; every way it can be unreadable or malformed raises
+    `MelfFormatError` naming the path and, for a malformed file, the byte offset."""
+    try:
+        with open(path, "rb") as f:
+            blob = f.read()
+    except OSError as e:
+        raise MelfFormatError(f"{path}: cannot read ({e.strerror or e})") from None
     if len(blob) < 16:
         raise MelfFormatError(f"{path}: truncated header, {len(blob)} bytes at offset 0")
     if blob[:4] != MELF_MAGIC:
@@ -248,4 +274,8 @@ def read_melf(path) -> MelSpectrogram:
             f"{path}: payload ends at offset {len(blob)}, expected {expected}"
         )
     data = np.frombuffer(blob, dtype="<f4", offset=16).reshape(t, m)
-    return MelSpectrogram(data=data.copy())
+    try:
+        return MelSpectrogram(data=data.copy())
+    except ValueError:
+        first = int(np.flatnonzero(~np.isfinite(data))[0])
+        raise MelfFormatError(f"{path}: non-finite value at offset {16 + 4 * first}") from None

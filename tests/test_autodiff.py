@@ -145,9 +145,9 @@ def _primitive_cases(rng):
     ids = rng.integers(0, 5, size=6)
     lx = _rng_tensor(rng, (4, 3))
     lx1 = _rng_tensor(rng, (1, 3))
-    lwx = _rng_tensor(rng, (3, 8))
-    lwh = _rng_tensor(rng, (2, 8))
-    lb = _rng_tensor(rng, (8,))
+    lstm = {f"{d}.{n}": _rng_tensor(rng, s)
+            for d in ("fwd", "bwd") for n, s in (("wx", (3, 8)), ("wh", (2, 8)), ("b", (8,)))}
+    fwd, bwd = ([lstm[f"{d}.{n}"] for n in ("wx", "wh", "b")] for d in ("fwd", "bwd"))
     lg = _rng_tensor(rng, (3,))
     lbv = _rng_tensor(rng, (3,))
     pos = Tensor(np.abs(rng.normal(size=(4, 3))).astype(np.float64) + 0.5)
@@ -160,6 +160,9 @@ def _primitive_cases(rng):
     blx = _rng_tensor(rng, (2, 5, 3))
     blen = np.array([5, 3])
     row_logits = _rng_tensor(rng, (3, 4))
+    hq = _rng_tensor(rng, (2, 3, 4))
+    hk = _rng_tensor(rng, (2, 2, 3, 2))
+    hv = _rng_tensor(rng, (2, 2, 2, 3))
     anchor = rng.normal(size=(4, 3))
 
     def spread(x):
@@ -198,26 +201,26 @@ def _primitive_cases(rng):
             {"x": a, "g": lg, "b": lbv},
             lambda: spread(ad.layer_norm(a, lg, lbv)),
         ),
+        "layer_norm_no_affine": ({"x": bm}, lambda: spread(ad.layer_norm(bm))),
+        "split_merge_heads": (
+            {"x": hq},
+            lambda: spread(ad.mul(ad.merge_heads(ad.mul(ad.split_heads(hq, 2), ad.split_heads(hq, 2))),
+                                  hq)),
+        ),
         "embedding_lookup": (
             {"table": table},
             lambda: spread(ad.embedding_lookup(table, ids)),
         ),
-        "lstm_layer": (
-            {"x": lx, "wx": lwx, "wh": lwh, "b": lb},
-            lambda: spread(ad.lstm_layer(lx, lwx, lwh, lb)),
-        ),
-        "lstm_layer_reverse": (
-            {"x": lx, "wx": lwx, "wh": lwh, "b": lb},
-            lambda: spread(ad.lstm_layer(lx, lwx, lwh, lb, reverse=True)),
-        ),
-        "lstm_layer_single_step": (
-            {"x": lx1, "wx": lwx, "wh": lwh, "b": lb},
-            lambda: spread(ad.lstm_layer(lx1, lwx, lwh, lb)),
+        "bilstm_layer": ({"x": lx, **lstm}, lambda: spread(ad.bilstm_layer(lx, fwd, bwd))),
+        "bilstm_layer_single_step": (
+            {"x": lx1, **lstm},
+            lambda: spread(ad.bilstm_layer(lx1, fwd, bwd)),
         ),
         "cross_entropy": ({"logits": logits}, lambda: ad.cross_entropy(logits, 2)),
         "matmul_rows": ({"a": bm, "b": bw}, lambda: spread(ad.matmul(bm, bw))),
         "matmul_batched": ({"a": bm, "b": bk}, lambda: spread(ad.matmul(bm, bk))),
         "transpose_batched": ({"a": bm}, lambda: spread(ad.matmul(bm, ad.transpose(bm)))),
+        "matmul_heads": ({"a": hk, "b": hv}, lambda: spread(ad.matmul(hk, hv))),
         "conv1d_batched": (
             {"x": bx, "w": cw},
             lambda: spread(ad.conv1d(bx, cw, stride=2, padding=1)),
@@ -230,13 +233,9 @@ def _primitive_cases(rng):
             {"x": bx, "w": dw},
             lambda: spread(ad.depthwise_conv1d(bx, dw)),
         ),
-        "lstm_layer_lengths": (
-            {"x": blx, "wx": lwx, "wh": lwh, "b": lb},
-            lambda: spread(ad.lstm_layer(blx, lwx, lwh, lb, lengths=blen)),
-        ),
-        "lstm_layer_lengths_reverse": (
-            {"x": blx, "wx": lwx, "wh": lwh, "b": lb},
-            lambda: spread(ad.lstm_layer(blx, lwx, lwh, lb, reverse=True, lengths=blen)),
+        "bilstm_layer_lengths": (
+            {"x": blx, **lstm},
+            lambda: spread(ad.bilstm_layer(blx, fwd, bwd, lengths=blen)),
         ),
         "cross_entropy_rows": (
             {"logits": row_logits},
@@ -246,7 +245,6 @@ def _primitive_cases(rng):
             {"a": a},
             lambda: spread(ad.grad_reverse(a, 0.7, anchor=anchor)),
         ),
-        "power": ({"a": pos}, lambda: spread(ad.power(pos, 1.7))),
         "exp": ({"a": a}, lambda: spread(ad.exp(a))),
         "log": ({"a": pos}, lambda: spread(ad.log(pos))),
     }
@@ -263,7 +261,7 @@ def test_every_primitive_passes_fd_check():
 
 
 def _lstm_steps_oracle(x, wx, wh, b, reverse=False):
-    """The per-timestep composition `lstm_layer` replaces, from basic primitives."""
+    """One LSTM direction over [T, I] as a per-timestep composition of basic primitives."""
     t, hidden = x.shape[0], wh.shape[0]
     h = Tensor(np.zeros((1, hidden), dtype=x.dtype))
     c = Tensor(np.zeros((1, hidden), dtype=x.dtype))
@@ -280,39 +278,126 @@ def _lstm_steps_oracle(x, wx, wh, b, reverse=False):
     return ad.concat(rows, axis=0)
 
 
-@pytest.mark.parametrize("reverse", [False, True])
-def test_lstm_layer_matches_per_step_oracle(reverse):
+def _bilstm_oracle(x, fwd, bwd):
+    """The composition `bilstm_layer` replaces: one direction each way, concatenated."""
+    return ad.concat([_lstm_steps_oracle(x, *fwd), _lstm_steps_oracle(x, *bwd, reverse=True)],
+                     axis=1)
+
+
+def _lstm_weights(rng, in_dim, hidden, scale=0.7):
+    return [[_rng_tensor(rng, s, scale=scale) for s in ((in_dim, 4 * hidden), (hidden, 4 * hidden),
+                                                        (4 * hidden,))]
+            for _ in ("fwd", "bwd")]
+
+
+def _assert_same_values_and_grads(fused, reference, params, weight, rtol=1e-10):
+    """Equal forward values and equal gradients of sum(out * weight) for every param."""
+    np.testing.assert_allclose(fused().values, reference().values, rtol=rtol, atol=0)
+
+    def loss(fn):
+        return lambda: ad.reduce_sum(ad.mul(fn(), weight))
+
+    for i, (gf, gr) in enumerate(zip(grads_of(loss(fused), params), grads_of(loss(reference), params))):
+        np.testing.assert_allclose(gf, gr, rtol=rtol, atol=0, err_msg=f"param {i}")
+
+
+@pytest.mark.parametrize("t", [9, 1])
+def test_bilstm_layer_matches_per_step_oracle(t):
     rng = np.random.default_rng(11)
-    x = _rng_tensor(rng, (9, 5))
-    wx = _rng_tensor(rng, (5, 16), scale=0.7)
-    wh = _rng_tensor(rng, (4, 16), scale=0.7)
-    b = _rng_tensor(rng, (16,))
-    weight = _rng_tensor(rng, (9, 4))
-    params = [x, wx, wh, b]
-
-    def loss(layer):
-        return lambda: ad.reduce_sum(ad.mul(layer(x, wx, wh, b, reverse=reverse), weight))
-
-    fused_out = ad.lstm_layer(x, wx, wh, b, reverse=reverse).values
-    oracle_out = _lstm_steps_oracle(x, wx, wh, b, reverse=reverse).values
-    np.testing.assert_allclose(fused_out, oracle_out, rtol=1e-10, atol=0)
-    fused = grads_of(loss(ad.lstm_layer), params)
-    oracle = grads_of(loss(_lstm_steps_oracle), params)
-    for name, gf, go in zip(("x", "wx", "wh", "b"), fused, oracle):
-        np.testing.assert_allclose(gf, go, rtol=1e-10, atol=0, err_msg=name)
+    x = _rng_tensor(rng, (t, 5))
+    fwd, bwd = _lstm_weights(rng, 5, 4)
+    weight = _rng_tensor(rng, (t, 8))
+    _assert_same_values_and_grads(lambda: ad.bilstm_layer(x, fwd, bwd),
+                                  lambda: _bilstm_oracle(x, fwd, bwd),
+                                  [x, *fwd, *bwd], weight)
 
 
-@pytest.mark.parametrize("reverse", [False, True])
-def test_lstm_layer_batch_rows_match_single_rows(reverse):
+def test_bilstm_layer_batch_rows_match_single_rows():
     # a reverse row starts at its own last valid frame, not at the padded end
     rng = np.random.default_rng(12)
-    lengths = np.array([6, 2, 4])
-    x = _rng_tensor(rng, (3, 6, 5))
-    wx, wh, b = (_rng_tensor(rng, s, scale=0.7) for s in ((5, 16), (4, 16), (16,)))
-    batched = ad.lstm_layer(x, wx, wh, b, reverse=reverse, lengths=lengths).values
+    lengths = np.array([6, 2, 4, 1])
+    x = _rng_tensor(rng, (4, 6, 5))
+    fwd, bwd = _lstm_weights(rng, 5, 4)
+    batched = ad.bilstm_layer(x, fwd, bwd, lengths=lengths).values
+    assert batched.shape == (4, 6, 8)
     for row, n in enumerate(lengths):
-        alone = ad.lstm_layer(Tensor(x.values[row, :n]), wx, wh, b, reverse=reverse).values
+        alone = ad.bilstm_layer(Tensor(x.values[row, :n]), fwd, bwd).values
         np.testing.assert_allclose(batched[row, :n], alone, rtol=1e-12, atol=1e-15)
+    # the padded batch's gradients are each row's single-utterance gradients, summed
+    weight = _rng_tensor(rng, (4, 6, 8))
+    weight.values *= (np.arange(6) < lengths[:, None])[..., None]
+    params = [x, *fwd, *bwd]
+    batch_grads = grads_of(lambda: ad.reduce_sum(ad.mul(ad.bilstm_layer(x, fwd, bwd, lengths),
+                                                        weight)), params)
+    row_grads = []
+    for row, n in enumerate(lengths):
+        xr, wr = Tensor(x.values[row, :n]), Tensor(weight.values[row, :n])
+        row_grads.append(grads_of(lambda: ad.reduce_sum(ad.mul(ad.bilstm_layer(xr, fwd, bwd), wr)),
+                                  [xr, *fwd, *bwd]))
+    for row, n in enumerate(lengths):
+        np.testing.assert_allclose(batch_grads[0][row, :n], row_grads[row][0], rtol=1e-12, atol=1e-15)
+        assert not batch_grads[0][row, n:].any()
+    for k in range(1, 7):
+        np.testing.assert_allclose(batch_grads[k], sum(g[k] for g in row_grads), rtol=1e-12,
+                                   atol=1e-14)
+
+
+def _layer_norm_oracle(x, gain=None, bias=None, eps=1e-5):
+    """The composition `layer_norm` replaces, with (var + eps)**-0.5 as exp(-log(.) / 2)."""
+    m = ad.reduce_mean(x, axis=-1, keepdims=True)
+    centered = ad.sub(x, m)
+    var = ad.reduce_mean(ad.mul(centered, centered), axis=-1, keepdims=True)
+    shifted = ad.add(var, Tensor(np.asarray(eps, dtype=x.dtype)))
+    inv = ad.exp(ad.mul(ad.log(shifted), Tensor(np.asarray(-0.5, dtype=x.dtype))))
+    out = ad.mul(centered, inv)
+    if gain is not None:
+        out = ad.mul(out, gain)
+    if bias is not None:
+        out = ad.add(out, bias)
+    return out
+
+
+@pytest.mark.parametrize("affine", [True, False])
+def test_layer_norm_matches_composition(affine):
+    rng = np.random.default_rng(15)
+    x = _rng_tensor(rng, (2, 5, 6), scale=3.0)
+    gain, bias = (_rng_tensor(rng, (6,)) for _ in range(2)) if affine else (None, None)
+    params = [x] + ([gain, bias] if affine else [])
+    _assert_same_values_and_grads(lambda: ad.layer_norm(x, gain, bias),
+                                  lambda: _layer_norm_oracle(x, gain, bias),
+                                  params, _rng_tensor(rng, (2, 5, 6)))
+    with pytest.raises(ad.ShapeError, match="layer_norm"):
+        ad.layer_norm(x, _rng_tensor(rng, (5,)))
+
+
+def _heads_oracle(q, k, v, n_heads):
+    """Per-head attention from narrow, transpose and concat: what split/merge heads replace."""
+    d = q.shape[-1] // n_heads
+    last = q.ndim - 1
+    outs = []
+    for h in range(n_heads):
+        qh, kh, vh = (ad.narrow(a, last, h * d, d) for a in (q, k, v))
+        outs.append(ad.matmul(ad.softmax(ad.matmul(qh, ad.transpose(kh)), axis=-1), vh))
+    return ad.concat(outs, axis=last)
+
+
+def _heads_batched(q, k, v, n_heads):
+    q, k, v = (ad.split_heads(a, n_heads) for a in (q, k, v))
+    return ad.merge_heads(ad.matmul(ad.softmax(ad.matmul(q, ad.transpose(k)), axis=-1), v))
+
+
+@pytest.mark.parametrize("shape", [(2, 5, 6), (5, 6)])
+def test_heads_on_a_batch_axis_match_per_head_composition(shape):
+    rng = np.random.default_rng(16)
+    q, k, v = (_rng_tensor(rng, shape) for _ in range(3))
+    assert ad.split_heads(q, 3).shape == shape[:-2] + (3, 5, 2)
+    _assert_same_values_and_grads(lambda: _heads_batched(q, k, v, 3),
+                                  lambda: _heads_oracle(q, k, v, 3),
+                                  [q, k, v], _rng_tensor(rng, shape))
+    with pytest.raises(ad.ShapeError, match="split_heads"):
+        ad.split_heads(q, 4)
+    with pytest.raises(ad.ShapeError, match="matmul"):
+        ad.matmul(ad.split_heads(q, 3), ad.split_heads(k, 2))
 
 
 def test_cross_entropy_rows_is_mean_of_single_rows():
@@ -346,14 +431,17 @@ def test_first_gradient_is_a_private_copy():
     np.testing.assert_allclose(x.grad, expected_y * (1.0 - np.tanh(x.values) ** 2), rtol=1e-15)
 
 
-def test_lstm_layer_records_one_node_and_checks_shapes():
+def test_bilstm_layer_records_one_node_and_checks_shapes():
     rng = np.random.default_rng(13)
-    x, wx, wh, b = (_rng_tensor(rng, s) for s in ((6, 3), (3, 8), (2, 8), (8,)))
+    x = _rng_tensor(rng, (6, 3))
+    fwd, bwd = _lstm_weights(rng, 3, 2)
     with Tape() as tape:
-        ad.lstm_layer(x, wx, wh, b)
-    assert len(tape) == 1
-    with pytest.raises(ad.ShapeError, match="lstm_layer"):
-        ad.lstm_layer(x, wx, _rng_tensor(rng, (3, 8)), b)
+        out = ad.bilstm_layer(x, fwd, bwd)
+    assert len(tape) == 1 and out.shape == (6, 4)
+    with pytest.raises(ad.ShapeError, match="bilstm_layer"):
+        ad.bilstm_layer(x, fwd, [bwd[0], _rng_tensor(rng, (3, 8)), bwd[2]])
+    with pytest.raises(ad.ShapeError, match="bilstm_layer"):
+        ad.bilstm_layer(Tensor(x.values[None]), fwd, bwd, lengths=[7])
 
 
 def test_stop_gradient_blocks_flow():

@@ -114,6 +114,18 @@ def test_decode_tape_length_does_not_grow_with_time():
     assert lengths[0] == lengths[1] == lengths[2], lengths
 
 
+def test_desk_batch_records_few_tape_nodes():
+    # one node per layer norm and per BiLSTM layer; one QKᵀ, softmax and ·V
+    # per attention block for all heads
+    model = vm.VcModel(vm.ModelConfig())
+    mels = np.random.default_rng(3).normal(size=(4, 98, 80))
+    with Tape() as enc:
+        z = model.encode(mels, [98] * 4)
+    with Tape() as dec:
+        model.decode(model.embed_and_concat(z, [0, 1, 2, 3]), 98, [25] * 4)
+    assert len(enc) <= 63 and len(dec) <= 16, (len(enc), len(dec))
+
+
 def test_decode_outputs_finite_over_seeds():
     model = desk_model()
     for seed in range(100):

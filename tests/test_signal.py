@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -219,3 +221,86 @@ def test_write_wav_read_wav_round_trip(tmp_path):
     sig.write_wav(path, wave_out)
     back = sig.read_wav(path)
     np.testing.assert_allclose(back.samples, wave_out.samples, atol=1.0 / 32768)
+
+
+def _small_wav_bytes(tmp_dir, n=40):
+    path = tmp_dir / "small.wav"
+    sig.write_wav(path, sig.Waveform(samples=0.5 * np.sin(np.arange(n) / 3.0), sample_rate_hz=16000))
+    return path.read_bytes()
+
+
+def test_truncated_wav_raises_at_every_offset(tmp_path):
+    good = _small_wav_bytes(tmp_path)
+    path = tmp_path / "cut.wav"
+    for n in range(len(good)):
+        path.write_bytes(good[:n])
+        with pytest.raises(sig.WavFormatError, match=r"cut.wav: .*\d bytes"):
+            sig.read_wav(path)
+    path.write_bytes(good)
+    assert len(sig.read_wav(path).samples) == 40
+
+
+def test_wav_data_chunk_shorter_than_declared_names_byte_counts(tmp_path):
+    path = tmp_path / "long.wav"
+    sig.write_wav(path, sig.Waveform(samples=np.zeros(4000), sample_rate_hz=16000))
+    path.write_bytes(path.read_bytes()[:1000])
+    with pytest.raises(sig.WavFormatError, match="holds 956 bytes, header declares 8000"):
+        sig.read_wav(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(flips=st.lists(st.tuples(st.integers(0, 43), st.integers(1, 255)), min_size=1, max_size=4),
+       keep=st.integers(0, 124))
+def test_wav_header_byte_flips_raise_only_wav_format_error(tmp_path_factory, flips, keep):
+    tmp_dir = tmp_path_factory.mktemp("flip")
+    blob = bytearray(_small_wav_bytes(tmp_dir))
+    for index, mask in flips:
+        blob[index] ^= mask
+    path = tmp_dir / "flipped.wav"
+    path.write_bytes(bytes(blob[:keep]))
+    try:
+        wav = sig.read_wav(path)
+    except sig.WavFormatError as e:
+        assert "flipped.wav" in str(e)
+    else:
+        assert wav.samples.ndim == 1 and wav.sample_rate_hz > 0
+
+
+def test_readers_given_a_directory_raise_their_own_errors(tmp_path):
+    from vcaug import model as vm
+
+    named = re.escape(str(tmp_path))
+    with pytest.raises(sig.WavFormatError, match=named):
+        sig.read_wav(tmp_path)
+    with pytest.raises(sig.MelfFormatError, match=named):
+        sig.read_melf(tmp_path)
+    with pytest.raises(vm.CheckpointError, match=named):
+        vm.read_checkpoint_raw(tmp_path)
+
+
+def test_melf_non_finite_payload_names_path_and_offset(tmp_path):
+    path = tmp_path / "nan.melf"
+    sig.write_melf(path, rand_mel(np.random.default_rng(11), t=3, m=4))
+    blob = bytearray(path.read_bytes())
+    blob[16 + 4 * 5 : 16 + 4 * 6] = np.array([np.nan], dtype="<f4").tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(sig.MelfFormatError, match="nan.melf: non-finite value at offset 36"):
+        sig.read_melf(path)
+
+
+def test_cli_featurize_truncated_wav_and_inspect_directory_exit_2(tmp_path, capsys):
+    from vcaug import cli
+
+    wav_dir = tmp_path / "wavs"
+    wav_dir.mkdir()
+    sig.write_wav(wav_dir / "ok.wav", tone(300.0, duration_s=0.1))
+    full = (wav_dir / "ok.wav").read_bytes()
+    (wav_dir / "stub.wav").write_bytes(full[:20])
+    (wav_dir / "cut.wav").write_bytes(full[:1001])
+    argv = ["featurize", "--wav-dir", str(wav_dir), "--out", str(tmp_path / "mels")]
+    assert cli.main(argv) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "skipped cut.wav" in err and "skipped stub.wav" in err
+    assert sorted(p.name for p in (tmp_path / "mels").iterdir()) == ["ok.melf"]
+    assert cli.main(["inspect", "--checkpoint", str(tmp_path)]) == cli.EXIT_DATA
+    assert "data error" in capsys.readouterr().err
