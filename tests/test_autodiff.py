@@ -278,12 +278,6 @@ def _lstm_steps_oracle(x, wx, wh, b, reverse=False):
     return ad.concat(rows, axis=0)
 
 
-def _bilstm_oracle(x, fwd, bwd):
-    """The composition `bilstm_layer` replaces: one direction each way, concatenated."""
-    return ad.concat([_lstm_steps_oracle(x, *fwd), _lstm_steps_oracle(x, *bwd, reverse=True)],
-                     axis=1)
-
-
 def _lstm_weights(rng, in_dim, hidden, scale=0.7):
     return [[_rng_tensor(rng, s, scale=scale) for s in ((in_dim, 4 * hidden), (hidden, 4 * hidden),
                                                         (4 * hidden,))]
@@ -301,43 +295,68 @@ def _assert_same_values_and_grads(fused, reference, params, weight, rtol=1e-10):
         np.testing.assert_allclose(gf, gr, rtol=rtol, atol=0, err_msg=f"param {i}")
 
 
-@pytest.mark.parametrize("t", [9, 1])
-def test_bilstm_layer_matches_per_step_oracle(t):
-    rng = np.random.default_rng(11)
-    x = _rng_tensor(rng, (t, 5))
-    fwd, bwd = _lstm_weights(rng, 5, 4)
-    weight = _rng_tensor(rng, (t, 8))
-    _assert_same_values_and_grads(lambda: ad.bilstm_layer(x, fwd, bwd),
-                                  lambda: _bilstm_oracle(x, fwd, bwd),
-                                  [x, *fwd, *bwd], weight)
+def _direction(out, reverse, hidden=4):
+    """The forward (first H channels) or reverse (last H) half of a bilstm_layer output."""
+    return ad.narrow(out, -1, hidden if reverse else 0, hidden)
 
 
-def test_bilstm_layer_batch_rows_match_single_rows():
+def _assert_other_direction_untouched(grads):
+    # a loss on one half must leave the other direction's weights without gradient
+    for g in grads:
+        assert g is None or not g.any()
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_lstm_layer_matches_per_step_oracle(reverse):
+    # each direction of bilstm_layer against one LSTM run step by step; T = 1 is the
+    # edge where the two directions see the same single frame
+    for t in (9, 1):
+        rng = np.random.default_rng(11)
+        x = _rng_tensor(rng, (t, 5))
+        fwd, bwd = _lstm_weights(rng, 5, 4)
+        mine, other = (bwd, fwd) if reverse else (fwd, bwd)
+        weight = _rng_tensor(rng, (t, 4))
+        _assert_same_values_and_grads(
+            lambda: _direction(ad.bilstm_layer(x, fwd, bwd), reverse),
+            lambda: _lstm_steps_oracle(x, *mine, reverse=reverse),
+            [x, *mine], weight)
+        _assert_other_direction_untouched(grads_of(
+            lambda: ad.reduce_sum(ad.mul(_direction(ad.bilstm_layer(x, fwd, bwd), reverse),
+                                         weight)), other))
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_lstm_layer_batch_rows_match_single_rows(reverse):
     # a reverse row starts at its own last valid frame, not at the padded end
     rng = np.random.default_rng(12)
     lengths = np.array([6, 2, 4, 1])
     x = _rng_tensor(rng, (4, 6, 5))
     fwd, bwd = _lstm_weights(rng, 5, 4)
+    mine = bwd if reverse else fwd
     batched = ad.bilstm_layer(x, fwd, bwd, lengths=lengths).values
     assert batched.shape == (4, 6, 8)
+    half = slice(4, 8) if reverse else slice(0, 4)
     for row, n in enumerate(lengths):
         alone = ad.bilstm_layer(Tensor(x.values[row, :n]), fwd, bwd).values
-        np.testing.assert_allclose(batched[row, :n], alone, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(batched[row, :n, half], alone[:, half], rtol=1e-12,
+                                   atol=1e-15)
     # the padded batch's gradients are each row's single-utterance gradients, summed
-    weight = _rng_tensor(rng, (4, 6, 8))
+    weight = _rng_tensor(rng, (4, 6, 4))
     weight.values *= (np.arange(6) < lengths[:, None])[..., None]
-    params = [x, *fwd, *bwd]
-    batch_grads = grads_of(lambda: ad.reduce_sum(ad.mul(ad.bilstm_layer(x, fwd, bwd, lengths),
-                                                        weight)), params)
+
+    def loss(xs, w):
+        return lambda: ad.reduce_sum(ad.mul(_direction(ad.bilstm_layer(
+            xs, fwd, bwd, lengths if xs is x else None), reverse), w))
+
+    batch_grads = grads_of(loss(x, weight), [x, *mine])
     row_grads = []
     for row, n in enumerate(lengths):
         xr, wr = Tensor(x.values[row, :n]), Tensor(weight.values[row, :n])
-        row_grads.append(grads_of(lambda: ad.reduce_sum(ad.mul(ad.bilstm_layer(xr, fwd, bwd), wr)),
-                                  [xr, *fwd, *bwd]))
+        row_grads.append(grads_of(loss(xr, wr), [xr, *mine]))
     for row, n in enumerate(lengths):
         np.testing.assert_allclose(batch_grads[0][row, :n], row_grads[row][0], rtol=1e-12, atol=1e-15)
         assert not batch_grads[0][row, n:].any()
-    for k in range(1, 7):
+    for k in range(1, 4):
         np.testing.assert_allclose(batch_grads[k], sum(g[k] for g in row_grads), rtol=1e-12,
                                    atol=1e-14)
 
