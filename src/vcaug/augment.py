@@ -6,14 +6,24 @@ conversion model's training pool, with independent time/frequency masking
 applied to each view.  The conversion model is read-only throughout.
 
 `convert` renders one [T, M] utterance.  `emit_dataset` converts a corpus
-in padded batches: consecutive readable sources join one [B, T_max, M]
-forward with per-row lengths while B * T_max stays within
-`EMIT_BATCH_FRAMES` padded frames, so its memory is bounded by that budget
-and not by the corpus size.  Each row computes what the utterance would
-alone, but float32 GEMM summation order depends on the batch shape, so a
-converted view can differ from `convert`'s output, and across batch
-compositions, by float32 rounding.  Original views, target speakers, seeds
-and the manifest do not depend on the batching.
+in padded batches grouped by length:
+
+- Readable sources fill a window, in sorted path order, up to
+  `EMIT_BATCH_FRAMES` real frames; a single longer file is a window alone.
+- The window is sorted by frame count (a stable sort) and cut into
+  batches.  A batch ends before a row more than `EMIT_LENGTH_RATIO` times
+  its shortest row, or before a row that would make rows x longest row
+  exceed `EMIT_BATCH_FRAMES`.  Each batch is one [B, T_max, M] forward
+  with per-row lengths.
+
+Emit memory is bounded by that budget, not by the corpus size: one window
+of real frames, plus the one file read ahead of it, is held at a time.
+Each row computes what the utterance would alone, but float32 GEMM
+summation order depends on the batch shape, so a converted view can differ
+from `convert`'s output, and across batch compositions, by float32
+rounding.  Seeds, target speakers and masks are drawn per file, and the
+manifest is written in sorted path order, so original views, seeds and the
+manifest do not depend on the batching.
 """
 
 from __future__ import annotations
@@ -63,9 +73,18 @@ class ViewPair:
     seed: int
 
 
-# Padded frames (rows x longest row) per batched forward in `emit_dataset`:
-# 83 one-second utterances, or 20 of 4 s.
+# Real frames per window and padded frames (rows x longest row) per batched
+# forward in `emit_dataset`: 83 one-second utterances, or 20 of 4 s.
 EMIT_BATCH_FRAMES = 8192
+
+# Longest row over shortest allowed in one emit batch.  On the vcbench
+# augment_wav_mixed corpus (24 files of 0.5-4 s, 6,375 real frames on
+# seed 11) the batched forward took, in process CPU ms with OpenBLAS on
+# 1 thread, 2 vCPUs (median of 15), path-order grouping / ratio 3 / 2 / 1.5:
+# 204 / 177 / 156 / 155 on seed 11 and 213 / 177 / 170 / 149 on seed 12.
+# Ratio 2 cuts the padded frames from 9,552 to 7,485 in 3 batches, where
+# 1.5 makes 5 (each batch is one more encode and decode call).
+EMIT_LENGTH_RATIO = 2
 
 
 def _check_features(mel: MelSpectrogram, model: VcModel) -> None:
@@ -171,20 +190,40 @@ def _read_source(path: Path, model: VcModel) -> MelSpectrogram:
     return mel
 
 
-def _frame_batches(items):
-    """Group consecutive (features, ...) items while rows x longest row fits the budget.
+def _windows(items):
+    """Consecutive (features, ...) items holding at most `EMIT_BATCH_FRAMES` real frames.
 
-    An item longer than `EMIT_BATCH_FRAMES` on its own forms a batch of one.
+    An item longer than the budget on its own forms a window of one.
     """
-    batch, longest = [], 0
+    window, frames = [], 0
     for item in items:
         t = item[0].n_frames
-        if batch and (len(batch) + 1) * max(longest, t) > EMIT_BATCH_FRAMES:
-            yield batch
-            batch, longest = [], 0
-        batch.append(item)
-        longest = max(longest, t)
-    if batch:
+        if window and frames + t > EMIT_BATCH_FRAMES:
+            yield window
+            window, frames = [], 0
+        window.append(item)
+        frames += t
+    if window:
+        yield window
+
+
+def _frame_batches(items):
+    """Length-grouped batches of each window (module docstring).
+
+    A window sorted by frame count (stably) is cut before a row longer than
+    `EMIT_LENGTH_RATIO` times the batch's shortest, or whose length times
+    the grown row count would exceed `EMIT_BATCH_FRAMES`.
+    """
+    for window in _windows(items):
+        window.sort(key=lambda item: item[0].n_frames)
+        batch = []
+        for item in window:
+            t = item[0].n_frames
+            if batch and (t > EMIT_LENGTH_RATIO * batch[0][0].n_frames
+                          or (len(batch) + 1) * t > EMIT_BATCH_FRAMES):
+                yield batch
+                batch = []
+            batch.append(item)
         yield batch
 
 
@@ -198,21 +237,26 @@ def emit_dataset(
 ) -> EmitResult:
     """Write paired view files plus a manifest for every utterance found.
 
-    Inputs are `.melf` or `.wav` files anywhere under `corpus_dir`, processed
+    Inputs are `.melf` or `.wav` files anywhere under `corpus_dir`, read
     in sorted relative-path order and written flat into `out_dir` as
     `<path with / as __, no suffix>.{orig,conv}.melf`.  Each file gets a
     seed derived from the run seed and its relative path, so reruns
     reproduce byte-identical outputs.  Unreadable inputs, inputs the model
     cannot convert, and inputs whose output names collide (`a/b.melf` and
     `a__b.melf`, or `a/b.wav` next to `a/b.melf`) are recorded in
-    `failures` and skipped; conversion runs in padded batches (module
-    docstring).
+    `failures` and skipped.  A missing `corpus_dir` raises `DataError`
+    before `out_dir` is created.
+
+    Conversion runs in length-grouped batches of windows of at most
+    `EMIT_BATCH_FRAMES` real frames (module docstring), which bounds the
+    memory held; the manifest lists files in sorted relative-path order
+    whatever the batches were, and `failures` is sorted.
     """
     corpus_dir = Path(corpus_dir)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if not corpus_dir.is_dir():
         raise DataError(f"corpus directory not found: {corpus_dir}")
+    out_dir.mkdir(parents=True, exist_ok=True)
     sources = sorted(
         p.relative_to(corpus_dir).as_posix()
         for p in corpus_dir.rglob("*")
@@ -242,7 +286,7 @@ def emit_dataset(
     def convert_all(mels, targets):
         return _convert_batch(mels, targets, model)
 
-    lines: list[str] = []
+    rows: dict[str, str] = {}   # relative path -> manifest row
     for batch in _frame_batches(readable()):
         try:
             pairs = _view_pairs([mel for mel, _, _ in batch],
@@ -256,8 +300,9 @@ def emit_dataset(
             conv_rel = f"{stem}.conv.melf"
             write_melf(out_dir / orig_rel, pair.original)
             write_melf(out_dir / conv_rel, pair.converted)
-            lines.append(f"{rel}\t{orig_rel}\t{conv_rel}\t{pair.target_speaker_id}\t{pair.seed}")
+            rows[rel] = f"{rel}\t{orig_rel}\t{conv_rel}\t{pair.target_speaker_id}\t{pair.seed}"
 
     manifest_path = out_dir / "manifest.tsv"
-    manifest_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    return EmitResult(manifest_path=manifest_path, n_pairs=len(lines), failures=sorted(failures))
+    manifest_path.write_text("".join(rows[rel] + "\n" for rel in sources if rel in rows),
+                             encoding="utf-8")
+    return EmitResult(manifest_path=manifest_path, n_pairs=len(rows), failures=sorted(failures))

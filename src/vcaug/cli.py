@@ -8,6 +8,14 @@ config file when the flag is absent).
 The adversarial-weight comparison on the synthetic corpus is
 `scripts/make_synthetic_corpus.py --out corpus` followed by
 `vcaug sweep --config configs/desk.cfg --out sweep_out`.
+
+BLAS threads: the GEMMs of desk-sized models are too small to gain from a
+second BLAS thread, which only spins.  Running with
+`OPENBLAS_NUM_THREADS=1` (or the variable of the BLAS in use) halves
+process CPU at the same wall time: a 4-s `convert` on a desk model took
+16-21 ms of CPU with OpenBLAS's default 2 threads on 2 vCPUs and 7-9 ms
+with 1, in 7-11 ms of wall time either way.  Set it in the environment;
+the program leaves the thread count to the BLAS.
 """
 
 from __future__ import annotations

@@ -21,6 +21,16 @@ LOG_FLOOR = 1e-10
 MEL_FMIN_HZ = 125.0
 MEL_FMAX_HZ = 7600.0
 
+# Frames per windowed-FFT block in `compute_log_mel`.  At 16 kHz and 25 ms
+# a block's temporaries are 100-130 KiB each (32 x 400 windowed samples,
+# 32 x 257 complex bins), where a one-shot [T, 400] pass built about 3.5 MB
+# of fresh arrays per 2-s file, each one large enough for glibc to map and
+# unmap.  Per 2-s file (best of 9 x 100, OpenBLAS 1 thread, 2 vCPUs):
+# 2.5-2.9 -> 1.4-1.6 ms with glibc's default malloc settings, 3.5-4.3 ->
+# 1.5-1.9 ms with the mmap threshold fixed at 128 KiB; 0.5-s files hold
+# their time (default) or halve it (fixed threshold).
+LOG_MEL_BLOCK_FRAMES = 32
+
 MELF_MAGIC = b"MELF"
 MELF_VERSION = 1
 
@@ -146,7 +156,14 @@ def compute_log_mel(
     frame_size_ms: float = 25.0,
     frame_shift_ms: float = 10.0,
 ) -> MelSpectrogram:
-    """Frame, Hann-window, and project a waveform onto log mel magnitudes."""
+    """Frame, Hann-window, and project a waveform onto log mel magnitudes.
+
+    The frames are strided views of the samples.  Window, `rfft`, magnitude
+    and filterbank run over `LOG_MEL_BLOCK_FRAMES` frames at a time, each
+    block writing into one preallocated [T, n_mels] output; floor and log
+    then run in place.  Every frame gets the same arithmetic as a one-shot
+    [T, window] pass, and the result is bit-identical to it.
+    """
     window = int(round(wave_in.sample_rate_hz * frame_size_ms / 1000.0))
     hop = int(round(wave_in.sample_rate_hz * frame_shift_ms / 1000.0))
     n = len(wave_in.samples)
@@ -156,13 +173,16 @@ def compute_log_mel(
     while n_fft < window:
         n_fft *= 2
     hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(window) / window)
-    fbank = _cached_filterbank(wave_in.sample_rate_hz, n_fft, n_mels)
+    fbank_t = _cached_filterbank(wave_in.sample_rate_hz, n_fft, n_mels).T
 
-    starts = np.arange(t) * hop
-    frames = wave_in.samples[starts[:, None] + np.arange(window)] * hann
-    mag = np.abs(np.fft.rfft(frames, n=n_fft, axis=1))
-    mel = mag @ fbank.T
-    data = np.log(np.maximum(mel, LOG_FLOOR))
+    frames = np.lib.stride_tricks.sliding_window_view(wave_in.samples, window)[::hop]
+    data = np.empty((t, n_mels))
+    for start in range(0, t, LOG_MEL_BLOCK_FRAMES):
+        block = slice(start, start + LOG_MEL_BLOCK_FRAMES)
+        mag = np.abs(np.fft.rfft(frames[block] * hann, n=n_fft, axis=1))
+        np.matmul(mag, fbank_t, out=data[block])
+    np.maximum(data, LOG_FLOOR, out=data)
+    np.log(data, out=data)
     return MelSpectrogram(data=data, frame_size_ms=frame_size_ms, frame_shift_ms=frame_shift_ms)
 
 

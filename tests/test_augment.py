@@ -1,13 +1,18 @@
 import hashlib
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vcaug import augment as aug
 from vcaug import autodiff as ad
 from vcaug import bottleneck as bn
+from vcaug import cli
 from vcaug import data as vd
-from vcaug.model import VcModel, pad_batch
+from vcaug.model import VcModel, pad_batch, save_checkpoint
 from vcaug.signal import (
     MelSpectrogram,
     SpecAugmentPolicy,
@@ -19,6 +24,8 @@ from vcaug.signal import (
 )
 
 from conftest import toy_config
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -279,10 +286,10 @@ def test_emit_dataset_batch_budget_changes_only_float_rounding(tmp_path, monkeyp
     pool = aug.SpeakerPool(ids=(0, 1, 2))
     sizes = count_batches(monkeypatch)
     whole = aug.emit_dataset(corpus, toy_vc_model64, pool, policy, tmp_path / "one", seed=3)
-    assert sizes == [7]
+    assert sizes == [3, 4]
     monkeypatch.setattr(aug, "EMIT_BATCH_FRAMES", 24)
     split = aug.emit_dataset(corpus, toy_vc_model64, pool, policy, tmp_path / "many", seed=3)
-    assert sizes[1:] == [2, 2, 1, 2]
+    assert sizes[2:] == [2, 1, 1, 1, 1, 1]
     assert whole.n_pairs == split.n_pairs == 7 and not whole.failures and not split.failures
     assert whole.manifest_path.read_bytes() == split.manifest_path.read_bytes()
     for line in whole.manifest_path.read_text().splitlines():
@@ -350,3 +357,124 @@ def test_emit_dataset_rejects_colliding_output_names(tmp_path, toy_vc_model):
     assert result.manifest_path.read_text().startswith("c.melf\tc.orig.melf\tc.conv.melf\t")
     assert sorted(p.name for p in out.iterdir()) == ["c.conv.melf", "c.orig.melf",
                                                      "manifest.tsv"]
+
+
+def path_order_batches(items):
+    """The path-order grouping `_frame_batches` replaced: consecutive items while
+    rows x longest row fits the budget."""
+    batch, longest = [], 0
+    for item in items:
+        t = item[0].n_frames
+        if batch and (len(batch) + 1) * max(longest, t) > aug.EMIT_BATCH_FRAMES:
+            yield batch
+            batch, longest = [], 0
+        batch.append(item)
+        longest = max(longest, t)
+    if batch:
+        yield batch
+
+
+def frames_of(item):
+    return item[0].n_frames
+
+
+@settings(max_examples=200, deadline=None)
+@given(lengths=st.lists(st.integers(1, 80), max_size=40), budget=st.integers(4, 120))
+def test_frame_batches_group_by_length_within_budget(lengths, budget):
+    items = [(SimpleNamespace(n_frames=t), i) for i, t in enumerate(lengths)]
+    pulled, yielded = [], set()
+
+    def source():
+        for item in items:
+            pulled.append(item)
+            yield item
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(aug, "EMIT_BATCH_FRAMES", budget)
+        windows = list(aug._windows(iter(items)))
+        batches = []
+        for batch in aug._frame_batches(source()):
+            # held now: this batch, the rest of its window, and one file read ahead
+            held = [item for item in pulled if item[1] not in yielded]
+            assert len(held) <= 2 or sum(map(frames_of, held[:-1])) <= budget
+            yielded.update(i for _, i in batch)
+            batches.append(batch)
+    assert sorted(i for batch in batches for _, i in batch) == list(range(len(items)))
+    for batch in batches:
+        rows = sorted(map(frames_of, batch))
+        assert len(rows) == 1 or len(rows) * rows[-1] <= budget
+        assert rows[-1] <= aug.EMIT_LENGTH_RATIO * rows[0]
+    assert [item for window in windows for item in window] == items
+    for window in windows:
+        assert len(window) == 1 or sum(map(frames_of, window)) <= budget
+
+
+def test_emit_dataset_length_grouping_keeps_path_order_outputs(tmp_path, monkeypatch,
+                                                               toy_vc_model64):
+    lengths = [30, 5, 17, 6, 40, 9, 22, 4, 12, 33]   # length order differs from path order
+    corpus = mixed_length_corpus(tmp_path, lengths)
+    policy = SpecAugmentPolicy(n_freq_masks=1, max_freq_width=2,
+                               n_time_masks=1, max_time_width=3)
+    pool = aug.SpeakerPool(ids=(0, 1, 2))
+    monkeypatch.setattr(aug, "EMIT_BATCH_FRAMES", 64)
+    sizes = count_batches(monkeypatch)
+    grouped = aug.emit_dataset(corpus, toy_vc_model64, pool, policy, tmp_path / "grouped", seed=5)
+    assert sizes == [2, 2, 1, 1, 1, 2, 1]   # [5, 6] [17, 30] | [9] [40] | [4] [12, 22] | [33]
+    monkeypatch.setattr(aug, "_frame_batches", path_order_batches)
+    in_order = aug.emit_dataset(corpus, toy_vc_model64, pool, policy, tmp_path / "in_order",
+                                seed=5)
+    assert sizes[7:] == [2, 2, 1, 2, 2, 1]   # [30, 5] [17, 6] [40] [9, 22] [4, 12] [33]
+    rows = grouped.manifest_path.read_text().splitlines()
+    assert [row.split("\t")[0] for row in rows] == sorted(f"utt{i}.melf" for i in range(10))
+    assert grouped.manifest_path.read_bytes() == in_order.manifest_path.read_bytes()
+    for row in rows:
+        _, orig, conv, _, _ = row.split("\t")
+        assert (tmp_path / "grouped" / orig).read_bytes() == \
+            (tmp_path / "in_order" / orig).read_bytes()
+        np.testing.assert_allclose(read_melf(tmp_path / "grouped" / conv).data,
+                                   read_melf(tmp_path / "in_order" / conv).data,
+                                   rtol=2.0**-21, atol=0)
+
+
+def test_emit_dataset_missing_corpus_creates_no_output(tmp_path, toy_vc_model):
+    out = tmp_path / "views" / "nested"
+    with pytest.raises(vd.DataError, match="corpus directory not found"):
+        aug.emit_dataset(tmp_path / "missing", toy_vc_model, aug.SpeakerPool(ids=(0,)),
+                         SpecAugmentPolicy(), out, seed=0)
+    assert not (tmp_path / "views").exists()
+
+
+def augment_argv(tmp_path, model, corpus, out):
+    checkpoint = tmp_path / "toy.vcck"
+    save_checkpoint(model, checkpoint)
+    return ["augment", "--config", str(CONFIGS / "toy.cfg"), "--checkpoint", str(checkpoint),
+            "--corpus", str(corpus), "--out", str(out)]
+
+
+def test_cli_augment_missing_corpus_exits_2_without_output(tmp_path, capsys, toy_vc_model):
+    out = tmp_path / "views"
+    argv = augment_argv(tmp_path, toy_vc_model, tmp_path / "missing", out)
+    assert cli.main(argv) == cli.EXIT_DATA
+    assert "corpus directory not found" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_augment_lists_malformed_melf_files_and_exits_2(tmp_path, capsys, toy_vc_model):
+    corpus = make_corpus_dir(tmp_path, n=2)
+    good = (corpus / "utt0.melf").read_bytes()
+    nan = bytearray(good)
+    nan[16 + 4 * 7 : 16 + 4 * 8] = np.array([np.inf], dtype="<f4").tobytes()
+    bad_magic = bytearray(good)
+    bad_magic[1] ^= 0x20
+    (corpus / "bad_inf.melf").write_bytes(bytes(nan))
+    (corpus / "bad_magic.melf").write_bytes(bytes(bad_magic))
+    (corpus / "bad_cut.melf").write_bytes(good[:41])
+    out = tmp_path / "views"
+    assert cli.main(augment_argv(tmp_path, toy_vc_model, corpus, out)) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    for name, reason in [("bad_cut.melf", "payload ends at offset 41"),
+                         ("bad_inf.melf", "non-finite value at offset 44"),
+                         ("bad_magic.melf", "bad magic")]:
+        assert f"augment: failed {name}: " in err and reason in err
+    rows = [row.split("\t")[0] for row in (out / "manifest.tsv").read_text().splitlines()]
+    assert rows == ["utt0.melf", "utt1.melf"]

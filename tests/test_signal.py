@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vcaug import signal as sig
@@ -79,6 +79,41 @@ def test_log_mel_filterbank_cached_read_only_and_unchanged():
     expected = np.log(np.maximum(mag @ sig.mel_filterbank(16000, 512, 80).T, sig.LOG_FLOOR))
     np.testing.assert_array_equal(sig.compute_log_mel(wave_in).data,
                                   expected.astype(np.float32))
+
+
+def one_shot_log_mel(wave, n_mels=80, frame_size_ms=25.0, frame_shift_ms=10.0):
+    """The frontend as a single [T, window] pass: a gather-index array, a
+    gathered copy and a windowed copy of every frame at once."""
+    window = int(round(wave.sample_rate_hz * frame_size_ms / 1000.0))
+    hop = int(round(wave.sample_rate_hz * frame_shift_ms / 1000.0))
+    t = sig.frame_count(len(wave.samples), window, hop)
+    n_fft = 1
+    while n_fft < window:
+        n_fft *= 2
+    hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(window) / window)
+    fbank = sig.mel_filterbank(wave.sample_rate_hz, n_fft, n_mels)
+    starts = np.arange(t) * hop
+    frames = wave.samples[starts[:, None] + np.arange(window)] * hann
+    mag = np.abs(np.fft.rfft(frames, n=n_fft, axis=1))
+    return np.log(np.maximum(mag @ fbank.T, sig.LOG_FLOOR)).astype(np.float32)
+
+
+@pytest.mark.parametrize("n_samples, frame_size_ms, frame_shift_ms", [
+    *[(400 + (t - 1) * 160, 25.0, 10.0) for t in (1, 31, 32, 33, 64, 65)],
+    (64000, 25.0, 10.0),       # a 4-s file: 398 frames, 13 blocks
+    (64000 + 77, 32.0, 12.5),  # 512-sample window, 200-sample hop, ragged tail
+    (9000, 20.0, 5.0),         # 320-sample window, 80-sample hop
+])
+def test_log_mel_blocks_bit_identical_to_one_shot_pass(n_samples, frame_size_ms,
+                                                       frame_shift_ms):
+    rng = np.random.default_rng(n_samples)
+    t = np.arange(n_samples) / 16000
+    wave = sig.Waveform(samples=0.4 * np.sin(2 * np.pi * 310.0 * t)
+                        + 0.1 * rng.uniform(-1, 1, n_samples), sample_rate_hz=16000)
+    mel = sig.compute_log_mel(wave, frame_size_ms=frame_size_ms, frame_shift_ms=frame_shift_ms)
+    expected = one_shot_log_mel(wave, frame_size_ms=frame_size_ms, frame_shift_ms=frame_shift_ms)
+    assert mel.data.dtype == np.float32 and mel.data.shape == expected.shape
+    assert np.array_equal(mel.data, expected)
 
 
 def rand_mel(rng, t=40, m=80):
@@ -304,3 +339,61 @@ def test_cli_featurize_truncated_wav_and_inspect_directory_exit_2(tmp_path, caps
     assert sorted(p.name for p in (tmp_path / "mels").iterdir()) == ["ok.melf"]
     assert cli.main(["inspect", "--checkpoint", str(tmp_path)]) == cli.EXIT_DATA
     assert "data error" in capsys.readouterr().err
+
+
+def _small_melf_bytes(tmp_dir, t=3, m=4):
+    path = tmp_dir / "small.melf"
+    sig.write_melf(path, rand_mel(np.random.default_rng(12), t=t, m=m))
+    return path.read_bytes()
+
+
+def test_truncated_melf_raises_at_every_offset(tmp_path):
+    good = _small_melf_bytes(tmp_path)
+    path = tmp_path / "cut.melf"
+    for n in range(len(good)):
+        path.write_bytes(good[:n])
+        with pytest.raises(sig.MelfFormatError, match=r"cut.melf: .* at offset \d+"):
+            sig.read_melf(path)
+    path.write_bytes(good)
+    assert sig.read_melf(path).data.shape == (3, 4)
+
+
+def _read_flipped_melf(tmp_dir, blob):
+    path = tmp_dir / "flipped.melf"
+    path.write_bytes(bytes(blob))
+    try:
+        mel = sig.read_melf(path)
+    except sig.MelfFormatError as e:
+        assert "flipped.melf" in str(e)
+        return None
+    assert np.isfinite(mel.data).all()
+    assert 16 + 4 * mel.data.size == len(blob)
+    return mel
+
+
+@settings(max_examples=300, deadline=None)
+@given(flips=st.lists(st.tuples(st.integers(0, 15), st.integers(1, 255)), min_size=1, max_size=4),
+       keep=st.integers(0, 64))
+def test_melf_header_byte_flips_raise_only_melf_format_error(tmp_path_factory, flips, keep):
+    tmp_dir = tmp_path_factory.mktemp("flip")
+    blob = bytearray(_small_melf_bytes(tmp_dir))
+    for index, mask in flips:
+        blob[index] ^= mask
+    _read_flipped_melf(tmp_dir, blob[:keep])
+
+
+@settings(max_examples=300, deadline=None)
+@given(flips=st.lists(st.tuples(st.integers(16, 63), st.integers(1, 255)), min_size=1, max_size=6))
+@example(flips=[(23, 0x40)])   # 1.046 -> NaN: the exponent bits all set
+@example(flips=[(27, 0x40)])   # 0.742 -> 2.5e38, still finite
+def test_melf_payload_byte_flips_raise_only_melf_format_error(tmp_path_factory, flips):
+    tmp_dir = tmp_path_factory.mktemp("flip")
+    blob = bytearray(_small_melf_bytes(tmp_dir))
+    for index, mask in flips:
+        blob[index] ^= mask
+    values = np.frombuffer(bytes(blob), dtype="<f4", offset=16)
+    mel = _read_flipped_melf(tmp_dir, blob)
+    # a flip into an exponent of all ones makes inf or NaN, which must be refused
+    assert (mel is None) == (not np.isfinite(values).all())
+    if mel is not None:
+        assert np.array_equal(mel.data.ravel(), values)
