@@ -244,8 +244,9 @@ def emit_dataset(
     reproduce byte-identical outputs.  Unreadable inputs, inputs the model
     cannot convert, and inputs whose output names collide (`a/b.melf` and
     `a__b.melf`, or `a/b.wav` next to `a/b.melf`) are recorded in
-    `failures` and skipped.  A missing `corpus_dir` raises `DataError`
-    before `out_dir` is created.
+    `failures` and skipped.  A missing `corpus_dir`, or an `out_dir` equal
+    to or inside it (whose views a later run would read back as sources),
+    raises `DataError` before `out_dir` is created.
 
     Conversion runs in length-grouped batches of windows of at most
     `EMIT_BATCH_FRAMES` real frames (module docstring), which bounds the
@@ -256,6 +257,8 @@ def emit_dataset(
     out_dir = Path(out_dir)
     if not corpus_dir.is_dir():
         raise DataError(f"corpus directory not found: {corpus_dir}")
+    if out_dir.resolve().is_relative_to(corpus_dir.resolve()):
+        raise DataError(f"output directory {out_dir} lies inside the corpus {corpus_dir}")
     out_dir.mkdir(parents=True, exist_ok=True)
     sources = sorted(
         p.relative_to(corpus_dir).as_posix()

@@ -13,7 +13,10 @@ which runs both directions of an LSTM layer in one time loop.
 all four gates cost one tanh per step; in float32 this rounds differently
 from 1/(1 + exp(-z)), by about an ulp.  Ops executed while a `Tape` is
 active record a backward rule; `Tape.backward` replays the records in
-reverse to fill in `.grad` arrays.
+reverse to fill in `.grad` arrays.  A tape replays once: backward drops
+each record as it passes it, so the activations that op saved and the
+gradients of intermediates nothing else holds are freed while backward
+runs.  Tensors the caller still holds keep their `.grad`.
 
 Sequence ops take time on axis -2 and accept an optional leading batch
 axis: one utterance is `[T, C]`, a padded batch is `[B, T, C]`.  Row b of
@@ -96,12 +99,15 @@ class Tape:
 
     A tape and the tensors flowing through it are a single-threaded unit of
     work; independent tapes may run on separate threads.  Ops executed with
-    no active tape compute values only.
+    no active tape compute values only.  `backward` replays the tape once,
+    releasing each record as it passes it; tensors the caller holds keep
+    their gradients, and a second `backward` raises.
     """
 
     def __init__(self):
         self._nodes: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
         self._outer = None
+        self._replayed = False
 
     def __enter__(self) -> "Tape":
         self._outer = getattr(_STATE, "tape", None)
@@ -116,14 +122,23 @@ class Tape:
         return len(self._nodes)
 
     def backward(self, loss: Tensor) -> None:
-        """Seed d(loss)/d(loss) = 1 and propagate to every recorded input."""
+        """Seed d(loss)/d(loss) = 1 and propagate to every recorded input.
+
+        Each record is popped before its rule runs, so its closure, and the
+        output tensor unless the caller holds it, are freed as soon as the
+        rule returns.  Raises `RuntimeError` on a tape already replayed.
+        """
+        if self._replayed:
+            raise RuntimeError("backward: this tape was already replayed")
         if loss.values.size != 1:
             raise ShapeError("backward", loss.shape)
+        self._replayed = True
         loss.grad = np.ones_like(loss.values)
-        for out, bwd in reversed(self._nodes):
-            if out.grad is None:
-                continue
-            bwd(out.grad)
+        nodes = self._nodes
+        while nodes:
+            out, bwd = nodes.pop()
+            if out.grad is not None:
+                bwd(out.grad)
 
 
 def _active_tape() -> Tape | None:

@@ -34,8 +34,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import struct
 from dataclasses import asdict, dataclass, field, replace
+from typing import Iterator
 
 import numpy as np
 
@@ -55,6 +57,18 @@ class CheckpointError(ValueError):
     """Malformed, tampered, or incompatible checkpoint file."""
 
 
+def _require_positive(cfg, *names: str) -> None:
+    """Raise `ValueError` unless each named field of `cfg` is a positive integer.
+
+    Runs before any check that divides by a field; configs also arrive from
+    checkpoint metadata, where a flipped byte can make a count 0 or a float.
+    """
+    for name in names:
+        value = getattr(cfg, name)
+        if not isinstance(value, numbers.Integral) or value < 1:
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EncoderConfig:
     n_blocks: int = 2
@@ -66,6 +80,8 @@ class EncoderConfig:
     frozen: bool = False
 
     def __post_init__(self):
+        _require_positive(self, "n_blocks", "model_dim", "n_heads", "conv_kernel",
+                          "ff_multiplier")
         if self.model_dim % self.n_heads != 0:
             raise ValueError(f"model_dim {self.model_dim} not divisible by {self.n_heads} heads")
         if self.subsample_factor != 4:
@@ -81,8 +97,7 @@ class DecoderConfig:
     upsample_kernel: int = 4
 
     def __post_init__(self):
-        if self.n_lstm_layers < 1:
-            raise ValueError("need at least one LSTM layer")
+        _require_positive(self, "n_lstm_layers", "lstm_dim", "upsample_kernel")
 
 
 @dataclass(frozen=True)
@@ -99,10 +114,10 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _require_positive(self, "n_mels", "n_speakers", "speaker_dim", "vq_groups",
+                          "vq_entries", "adv_hidden")
         if self.encoder.model_dim % self.vq_groups != 0:
             raise ValueError("model_dim must divide evenly into codebook groups")
-        if self.n_speakers < 1:
-            raise ValueError("need at least one speaker")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -382,17 +397,18 @@ class VcModel:
 # checkpoint serialization
 
 
-def _tensor_table_bytes(named: dict[str, np.ndarray]) -> bytes:
-    chunks = []
+def _tensor_table_parts(named: dict[str, np.ndarray]) -> Iterator[bytes | memoryview]:
+    """The tensor table in order, one header and one zero-copy payload per tensor.
+
+    Joined, the parts are the table; callers hash and write them one at a
+    time, so a save never holds a copy of the parameters.
+    """
     for name in sorted(named):
         arr = np.ascontiguousarray(named[name], dtype="<f4")
         encoded = name.encode("utf-8")
-        chunks.append(struct.pack("<H", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(struct.pack("<B", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        chunks.append(arr.tobytes())
-    return b"".join(chunks)
+        yield (struct.pack("<H", len(encoded)) + encoded
+               + struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
+        yield memoryview(arr.reshape(-1)).cast("B")
 
 
 def _named_arrays(model: VcModel) -> dict[str, np.ndarray]:
@@ -403,10 +419,13 @@ def _named_arrays(model: VcModel) -> dict[str, np.ndarray]:
 
 
 def save_checkpoint(model: VcModel, path, extra_meta: dict | None = None) -> None:
-    table = _tensor_table_bytes(_named_arrays(model))
+    named = _named_arrays(model)
+    content_hash = hashlib.sha256()
+    for part in _tensor_table_parts(named):
+        content_hash.update(part)
     meta = {
         "config": model.config.to_dict(),
-        "content_hash": hashlib.sha256(table).hexdigest(),
+        "content_hash": content_hash.hexdigest(),
         "n_tensors": len(model.params) + 2,
         "extra": extra_meta or {},
     }
@@ -415,7 +434,8 @@ def save_checkpoint(model: VcModel, path, extra_meta: dict | None = None) -> Non
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<IQI", CHECKPOINT_VERSION, model.step, len(meta_bytes)))
         f.write(meta_bytes)
-        f.write(table)
+        for part in _tensor_table_parts(named):
+            f.write(part)
 
 
 def read_checkpoint_raw(path) -> tuple[dict, int, dict[str, np.ndarray]]:

@@ -98,7 +98,7 @@ def total_loss(recon: Tensor, codebook: Tensor, commit: Tensor, adv: Tensor,
 
 
 class Adam:
-    """Standard Adam with bias correction; a zero gradient is a no-op."""
+    """Standard Adam with bias correction; a missing gradient counts as zero."""
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-4,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -257,7 +257,9 @@ def train(model: VcModel, dataset: Dataset, cfg: TrainConfig,
     The same features serve as input and reconstruction target.  At step 0
     the feature statistics and the codebook are initialized from the data.
     A non-finite loss or gradient halts training before the update, after
-    writing the parameters of the last completed step.
+    writing the parameters of the last completed step.  Every parameter's
+    gradient is released before `train` returns or raises `DivergenceError`:
+    nothing reads them after the last update.
     """
     if not dataset:
         raise ValueError("dataset is empty")
@@ -298,10 +300,13 @@ def train(model: VcModel, dataset: Dataset, cfg: TrainConfig,
             adv_loss = ad.cross_entropy(logits, speakers)
             loss = total_loss(recon_loss, qr.codebook_loss, qr.commit_loss, adv_loss,
                               cfg.weights)
-        optimizer.zero_grad()
+        # every parameter, not only Adam's: a frozen encoder's weights get
+        # gradients too, which nothing reads
+        ad.zero_grads(model.params.values())
         tape.backward(loss)
         if not (np.isfinite(loss.values).all() and np.isfinite(_grad_norm(optimizer.params))):
             # the live parameters are still those of the last completed step
+            ad.zero_grads(model.params.values())
             path = write_checkpoint(f"{model.step:06d}-lastgood") if out_dir and i else None
             raise DivergenceError(step, path)
         optimizer.step()
@@ -321,6 +326,7 @@ def train(model: VcModel, dataset: Dataset, cfg: TrainConfig,
         if out_dir and cfg.checkpoint_every and step % cfg.checkpoint_every == 0:
             write_checkpoint(f"{step:06d}")
 
+    ad.zero_grads(model.params.values())
     if out_dir:
         write_checkpoint("final")
         ledger.write(out_dir / "metrics.ledger")

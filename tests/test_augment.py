@@ -444,6 +444,23 @@ def test_emit_dataset_missing_corpus_creates_no_output(tmp_path, toy_vc_model):
     assert not (tmp_path / "views").exists()
 
 
+@pytest.mark.parametrize("out_rel", ["corpus", "corpus/views", "corpus/views/../deeper/views"])
+def test_emit_dataset_refuses_out_dir_inside_corpus(tmp_path, toy_vc_model, out_rel):
+    corpus = make_corpus_dir(tmp_path, n=3)
+    before = sorted(corpus.rglob("*"))
+    with pytest.raises(vd.DataError, match="inside the corpus"):
+        aug.emit_dataset(corpus, toy_vc_model, aug.SpeakerPool(ids=(0,)),
+                         SpecAugmentPolicy(), tmp_path / out_rel, seed=0)
+    assert sorted(corpus.rglob("*")) == before
+
+
+def test_emit_dataset_sibling_sharing_the_corpus_name_prefix_is_allowed(tmp_path, toy_vc_model):
+    corpus = make_corpus_dir(tmp_path, n=3)
+    result = aug.emit_dataset(corpus, toy_vc_model, aug.SpeakerPool(ids=(0,)),
+                              SpecAugmentPolicy(), tmp_path / "corpus_views", seed=0)
+    assert result.n_pairs == 3 and not result.failures
+
+
 def augment_argv(tmp_path, model, corpus, out):
     checkpoint = tmp_path / "toy.vcck"
     save_checkpoint(model, checkpoint)
@@ -456,6 +473,14 @@ def test_cli_augment_missing_corpus_exits_2_without_output(tmp_path, capsys, toy
     argv = augment_argv(tmp_path, toy_vc_model, tmp_path / "missing", out)
     assert cli.main(argv) == cli.EXIT_DATA
     assert "corpus directory not found" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_augment_out_inside_corpus_exits_2_without_output(tmp_path, capsys, toy_vc_model):
+    corpus = make_corpus_dir(tmp_path, n=3)
+    out = corpus / "views"
+    assert cli.main(augment_argv(tmp_path, toy_vc_model, corpus, out)) == cli.EXIT_DATA
+    assert "inside the corpus" in capsys.readouterr().err
     assert not out.exists()
 
 

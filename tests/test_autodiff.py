@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -483,3 +485,40 @@ def test_tape_determinism():
     g1 = run()
     g2 = run()
     assert np.array_equal(g1[0], g2[0]) and np.array_equal(g1[1], g2[1])
+
+
+def test_backward_releases_what_only_the_tape_holds():
+    rng = np.random.default_rng(8)
+    x0 = t64(rng.normal(size=(5, 3)))
+    w = t64(rng.normal(size=(3, 4)))
+    freed_with_nodes_left = []
+    with Tape() as tape:
+        x = ad.mul(x0, t64(2.0))
+        z = ad.matmul(x, w)
+        h = ad.tanh(z)   # tanh saves its output array for backward
+        saved = weakref.ref(h.values, lambda _: freed_with_nodes_left.append(len(tape)))
+        y = ad.mul(h, h)
+        loss = ad.reduce_sum(y)
+    h_values = h.values.copy()
+    del h
+    tape.backward(loss)
+    # freed while backward still had nodes to replay, not when it returned
+    assert saved() is None
+    assert freed_with_nodes_left and freed_with_nodes_left[0] > 0
+    assert len(tape) == 0
+    # tensors the caller holds keep their gradients
+    np.testing.assert_array_equal(y.grad, np.ones_like(y.values))
+    np.testing.assert_allclose(z.grad, 2.0 * h_values * (1.0 - h_values**2))
+    np.testing.assert_allclose(w.grad, x.values.T @ z.grad)
+    np.testing.assert_allclose(x0.grad, 2.0 * (z.grad @ w.values.T))
+
+
+def test_second_backward_on_a_replayed_tape_raises():
+    x = t64([1.0, -2.0, 3.0])
+    with Tape() as tape:
+        loss = ad.reduce_sum(ad.mul(x, x))
+    tape.backward(loss)
+    first = x.grad.copy()
+    with pytest.raises(RuntimeError, match="already replayed"):
+        tape.backward(loss)
+    np.testing.assert_array_equal(x.grad, first)

@@ -46,8 +46,16 @@ def run_gradcheck(path, capsys):
     ("lr = -0.5", "", "[train] lr"),
     ("", "checkpoint_every = -1", "[train] checkpoint_every"),
     ("adversarial_weight = -0.1", "", "[train] adversarial_weight"),
+    ("vq_groups = 0", "", "[model] vq_groups must be a positive integer"),
+    ("n_heads = 0", "", "[model] n_heads must be a positive integer"),
+    ("model_dim = 0", "", "[model] model_dim must be a positive integer"),
+    ("encoder_blocks = -1", "", "[model] n_blocks must be a positive integer"),
+    ("lstm_dim = 0", "", "[model] lstm_dim must be a positive integer"),
+    ("vq_entries = 0", "", "[model] vq_entries must be a positive integer"),
 ], ids=["removed_epsilon", "removed_eta", "vq_groups", "n_heads", "gamma", "delta",
-        "steps", "batch_size", "lr", "checkpoint_every", "adversarial_weight"])
+        "steps", "batch_size", "lr", "checkpoint_every", "adversarial_weight",
+        "zero_vq_groups", "zero_n_heads", "zero_model_dim", "negative_encoder_blocks",
+        "zero_lstm_dim", "zero_vq_entries"])
 def test_invalid_config_values_exit_with_config_error(tmp_path, capsys, replace, add, named):
     path = tmp_path / "bad.cfg"
     path.write_text(toy_text(replace, add), encoding="utf-8")

@@ -2,16 +2,19 @@ import hashlib
 import json
 import struct
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vcaug import augment as aug
 from vcaug import autodiff as ad
 from vcaug import cli
 from vcaug import model as vm
 from vcaug.autodiff import Tape, Tensor
-from vcaug.signal import MelSpectrogram
+from vcaug.signal import MelSpectrogram, write_melf
 
 from conftest import toy_config, toy_mel
 
@@ -315,6 +318,41 @@ def test_checkpoint_bytes_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def _one_shot_checkpoint_bytes(model, extra_meta=None):
+    """Reference writer: the whole tensor table built as one bytes object, hashed, written."""
+    chunks = []
+    named = vm._named_arrays(model)
+    for name in sorted(named):
+        arr = np.ascontiguousarray(named[name], dtype="<f4")
+        encoded = name.encode("utf-8")
+        chunks.append(struct.pack("<H", len(encoded)))
+        chunks.append(encoded)
+        chunks.append(struct.pack("<B", arr.ndim))
+        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
+        chunks.append(arr.tobytes())
+    table = b"".join(chunks)
+    meta = {
+        "config": model.config.to_dict(),
+        "content_hash": hashlib.sha256(table).hexdigest(),
+        "n_tensors": len(model.params) + 2,
+        "extra": extra_meta or {},
+    }
+    meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return (vm.CHECKPOINT_MAGIC + struct.pack("<IQI", vm.CHECKPOINT_VERSION, model.step,
+                                              len(meta_bytes)) + meta_bytes + table)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_streamed_checkpoint_matches_one_shot_writer(tmp_path, dtype):
+    model = vm.VcModel(desk_model(seed=13).config, dtype=dtype)
+    model.set_feature_stats(np.linspace(-3, 1, 80), np.linspace(0.5, 2, 80))
+    model.step = 41
+    extra = {"run_config_sha256": "ab" * 32}
+    path = tmp_path / "model.vcck"
+    vm.save_checkpoint(model, path, extra_meta=extra)
+    assert path.read_bytes() == _one_shot_checkpoint_bytes(model, extra)
+
+
 def test_checkpoint_tampered_magic_rejected(tmp_path):
     model = desk_model()
     path = tmp_path / "model.vcck"
@@ -355,7 +393,7 @@ def _rewrite_checkpoint(path, edit_meta=None, edit_table=None):
 def _drop_tensor(table, victim):
     named = vm._parse_tensor_table(table)
     del named[victim]
-    return vm._tensor_table_bytes(named)
+    return b"".join(vm._tensor_table_parts(named))
 
 
 MALFORMED_CHECKPOINTS = {
@@ -396,6 +434,86 @@ def test_inspect_intact_checkpoint(tmp_path, capsys):
     vm.save_checkpoint(vm.VcModel(toy_config()), path)
     assert cli.main(["inspect", "--checkpoint", str(path)]) == cli.EXIT_OK
     assert "content_hash" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def toy_checkpoint(tmp_path_factory):
+    """A saved toy checkpoint, its metadata end offset, and a melf to convert with it."""
+    tmp_dir = tmp_path_factory.mktemp("toy_checkpoint")
+    model = vm.VcModel(toy_config())
+    model.set_feature_stats(np.full(8, -2.0), np.full(8, 1.5))
+    path = tmp_dir / "toy.vcck"
+    vm.save_checkpoint(model, path)
+    melf = tmp_dir / "utt.melf"
+    write_melf(melf, MelSpectrogram(data=toy_mel(t=12).astype(np.float32)))
+    blob = path.read_bytes()
+    (meta_len,) = struct.unpack("<I", blob[16:20])
+    return SimpleNamespace(model=model, blob=blob, meta_end=20 + meta_len, melf=melf)
+
+
+def _load_or_checkpoint_error(path, toy):
+    """Load a damaged copy of the toy checkpoint through the API and the CLI.
+
+    Only `CheckpointError` may come out; a file that still loads must hold
+    the original tensors, and `inspect` and `convert` exit 2 exactly when
+    their reader refuses the file.
+    """
+    try:
+        vm.read_checkpoint_raw(path)
+        raw_ok = True
+    except vm.CheckpointError:
+        raw_ok = False
+    try:
+        loaded = vm.load_checkpoint(path)
+    except vm.CheckpointError:
+        loaded = None
+    if loaded is not None:
+        for name, t in toy.model.params.items():
+            np.testing.assert_array_equal(loaded.params[name].values, t.values)
+    out = path.parent / "out.melf"
+    assert cli.main(["inspect", "--checkpoint", str(path)]) == (
+        cli.EXIT_OK if raw_ok else cli.EXIT_DATA)
+    assert cli.main(["convert", "--checkpoint", str(path), "--melf", str(toy.melf),
+                     "--speaker-id", "1", "--out", str(out)]) == (
+        cli.EXIT_OK if loaded is not None else cli.EXIT_DATA)
+    return loaded
+
+
+def test_checkpoint_truncated_in_header_or_metadata_raises_checkpoint_error(tmp_path,
+                                                                            toy_checkpoint):
+    path = tmp_path / "cut.vcck"
+    for n in range(toy_checkpoint.meta_end + 1):
+        path.write_bytes(toy_checkpoint.blob[:n])
+        assert _load_or_checkpoint_error(path, toy_checkpoint) is None, n
+
+
+@pytest.mark.parametrize("field", [b'"vq_groups":2', b'"n_heads":2', b'"model_dim":8',
+                                   b'"lstm_dim":8', b'"n_mels":8'],
+                         ids=lambda field: field.decode().split('"')[1])
+def test_checkpoint_with_a_zero_count_raises_checkpoint_error(tmp_path, toy_checkpoint, field):
+    # one flipped byte: the content hash covers only the tensor table
+    assert toy_checkpoint.blob.count(field) == 1
+    path = tmp_path / "zero.vcck"
+    path.write_bytes(toy_checkpoint.blob.replace(field, field[:-1] + b"0"))
+    with pytest.raises(vm.CheckpointError, match="invalid model config"):
+        vm.load_checkpoint(path)
+    assert _load_or_checkpoint_error(path, toy_checkpoint) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_checkpoint_byte_flips_raise_only_checkpoint_error(tmp_path_factory, toy_checkpoint,
+                                                           data):
+    blob = bytearray(toy_checkpoint.blob)
+    # half the flips land in the header and metadata, which the content hash does not cover
+    anywhere = st.integers(0, len(blob) - 1)
+    index = st.one_of(st.integers(0, toy_checkpoint.meta_end - 1), anywhere)
+    for i, mask in data.draw(st.lists(st.tuples(index, st.integers(1, 255)),
+                                      min_size=1, max_size=3)):
+        blob[i] ^= mask
+    path = tmp_path_factory.mktemp("flip") / "flipped.vcck"
+    path.write_bytes(bytes(blob))
+    _load_or_checkpoint_error(path, toy_checkpoint)
 
 
 @pytest.mark.parametrize("victim", ["enc.sub1.w", "norm.std"])

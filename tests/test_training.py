@@ -89,6 +89,20 @@ def test_adam_zero_gradient_is_noop():
     np.testing.assert_array_equal(p.values, before)
 
 
+def test_adam_missing_gradient_counts_as_zero():
+    a, b = (Tensor(np.array([1.0, -2.0, 3.0], dtype=np.float32)) for _ in range(2))
+    opt = tr.Adam({"a": a, "b": b}, lr=0.1)
+    a.grad = np.array([0.5, -1.0, 2.0], dtype=np.float32)
+    b.grad = a.grad.copy()
+    opt.step()
+    after_first = a.values.copy()
+    a.grad, b.grad = None, np.zeros(3, dtype=np.float32)
+    opt.step()
+    np.testing.assert_array_equal(a.values, b.values)
+    # the first moment still moves the parameter: zero is not a no-op here
+    assert not np.array_equal(a.values, after_first)
+
+
 def test_adam_moves_against_gradient():
     p = Tensor(np.array([1.0], dtype=np.float32))
     opt = tr.Adam({"p": p}, lr=0.1)
@@ -215,6 +229,22 @@ def test_train_divergence_tripwire(tmp_path):
     model.params["dec.proj.w"].values[:] = np.float32(1e30)  # provoke overflow
     with np.errstate(all="ignore"), pytest.raises(tr.DivergenceError):
         tr.train(model, toy_corpus(), toy_train_cfg(steps=10, out_dir=str(tmp_path)))
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["trainable", "frozen_encoder"])
+def test_train_releases_every_parameter_gradient(tmp_path, frozen):
+    model = VcModel(toy_config(seed=6, frozen=frozen))
+    tr.train(model, toy_corpus(), toy_train_cfg(steps=2, checkpoint_every=1,
+                                                out_dir=str(tmp_path)))
+    assert [name for name, p in model.params.items() if p.grad is not None] == []
+
+
+def test_train_releases_gradients_when_it_diverges():
+    model = VcModel(toy_config(seed=5))
+    model.params["dec.proj.w"].values[:] = np.float32(1e30)
+    with np.errstate(all="ignore"), pytest.raises(tr.DivergenceError):
+        tr.train(model, toy_corpus(), toy_train_cfg(steps=3))
+    assert [name for name, p in model.params.items() if p.grad is not None] == []
 
 
 def varied_corpus(lengths=(12, 7, 5, 9, 10, 6), n_speakers=3, seed=0):
