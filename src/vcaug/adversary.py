@@ -25,11 +25,13 @@ class AdversaryHead:
     """Mean-pool over frames, one hidden relu layer, linear to speaker logits."""
 
     def __init__(self, in_dim: int, n_speakers: int, hidden_dim: int = 128,
-                 seed: int = 0, dtype=np.float32):
-        self.w1 = ad.uniform_init((in_dim, hidden_dim), in_dim, "adv.w1", seed, dtype)
-        self.b1 = Tensor(np.zeros(hidden_dim, dtype=dtype))
-        self.w2 = ad.uniform_init((hidden_dim, n_speakers), hidden_dim, "adv.w2", seed, dtype)
-        self.b2 = Tensor(np.zeros(n_speakers, dtype=dtype))
+                 seed: int = 0, dtype=np.float32, param=ad.fresh_param):
+        w1, w2 = (in_dim, hidden_dim), (hidden_dim, n_speakers)
+        self.w1 = param("adv.w1", w1, lambda: ad.uniform_init(w1, in_dim, "adv.w1", seed, dtype))
+        self.b1 = param("adv.b1", (hidden_dim,), lambda: np.zeros(hidden_dim, dtype=dtype))
+        self.w2 = param("adv.w2", w2,
+                        lambda: ad.uniform_init(w2, hidden_dim, "adv.w2", seed, dtype))
+        self.b2 = param("adv.b2", (n_speakers,), lambda: np.zeros(n_speakers, dtype=dtype))
 
     def parameters(self) -> dict[str, Tensor]:
         return {"adv.w1": self.w1, "adv.b1": self.b1, "adv.w2": self.w2, "adv.b2": self.b2}

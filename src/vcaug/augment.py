@@ -8,27 +8,35 @@ applied to each view.  The conversion model is read-only throughout.
 `convert` renders one [T, M] utterance.  `emit_dataset` converts a corpus
 in padded batches grouped by length:
 
-- Readable sources fill a window, in sorted path order, up to
-  `EMIT_BATCH_FRAMES` real frames; a single longer file is a window alone.
-- The window is sorted by frame count (a stable sort) and cut into
-  batches.  A batch ends before a row more than `EMIT_LENGTH_RATIO` times
-  its shortest row, or before a row that would make rows x longest row
-  exceed `EMIT_BATCH_FRAMES`.  Each batch is one [B, T_max, M] forward
-  with per-row lengths.
+- Windows are planned from file headers alone (a MELF header's T and M, a
+  WAV header's sample count and rate): sources that pass the header
+  checks fill a window, in sorted path order, up to `EMIT_BATCH_FRAMES`
+  real frames; a single longer file is a window alone.
+- One process runs each window from start to finish: it reads and
+  featurizes the window's files, sorts them by frame count (a stable sort)
+  and cuts them into batches, converts each batch, and writes both views.
+  A batch ends before a row more than `EMIT_LENGTH_RATIO` times its
+  shortest row, or before a row that would make rows x longest row exceed
+  `EMIT_BATCH_FRAMES`.  Each batch is one [B, T_max, M] forward with
+  per-row lengths.
+- The windows are shared out, largest first, to the least-loaded of
+  min(windows, CPUs) processes: the caller and forked workers.  The caller
+  gathers every share's manifest rows and failures and writes the manifest.
 
-Emit memory is bounded by that budget, not by the corpus size: one window
-of real frames, plus the one file read ahead of it, is held at a time.
-Each row computes what the utterance would alone, but float32 GEMM
-summation order depends on the batch shape, so a converted view can differ
-from `convert`'s output, and across batch compositions, by float32
-rounding.  Seeds, target speakers and masks are drawn per file, and the
-manifest is written in sorted path order, so original views, seeds and the
-manifest do not depend on the batching.
+Each process holds one window of features at a time, so emit memory is
+bounded by that budget, not by the corpus size.  Each row computes what
+the utterance would alone, but float32 GEMM summation order depends on the
+batch shape, so a converted view can differ from `convert`'s output, and
+across batch compositions, by float32 rounding.  Seeds, target speakers and
+masks are drawn per file, the windows and their batches depend only on the
+corpus, and the manifest is written in sorted path order, so the output
+bytes do not depend on the CPU count or on which process ran a window.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,8 +49,12 @@ from .signal import (
     MelSpectrogram,
     SpecAugmentPolicy,
     compute_log_mel,
+    frame_count,
+    frame_geometry,
     read_melf,
+    read_melf_header,
     read_wav,
+    read_wav_header,
     spec_augment,
     write_melf,
 )
@@ -73,27 +85,38 @@ class ViewPair:
     seed: int
 
 
-# Real frames per window and padded frames (rows x longest row) per batched
-# forward in `emit_dataset`: 83 one-second utterances, or 20 of 4 s.
-EMIT_BATCH_FRAMES = 8192
+# Real frames per window, and padded frames (rows x longest row) per batched
+# forward, in `emit_dataset`: 20 one-second utterances, or 5 of 4 s.  A
+# one-process emit of the vcbench corpora at budgets 1024 / 2048 / 4096 /
+# 8192 frames (ms, median of 15 emits interleaved across budgets, range over
+# two processes; OpenBLAS 1 thread, 2 vCPUs):
+#   mmap threshold fixed at 128 KiB   augment_melf 162-200 / 167-194 / 186-212 / 185-218
+#   (as vcbench sets it)              augment_wav_mixed 342-345 / 299-300 / 308-310 / 306-328
+#   glibc default malloc settings     augment_melf 156-216 / 147-182 / 132-194 / 141-202
+#                                     augment_wav_mixed 286-316 / 230-266 / 206-234 / 210-230
+# So 2048 costs a serial emit little or nothing, except about 10% on wav
+# under glibc's defaults, while it splits those corpora (5,880 and about
+# 6,400 real frames) into 3-4 windows to share between processes.  Under
+# the fixed threshold an emit's minor page faults fall from 25k (melf) and
+# 36k (wav) at 8192 to 16k and 14k at 2048.
+EMIT_BATCH_FRAMES = 2048
 
-# Longest row over shortest allowed in one emit batch.  On the vcbench
-# augment_wav_mixed corpus (24 files of 0.5-4 s, 6,375 real frames on
-# seed 11) the batched forward took, in process CPU ms with OpenBLAS on
-# 1 thread, 2 vCPUs (median of 15), path-order grouping / ratio 3 / 2 / 1.5:
-# 204 / 177 / 156 / 155 on seed 11 and 213 / 177 / 170 / 149 on seed 12.
-# Ratio 2 cuts the padded frames from 9,552 to 7,485 in 3 batches, where
-# 1.5 makes 5 (each batch is one more encode and decode call).
+# Longest row over shortest allowed in one emit batch.  Measured at the
+# earlier budget of 8192 frames, when the augment_wav_mixed corpus (24 files
+# of 0.5-4 s, 6,375 real frames on seed 11) was one window: the batched
+# forward took, in process CPU ms with OpenBLAS on 1 thread, 2 vCPUs
+# (median of 15), path-order grouping / ratio 3 / 2 / 1.5: 204 / 177 / 156 /
+# 155 on seed 11 and 213 / 177 / 170 / 149 on seed 12.  Ratio 2 cut the
+# padded frames from 9,552 to 7,485 in 3 batches, where 1.5 made 5 (each
+# batch is one more encode and decode call).
 EMIT_LENGTH_RATIO = 2
 
 
-def _check_features(mel: MelSpectrogram, model: VcModel) -> None:
-    if mel.n_mels != model.config.n_mels:
-        raise DataError(
-            f"feature dim {mel.n_mels} does not match model n_mels {model.config.n_mels}"
-        )
-    if mel.n_frames < 4:
-        raise DataError(f"need at least 4 frames to convert, got {mel.n_frames}")
+def _check_shape(n_frames: int, n_mels: int, model: VcModel) -> None:
+    if n_mels != model.config.n_mels:
+        raise DataError(f"feature dim {n_mels} does not match model n_mels {model.config.n_mels}")
+    if n_frames < 4:
+        raise DataError(f"need at least 4 frames to convert, got {n_frames}")
 
 
 def _decode_as(values: np.ndarray, target, model: VcModel, lengths=None) -> np.ndarray:
@@ -116,7 +139,7 @@ def convert(mel: MelSpectrogram, target_speaker_id: int, model: VcModel) -> MelS
     bottleneck losses nor the adversary head play a part in the output, and
     neither is run.
     """
-    _check_features(mel, model)
+    _check_shape(mel.n_frames, mel.n_mels, model)
     return MelSpectrogram(
         data=_decode_as(mel.data, target_speaker_id, model).astype(np.float32),
         frame_size_ms=mel.frame_size_ms,
@@ -181,23 +204,34 @@ def _output_stem(rel: str) -> str:
     return stem
 
 
+def _source_frames(path: Path, model: VcModel) -> int:
+    """Frames `_read_source` would give, from the file's header; checked as it checks them."""
+    if path.suffix == ".melf":
+        n_frames, n_mels = read_melf_header(path)
+    else:
+        n_samples, rate = read_wav_header(path)
+        n_frames, n_mels = frame_count(n_samples, *frame_geometry(rate)), model.config.n_mels
+    _check_shape(n_frames, n_mels, model)
+    return n_frames
+
+
 def _read_source(path: Path, model: VcModel) -> MelSpectrogram:
     if path.suffix == ".melf":
         mel = read_melf(path)
     else:
         mel = compute_log_mel(read_wav(path), n_mels=model.config.n_mels)
-    _check_features(mel, model)
+    _check_shape(mel.n_frames, mel.n_mels, model)
     return mel
 
 
-def _windows(items):
-    """Consecutive (features, ...) items holding at most `EMIT_BATCH_FRAMES` real frames.
+def _windows(planned):
+    """Consecutive (frames, ...) items holding at most `EMIT_BATCH_FRAMES` frames in all.
 
     An item longer than the budget on its own forms a window of one.
     """
     window, frames = [], 0
-    for item in items:
-        t = item[0].n_frames
+    for item in planned:
+        t = item[0]
         if window and frames + t > EMIT_BATCH_FRAMES:
             yield window
             window, frames = [], 0
@@ -207,24 +241,108 @@ def _windows(items):
         yield window
 
 
-def _frame_batches(items):
-    """Length-grouped batches of each window (module docstring).
+def _frame_batches(window):
+    """Length-grouped batches of one window of read (features, ...) items.
 
-    A window sorted by frame count (stably) is cut before a row longer than
-    `EMIT_LENGTH_RATIO` times the batch's shortest, or whose length times
-    the grown row count would exceed `EMIT_BATCH_FRAMES`.
+    The window sorted by frame count (stably) is cut before a row longer
+    than `EMIT_LENGTH_RATIO` times the batch's shortest, or whose length
+    times the grown row count would exceed `EMIT_BATCH_FRAMES`.
     """
-    for window in _windows(items):
-        window.sort(key=lambda item: item[0].n_frames)
-        batch = []
-        for item in window:
-            t = item[0].n_frames
-            if batch and (t > EMIT_LENGTH_RATIO * batch[0][0].n_frames
-                          or (len(batch) + 1) * t > EMIT_BATCH_FRAMES):
-                yield batch
-                batch = []
-            batch.append(item)
+    batch = []
+    for item in sorted(window, key=lambda item: item[0].n_frames):
+        t = item[0].n_frames
+        if batch and (t > EMIT_LENGTH_RATIO * batch[0][0].n_frames
+                      or (len(batch) + 1) * t > EMIT_BATCH_FRAMES):
+            yield batch
+            batch = []
+        batch.append(item)
+    if batch:
         yield batch
+
+
+def _shares(windows, n: int) -> list[list]:
+    """`windows` dealt to n processes, largest first to the least loaded (in frames).
+
+    Ties go to the lower window and process index, and each share keeps
+    path order.
+    """
+    frames = [sum(t for t, *_ in window) for window in windows]
+    loads = [0] * n
+    shares: list[list[int]] = [[] for _ in range(n)]
+    for i in sorted(range(len(windows)), key=lambda i: -frames[i]):
+        least = loads.index(min(loads))
+        loads[least] += frames[i]
+        shares[least].append(i)
+    return [[windows[i] for i in sorted(share)] for share in shares]
+
+
+def _cpus() -> int:
+    """CPUs this process may run on; 1 where the platform cannot say."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+
+
+def _run_shares(shares: list, run) -> list:
+    """`run(share)` for each share: the first here, each other in a forked child.
+
+    With the `fork` start method the children inherit `run` and their share,
+    the model included, where a pickling start method or executor would copy
+    the model into every child on every call (365 MB at `paper.cfg`).  Fork
+    copies only the calling thread; OpenBLAS shuts down its own thread pool
+    around a fork.  Each child's result comes back over a pipe
+    and is read before the child is joined.  Every child is joined, even
+    when the caller's own share raises; only then is the first exception a
+    child raised re-raised here, and a child that exits without sending a
+    result raises `ChildProcessError`.
+    """
+    if len(shares) == 1:
+        return [run(shares[0])]
+    import multiprocessing   # imported here so that a one-process emit never loads it
+
+    context = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for share in shares[1:]:
+            receive, send = context.Pipe(duplex=False)
+            child = context.Process(target=_child_main, args=(send, run, share))
+            try:
+                child.start()
+            finally:
+                send.close()   # the child's copy is then the only writer: its exit ends the pipe
+            children.append((child, receive))
+        own = run(shares[0])
+    finally:
+        replies = [_child_reply(child, receive) for child, receive in children]
+    for reply in replies:
+        if isinstance(reply, BaseException):
+            raise reply
+    return [own] + replies
+
+
+def _child_main(send, run, share) -> None:
+    try:
+        reply = run(share)
+    except BaseException as e:  # noqa: BLE001 - sent to the caller, which raises it
+        reply = e
+    send.send(reply)
+    send.close()
+
+
+def _child_reply(child, receive):
+    """The child's result, or the exception to raise for it; the child is joined."""
+    try:
+        reply = receive.recv()
+    except EOFError:
+        reply = None
+    finally:
+        receive.close()
+        child.join()
+    if reply is None:
+        reply = ChildProcessError(
+            f"emit worker {child.pid} exited with code {child.exitcode} without a result")
+    return reply
 
 
 def emit_dataset(
@@ -237,7 +355,7 @@ def emit_dataset(
 ) -> EmitResult:
     """Write paired view files plus a manifest for every utterance found.
 
-    Inputs are `.melf` or `.wav` files anywhere under `corpus_dir`, read
+    Inputs are `.melf` or `.wav` files anywhere under `corpus_dir`, taken
     in sorted relative-path order and written flat into `out_dir` as
     `<path with / as __, no suffix>.{orig,conv}.melf`.  Each file gets a
     seed derived from the run seed and its relative path, so reruns
@@ -248,10 +366,16 @@ def emit_dataset(
     to or inside it (whose views a later run would read back as sources),
     raises `DataError` before `out_dir` is created.
 
-    Conversion runs in length-grouped batches of windows of at most
-    `EMIT_BATCH_FRAMES` real frames (module docstring), which bounds the
-    memory held; the manifest lists files in sorted relative-path order
-    whatever the batches were, and `failures` is sorted.
+    Windows of at most `EMIT_BATCH_FRAMES` real frames are planned from the
+    file headers, and each runs in one process, the caller or a forked
+    worker, which reads, converts and writes it in length-grouped batches
+    (module docstring); each process holds one window of features at a
+    time.  The windows depend only on the corpus, so the output bytes do
+    not depend on the CPU count.  The manifest lists files in sorted
+    relative-path order, and `failures` is sorted.  An exception raised
+    while writing views, in any process, is raised here once every worker
+    has been joined, as is `ChildProcessError` for a worker that died
+    without a result.
     """
     corpus_dir = Path(corpus_dir)
     out_dir = Path(out_dir)
@@ -271,39 +395,54 @@ def emit_dataset(
         by_stem.setdefault(stem, []).append(rel)
 
     failures: list[tuple[str, str]] = []
-
-    def readable():
-        for rel, stem in stems.items():
-            others = [other for other in by_stem[stem] if other != rel]
-            if others:
-                failures.append(
-                    (rel, f"output name {stem}.*.melf is shared with {', '.join(others)}"))
-                continue
-            try:
-                mel = _read_source(corpus_dir / rel, model)
-            except Exception as e:  # noqa: BLE001 - recorded per file
-                failures.append((rel, str(e)))
-                continue
-            yield mel, rel, stem
+    planned = []   # (frames, relative path, output stem)
+    for rel, stem in stems.items():
+        others = [other for other in by_stem[stem] if other != rel]
+        if others:
+            failures.append((rel, f"output name {stem}.*.melf is shared with {', '.join(others)}"))
+            continue
+        try:
+            planned.append((_source_frames(corpus_dir / rel, model), rel, stem))
+        except Exception as e:  # noqa: BLE001 - recorded per file
+            failures.append((rel, str(e)))
 
     def convert_all(mels, targets):
         return _convert_batch(mels, targets, model)
 
-    rows: dict[str, str] = {}   # relative path -> manifest row
-    for batch in _frame_batches(readable()):
-        try:
-            pairs = _view_pairs([mel for mel, _, _ in batch],
-                                [_file_seed(seed, rel) for _, rel, _ in batch],
-                                pool, policy, convert_all)
-        except Exception as e:  # noqa: BLE001 - recorded per file
-            failures.extend((rel, f"batch conversion failed: {e}") for _, rel, _ in batch)
-            continue
-        for (_, rel, stem), pair in zip(batch, pairs):
-            orig_rel = f"{stem}.orig.melf"
-            conv_rel = f"{stem}.conv.melf"
-            write_melf(out_dir / orig_rel, pair.original)
-            write_melf(out_dir / conv_rel, pair.converted)
-            rows[rel] = f"{rel}\t{orig_rel}\t{conv_rel}\t{pair.target_speaker_id}\t{pair.seed}"
+    def run(share):
+        """Read, convert and write each window; its manifest rows and failures."""
+        rows: dict[str, str] = {}   # relative path -> manifest row
+        failed: list[tuple[str, str]] = []
+        for window in share:
+            read = []
+            for _, rel, stem in window:
+                try:
+                    read.append((_read_source(corpus_dir / rel, model), rel, stem))
+                except Exception as e:  # noqa: BLE001 - recorded per file
+                    failed.append((rel, str(e)))
+            for batch in _frame_batches(read):
+                try:
+                    pairs = _view_pairs([mel for mel, _, _ in batch],
+                                        [_file_seed(seed, rel) for _, rel, _ in batch],
+                                        pool, policy, convert_all)
+                except Exception as e:  # noqa: BLE001 - recorded per file
+                    failed.extend((rel, f"batch conversion failed: {e}") for _, rel, _ in batch)
+                    continue
+                for (_, rel, stem), pair in zip(batch, pairs):
+                    orig_rel = f"{stem}.orig.melf"
+                    conv_rel = f"{stem}.conv.melf"
+                    write_melf(out_dir / orig_rel, pair.original)
+                    write_melf(out_dir / conv_rel, pair.converted)
+                    rows[rel] = (f"{rel}\t{orig_rel}\t{conv_rel}\t"
+                                 f"{pair.target_speaker_id}\t{pair.seed}")
+        return rows, failed
+
+    windows = list(_windows(planned))
+    rows: dict[str, str] = {}
+    shares = _shares(windows, max(1, min(len(windows), _cpus())))
+    for share_rows, share_failures in _run_shares(shares, run):
+        rows.update(share_rows)
+        failures.extend(share_failures)
 
     manifest_path = out_dir / "manifest.tsv"
     manifest_path.write_text("".join(rows[rel] + "\n" for rel in sources if rel in rows),

@@ -180,11 +180,21 @@ def zero_grads(params: Iterable[Tensor]) -> None:
         p.grad = None
 
 
-def uniform_init(shape, fan_in: int, name: str, seed: int, dtype, gain: float = 1.0) -> Tensor:
+def uniform_init(shape, fan_in: int, name: str, seed: int, dtype, gain: float = 1.0) -> np.ndarray:
     """Uniform(-gain/sqrt(fan_in), +gain/sqrt(fan_in)); the stream is keyed by name."""
     rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
     bound = gain / np.sqrt(max(fan_in, 1))
-    return Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype))
+    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+
+
+def fresh_param(name: str, shape, init) -> Tensor:
+    """The default parameter maker: a tensor holding `init()`.
+
+    A maker takes a parameter's name, its shape and a function that draws
+    its initial values; a model being loaded passes one that adopts the
+    loaded array instead and draws nothing.
+    """
+    return Tensor(init())
 
 
 # ---------------------------------------------------------------------------

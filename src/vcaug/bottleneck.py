@@ -42,7 +42,7 @@ class Codebook:
     """Per-group entry tables."""
 
     def __init__(self, dim: int, n_groups: int = 2, n_entries: int = 128,
-                 seed: int = 0, dtype=np.float32):
+                 seed: int = 0, dtype=np.float32, param=ad.fresh_param):
         if dim % n_groups != 0:
             raise ValueError(f"dim {dim} not divisible by {n_groups} groups")
         self.dim = dim
@@ -50,9 +50,11 @@ class Codebook:
         self.n_entries = n_entries
         self.group_dim = dim // n_groups
         rng = np.random.default_rng(seed)
+        shape = (n_entries, self.group_dim)
         self.groups = [
-            Tensor(rng.uniform(-1.0, 1.0, size=(n_entries, self.group_dim)).astype(dtype))
-            for _ in range(n_groups)
+            param(f"vq.group{g}.codebook", shape,
+                  lambda: rng.uniform(-1.0, 1.0, size=shape).astype(dtype))
+            for g in range(n_groups)
         ]
 
     def init_from_outputs(self, z_e_values: np.ndarray, rng: np.random.Generator) -> None:

@@ -124,13 +124,16 @@ class RunConfig:
 
     def augment_policy(self) -> SpecAugmentPolicy:
         a = self.augment
-        return SpecAugmentPolicy(
-            n_freq_masks=a.n_freq_masks,
-            max_freq_width=a.max_freq_width,
-            n_time_masks=a.n_time_masks,
-            max_time_width=a.max_time_width,
-            mask_value=a.mask_value,
-        )
+        try:
+            return SpecAugmentPolicy(
+                n_freq_masks=a.n_freq_masks,
+                max_freq_width=a.max_freq_width,
+                n_time_masks=a.n_time_masks,
+                max_time_width=a.max_time_width,
+                mask_value=a.mask_value,
+            )
+        except ValueError as e:
+            raise ConfigError(f"[augment] {e}") from None
 
     def canonical_text(self) -> str:
         """Stable serialization: sorted sections and keys, repr-style values."""

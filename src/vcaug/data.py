@@ -196,13 +196,27 @@ def write_speaker_map(path, names: list[str]) -> None:
     )
 
 
+def read_text(path, what: str) -> str:
+    """A UTF-8 file's text; a file that cannot be read or decoded raises `DataError`."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise DataError(f"{what} not found: {path}") from None
+    except OSError as e:
+        raise DataError(f"{path}: cannot read {what} ({e.strerror or e})") from None
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: {what} is not UTF-8 text (byte {e.start})") from None
+
+
 def load_speaker_map(path) -> dict[str, int]:
-    """Parse `id<TAB>name` lines; ids must be dense from 0."""
+    """Parse `id<TAB>name` lines; ids must be dense from 0.
+
+    Every way the file can be unreadable or malformed raises `DataError`
+    naming the path.
+    """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"speaker map not found: {path}")
     mapping: dict[str, int] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path, "speaker map").splitlines(), 1):
         if not line.strip():
             continue
         parts = line.split("\t")

@@ -34,7 +34,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
+import os
 import struct
 from dataclasses import asdict, dataclass, field, replace
 from typing import Iterator
@@ -157,29 +159,58 @@ def _encoded_lengths(lengths):
 class VcModel:
     """Encoder + grouped codebook + speaker table + adversary head + decoder."""
 
-    def __init__(self, config: ModelConfig, dtype=np.float32):
+    def __init__(self, config: ModelConfig, dtype=np.float32, arrays=None):
+        """Parameters drawn from `config.seed`, zero feature mean and unit std.
+
+        Given `arrays` (name -> array, as `read_checkpoint_raw` returns them,
+        feature stats included), the model adopts those arrays instead, cast
+        only where their dtype differs from `dtype`, and draws nothing.  A
+        missing array, or one of the wrong shape, raises `ValueError`.
+        """
         self.config = config
         self.dtype = dtype
         self.step = 0
         self.params: dict[str, Tensor] = {}
-        self._build()
-        self.feature_mean = np.zeros(config.n_mels, dtype=dtype)
-        self.feature_std = np.ones(config.n_mels, dtype=dtype)
+        missing, misshapen = [], []
+
+        def adopt(name: str, shape, init) -> Tensor:
+            value = arrays.get(name)
+            if value is None:
+                missing.append(name)
+            elif value.shape != tuple(shape):
+                misshapen.append(f"tensor {name} has shape {value.shape}, expected {tuple(shape)}")
+            else:
+                return Tensor(value.astype(dtype, copy=False))
+            return Tensor(np.zeros(0, dtype=dtype))
+
+        self._param = ad.fresh_param if arrays is None else adopt
+        try:
+            self._build()
+            n = (config.n_mels,)
+            self.feature_mean = self._param("norm.mean", n, lambda: np.zeros(n, dtype)).values
+            self.feature_std = self._param("norm.std", n, lambda: np.ones(n, dtype)).values
+        finally:
+            del self._param   # holds the loaded arrays
+        if missing:
+            raise ValueError(f"missing tensors {sorted(missing)}")
+        if misshapen:
+            raise ValueError(misshapen[0])
 
     # -- construction -------------------------------------------------------
 
     def _add(self, name: str, shape, fan_in: int, gain: float = 1.0) -> Tensor:
-        t = ad.uniform_init(shape, fan_in, name, self.config.seed, self.dtype, gain=gain)
+        t = self._param(name, shape, lambda: ad.uniform_init(
+            shape, fan_in, name, self.config.seed, self.dtype, gain=gain))
         self.params[name] = t
         return t
 
     def _add_zeros(self, name: str, shape) -> Tensor:
-        t = Tensor(np.zeros(shape, dtype=self.dtype))
+        t = self._param(name, shape, lambda: np.zeros(shape, dtype=self.dtype))
         self.params[name] = t
         return t
 
     def _add_ones(self, name: str, shape) -> Tensor:
-        t = Tensor(np.ones(shape, dtype=self.dtype))
+        t = self._param(name, shape, lambda: np.ones(shape, dtype=self.dtype))
         self.params[name] = t
         return t
 
@@ -213,14 +244,15 @@ class VcModel:
 
         self.codebook = bn.Codebook(
             dim, n_groups=cfg.vq_groups, n_entries=cfg.vq_entries,
-            seed=cfg.seed, dtype=self.dtype,
+            seed=cfg.seed, dtype=self.dtype, param=self._param,
         )
         self.params.update(self.codebook.parameters())
 
         self._add("spk.embedding", (cfg.n_speakers, cfg.speaker_dim), cfg.speaker_dim)
 
         self.adversary = adv.AdversaryHead(
-            dim, cfg.n_speakers, hidden_dim=cfg.adv_hidden, seed=cfg.seed, dtype=self.dtype
+            dim, cfg.n_speakers, hidden_dim=cfg.adv_hidden, seed=cfg.seed, dtype=self.dtype,
+            param=self._param,
         )
         self.params.update(self.adversary.parameters())
 
@@ -441,23 +473,45 @@ def save_checkpoint(model: VcModel, path, extra_meta: dict | None = None) -> Non
 def read_checkpoint_raw(path) -> tuple[dict, int, dict[str, np.ndarray]]:
     """Parse and verify a checkpoint; returns (meta, step, name -> f32 array).
 
-    Every way the file can be malformed raises `CheckpointError`.
+    The file is read once: each tensor goes straight into its own array,
+    and the table is hashed as it is read.  Every way the file can be
+    malformed raises `CheckpointError`; a table that fails both to parse and
+    to match its hash is reported as a hash mismatch.
     """
     try:
         with open(path, "rb") as f:
-            blob = f.read()
+            size = os.fstat(f.fileno()).st_size
+            head = f.read(20)
+            if len(head) < 20 or head[:4] != CHECKPOINT_MAGIC:
+                raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
+            version, step, meta_len = struct.unpack("<IQI", head[4:20])
+            if version != CHECKPOINT_VERSION:
+                raise CheckpointError(f"{path}: unsupported version {version}")
+            meta_end = 20 + meta_len
+            if size < meta_end:
+                raise CheckpointError(f"{path}: truncated metadata")
+            meta = _checked_meta(f.read(meta_len), path)
+            digest = hashlib.sha256()
+            try:
+                named, malformed = _read_tensor_table(f, size - meta_end, digest), None
+            except (struct.error, ValueError) as e:
+                named, malformed = {}, e
+                f.seek(meta_end)
+                digest = hashlib.sha256()
+                while chunk := f.read(1 << 20):
+                    digest.update(chunk)
     except OSError as e:
         raise CheckpointError(f"{path}: cannot read ({e.strerror or e})") from None
-    if len(blob) < 20 or blob[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
-    version, step, meta_len = struct.unpack("<IQI", blob[4:20])
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported version {version}")
-    meta_end = 20 + meta_len
-    if len(blob) < meta_end:
-        raise CheckpointError(f"{path}: truncated metadata")
+    if digest.hexdigest() != meta["content_hash"]:
+        raise CheckpointError(f"{path}: tensor table hash mismatch (corrupted)")
+    if malformed is not None:
+        raise CheckpointError(f"{path}: malformed tensor table ({malformed})")
+    return meta, step, named
+
+
+def _checked_meta(meta_bytes: bytes, path) -> dict:
     try:
-        meta = json.loads(blob[20:meta_end].decode("utf-8"))
+        meta = json.loads(meta_bytes.decode("utf-8"))
     except ValueError as e:
         raise CheckpointError(f"{path}: unreadable metadata ({e})") from None
     if not isinstance(meta, dict):
@@ -465,32 +519,42 @@ def read_checkpoint_raw(path) -> tuple[dict, int, dict[str, np.ndarray]]:
     for key, kind in (("content_hash", str), ("config", dict)):
         if not isinstance(meta.get(key), kind):
             raise CheckpointError(f"{path}: metadata lacks {key}")
-    table = blob[meta_end:]
-    if hashlib.sha256(table).hexdigest() != meta["content_hash"]:
-        raise CheckpointError(f"{path}: tensor table hash mismatch (corrupted)")
-    try:
-        named = _parse_tensor_table(table)
-    except (struct.error, ValueError) as e:
-        raise CheckpointError(f"{path}: malformed tensor table ({e})") from None
-    return meta, step, named
+    return meta
 
 
-def _parse_tensor_table(table: bytes) -> dict[str, np.ndarray]:
+def _read_tensor_table(f, size: int, digest) -> dict[str, np.ndarray]:
+    """The next `size` bytes of `f` as a tensor table, each tensor in its own array.
+
+    Every byte read also goes to `digest`.  A record that runs past `size`
+    raises `ValueError` before anything is allocated for it.
+    """
     named: dict[str, np.ndarray] = {}
-    off = 0
-    while off < len(table):
-        (name_len,) = struct.unpack_from("<H", table, off)
-        off += 2
-        name = table[off : off + name_len].decode("utf-8")
-        off += name_len
-        (ndim,) = struct.unpack_from("<B", table, off)
-        off += 1
-        shape = struct.unpack_from(f"<{ndim}I", table, off)
-        off += 4 * ndim
-        count = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(table, dtype="<f4", count=count, offset=off).reshape(shape)
-        off += 4 * count
-        named[name] = arr.copy()
+    left = size
+
+    def read(n: int, what: str) -> bytes:
+        nonlocal left
+        if n > left:
+            raise ValueError(f"{what} runs {n - left} bytes past the end of the table")
+        data = f.read(n)
+        digest.update(data)
+        left -= n
+        return data
+
+    while left:
+        (name_len,) = struct.unpack("<H", read(2, "a record header"))
+        name = read(name_len, "a tensor name").decode("utf-8")
+        (ndim,) = struct.unpack("<B", read(1, f"tensor {name}'s header"))
+        shape = struct.unpack(f"<{ndim}I", read(4 * ndim, f"tensor {name}'s shape"))
+        n_bytes = 4 * math.prod(shape)
+        if n_bytes > left:
+            raise ValueError(f"tensor {name} runs {n_bytes - left} bytes past the end of the table")
+        arr = np.empty(shape, dtype="<f4")
+        payload = memoryview(arr.reshape(-1)).cast("B")
+        if f.readinto(payload) != n_bytes:
+            raise ValueError(f"tensor {name} is cut short")
+        digest.update(payload)
+        left -= n_bytes
+        named[name] = arr
     return named
 
 
@@ -516,14 +580,17 @@ def _checked_arrays(named: dict[str, np.ndarray], expected: dict[str, np.ndarray
 
 
 def load_checkpoint(path, dtype=np.float32) -> VcModel:
-    """Rebuild a model from its snapshot; forward outputs reproduce bit-exactly."""
+    """Rebuild a model from its snapshot; forward outputs reproduce bit-exactly.
+
+    A float32 model keeps the arrays the reader filled as its parameters,
+    and no parameter is drawn at random first.
+    """
     meta, step, named = read_checkpoint_raw(path)
-    model = VcModel(_config_from_meta(meta, path), dtype=dtype)
-    arrays = _checked_arrays(named, _named_arrays(model), path)
-    for name, tensor in model.params.items():
-        tensor.values = arrays[name].astype(dtype)
-    model.feature_mean = arrays["norm.mean"].astype(dtype)
-    model.feature_std = arrays["norm.std"].astype(dtype)
+    config = _config_from_meta(meta, path)
+    try:
+        model = VcModel(config, dtype=dtype, arrays=named)
+    except ValueError as e:
+        raise CheckpointError(f"{path}: {e}") from None
     model.step = step
     return model
 

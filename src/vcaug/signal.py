@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import io
+import os
 import struct
 import wave
 from dataclasses import dataclass, field
@@ -143,6 +144,13 @@ def _cached_filterbank(sample_rate_hz: int, n_fft: int, n_mels: int) -> np.ndarr
     return fbank
 
 
+def frame_geometry(sample_rate_hz: int, frame_size_ms: float = 25.0,
+                   frame_shift_ms: float = 10.0) -> tuple[int, int]:
+    """(window, hop) in samples for `compute_log_mel`'s frame size and shift."""
+    return (int(round(sample_rate_hz * frame_size_ms / 1000.0)),
+            int(round(sample_rate_hz * frame_shift_ms / 1000.0)))
+
+
 def frame_count(n_samples: int, window: int, hop: int) -> int:
     """Frames produced without padding: 1 + floor((N - window) / hop)."""
     if n_samples < window:
@@ -164,8 +172,7 @@ def compute_log_mel(
     then run in place.  Every frame gets the same arithmetic as a one-shot
     [T, window] pass, and the result is bit-identical to it.
     """
-    window = int(round(wave_in.sample_rate_hz * frame_size_ms / 1000.0))
-    hop = int(round(wave_in.sample_rate_hz * frame_shift_ms / 1000.0))
+    window, hop = frame_geometry(wave_in.sample_rate_hz, frame_size_ms, frame_shift_ms)
     n = len(wave_in.samples)
     t = frame_count(n, window, hop)
 
@@ -216,6 +223,45 @@ def spec_augment(
     return MelSpectrogram(data=data, frame_size_ms=mel.frame_size_ms, frame_shift_ms=mel.frame_shift_ms)
 
 
+def _wav_header(path, stream, n_bytes: int) -> tuple[int, int, wave.Wave_read]:
+    """(sample count, rate, reader at the data) of a RIFF PCM-16 mono stream.
+
+    The reader is open; the caller closes it.  Every way the header can be
+    malformed raises `WavFormatError` naming the path.
+    """
+    try:
+        f = wave.open(stream, "rb")
+        n_channels, sampwidth, rate = f.getnchannels(), f.getsampwidth(), f.getframerate()
+    except (wave.Error, EOFError, RuntimeError) as e:
+        # EOFError: a chunk header cut short; RuntimeError: a chunk size
+        # that points past the end of the RIFF chunk
+        reason = str(e) if isinstance(e, wave.Error) else "malformed RIFF header"
+        raise WavFormatError(f"{path}: {reason} ({n_bytes} bytes in file)") from None
+    if n_channels != 1:
+        raise WavFormatError(f"{path}: expected mono, got {n_channels} channels")
+    if sampwidth != 2:
+        raise WavFormatError(f"{path}: expected 16-bit PCM, got {8 * sampwidth}-bit")
+    if rate <= 0:
+        raise WavFormatError(f"{path}: sample rate {rate} Hz")
+    return f.getnframes(), rate, f
+
+
+def read_wav_header(path) -> tuple[int, int]:
+    """(sample count, sample rate) as the header of a file `read_wav` accepts declares them.
+
+    Reads the header only, and raises `WavFormatError` wherever `read_wav`
+    would for the header; a data chunk shorter than declared is found only
+    by `read_wav`.
+    """
+    try:
+        stream = open(path, "rb")
+    except OSError as e:
+        raise WavFormatError(f"{path}: cannot read ({e.strerror or e})") from None
+    with stream:
+        n_samples, rate, _ = _wav_header(path, stream, os.fstat(stream.fileno()).st_size)
+    return n_samples, rate
+
+
 def read_wav(path) -> Waveform:
     """Read a RIFF PCM-16 mono file; samples scaled by 1/32768.
 
@@ -228,27 +274,12 @@ def read_wav(path) -> Waveform:
         blob = Path(path).read_bytes()
     except OSError as e:
         raise WavFormatError(f"{path}: cannot read ({e.strerror or e})") from None
-    try:
-        with wave.open(io.BytesIO(blob), "rb") as f:
-            n_channels = f.getnchannels()
-            sampwidth = f.getsampwidth()
-            rate = f.getframerate()
-            n_frames = f.getnframes()
-            if n_channels != 1:
-                raise WavFormatError(f"{path}: expected mono, got {n_channels} channels")
-            if sampwidth != 2:
-                raise WavFormatError(f"{path}: expected 16-bit PCM, got {8 * sampwidth}-bit")
-            if rate <= 0:
-                raise WavFormatError(f"{path}: sample rate {rate} Hz")
-            raw = f.readframes(n_frames)
-    except (wave.Error, EOFError, RuntimeError) as e:
-        # EOFError: a chunk header cut short; RuntimeError: a chunk size
-        # that points past the end of the RIFF chunk
-        reason = str(e) if isinstance(e, wave.Error) else "malformed RIFF header"
-        raise WavFormatError(f"{path}: {reason} ({len(blob)} bytes in file)") from None
-    if len(raw) != 2 * n_frames:
+    n_samples, rate, f = _wav_header(path, io.BytesIO(blob), len(blob))
+    with f:
+        raw = f.readframes(n_samples)
+    if len(raw) != 2 * n_samples:
         raise WavFormatError(
-            f"{path}: data chunk holds {len(raw)} bytes, header declares {2 * n_frames}"
+            f"{path}: data chunk holds {len(raw)} bytes, header declares {2 * n_samples}"
         )
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return Waveform(samples=samples, sample_rate_hz=rate)
@@ -273,6 +304,34 @@ def write_melf(path, mel: MelSpectrogram) -> None:
         f.write(np.ascontiguousarray(mel.data, dtype="<f4").tobytes())
 
 
+def _melf_shape(path, head: bytes, n_bytes: int) -> tuple[int, int]:
+    """(T, M) from a MELF file's first 16 bytes, checked against its size in bytes."""
+    if len(head) < 16:
+        raise MelfFormatError(f"{path}: truncated header, {len(head)} bytes at offset 0")
+    if head[:4] != MELF_MAGIC:
+        raise MelfFormatError(f"{path}: bad magic {head[:4]!r} at offset 0")
+    version, t, m = struct.unpack("<III", head[4:16])
+    if version != MELF_VERSION:
+        raise MelfFormatError(f"{path}: unsupported version {version} at offset 4")
+    expected = 16 + t * m * 4
+    if n_bytes != expected:
+        raise MelfFormatError(f"{path}: payload ends at offset {n_bytes}, expected {expected}")
+    return t, m
+
+
+def read_melf_header(path) -> tuple[int, int]:
+    """(T, M) of a MELF file, from its header and size alone.
+
+    Raises `MelfFormatError` wherever `read_melf` would, except for a
+    non-finite value in the payload, which only `read_melf` reads.
+    """
+    try:
+        with open(path, "rb") as f:
+            return _melf_shape(path, f.read(16), os.fstat(f.fileno()).st_size)
+    except OSError as e:
+        raise MelfFormatError(f"{path}: cannot read ({e.strerror or e})") from None
+
+
 def read_melf(path) -> MelSpectrogram:
     """Read a MELF file; every way it can be unreadable or malformed raises
     `MelfFormatError` naming the path and, for a malformed file, the byte offset."""
@@ -281,18 +340,7 @@ def read_melf(path) -> MelSpectrogram:
             blob = f.read()
     except OSError as e:
         raise MelfFormatError(f"{path}: cannot read ({e.strerror or e})") from None
-    if len(blob) < 16:
-        raise MelfFormatError(f"{path}: truncated header, {len(blob)} bytes at offset 0")
-    if blob[:4] != MELF_MAGIC:
-        raise MelfFormatError(f"{path}: bad magic {blob[:4]!r} at offset 0")
-    version, t, m = struct.unpack("<III", blob[4:16])
-    if version != MELF_VERSION:
-        raise MelfFormatError(f"{path}: unsupported version {version} at offset 4")
-    expected = 16 + t * m * 4
-    if len(blob) != expected:
-        raise MelfFormatError(
-            f"{path}: payload ends at offset {len(blob)}, expected {expected}"
-        )
+    t, m = _melf_shape(path, blob[:16], len(blob))
     data = np.frombuffer(blob, dtype="<f4", offset=16).reshape(t, m)
     try:
         return MelSpectrogram(data=data.copy())

@@ -32,6 +32,7 @@ from . import autodiff as ad
 from . import bottleneck as bn
 from .adversary import speaker_accuracy
 from .autodiff import Tensor
+from .data import DataError, read_text
 from .model import VcModel, pad_batch, save_checkpoint
 from .signal import MelSpectrogram
 
@@ -191,12 +192,17 @@ class MetricsLedger:
 
     @staticmethod
     def read(path) -> "MetricsLedger":
+        """Parse a ledger file; every way it can be unreadable or malformed
+        raises `DataError` naming the path, and the line for a bad row."""
         ledger = MetricsLedger()
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
+        for lineno, line in enumerate(read_text(path, "ledger").splitlines(), 1):
             parts = line.split("\t")
-            if len(parts) != 1 + len(LEDGER_FIELDS):
-                raise ValueError(f"{path}: malformed ledger line: {line!r}")
-            ledger.append(StepMetrics(int(parts[0]), *[float(x) for x in parts[1:]]))
+            try:
+                if len(parts) != 1 + len(LEDGER_FIELDS):
+                    raise ValueError(f"{len(parts)} fields, expected {1 + len(LEDGER_FIELDS)}")
+                ledger.append(StepMetrics(int(parts[0]), *[float(x) for x in parts[1:]]))
+            except ValueError as e:
+                raise DataError(f"{path}:{lineno}: malformed ledger line {line!r} ({e})") from None
         return ledger
 
     def final_window_means(self, fraction: float = 0.1) -> dict[str, float]:

@@ -26,3 +26,12 @@ def toy_model():
 
 def toy_mel(t: int = 12, m: int = 8, seed: int = 0) -> np.ndarray:
     return np.random.default_rng(seed).normal(size=(t, m))
+
+
+def damage(blob: bytes, flips, cut) -> bytes:
+    """`blob` with each (position, xor mask) flip applied at position mod its
+    length, then cut to its first `cut` bytes when `cut` is not None."""
+    out = bytearray(blob)
+    for position, mask in flips:
+        out[position % len(out)] ^= mask
+    return bytes(out if cut is None else out[:cut])

@@ -1,4 +1,9 @@
 import hashlib
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,7 +22,11 @@ from vcaug.signal import (
     MelSpectrogram,
     SpecAugmentPolicy,
     Waveform,
+    frame_geometry,
     read_melf,
+    read_melf_header,
+    read_wav,
+    read_wav_header,
     spec_augment,
     write_melf,
     write_wav,
@@ -258,7 +267,15 @@ def test_conversion_runs_no_bottleneck_loss(tmp_path, monkeypatch, toy_vc_model)
     assert result.n_pairs == 3 and not result.failures
 
 
+def cpus(monkeypatch, n):
+    """Let emit see n CPUs, so it runs min(windows, n) processes."""
+    monkeypatch.setattr(aug.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
 def count_batches(monkeypatch):
+    """Record each converted batch's size; pins one CPU, since a forked
+    worker's calls never reach this process."""
+    cpus(monkeypatch, 1)
     sizes = []
     real = aug._convert_batch
 
@@ -359,11 +376,11 @@ def test_emit_dataset_rejects_colliding_output_names(tmp_path, toy_vc_model):
                                                      "manifest.tsv"]
 
 
-def path_order_batches(items):
-    """The path-order grouping `_frame_batches` replaced: consecutive items while
-    rows x longest row fits the budget."""
+def path_order_batches(window):
+    """The path-order grouping `_frame_batches` replaced, within one window:
+    consecutive items while rows x longest row fits the budget."""
     batch, longest = [], 0
-    for item in items:
+    for item in window:
         t = item[0].n_frames
         if batch and (len(batch) + 1) * max(longest, t) > aug.EMIT_BATCH_FRAMES:
             yield batch
@@ -379,34 +396,34 @@ def frames_of(item):
 
 
 @settings(max_examples=200, deadline=None)
-@given(lengths=st.lists(st.integers(1, 80), max_size=40), budget=st.integers(4, 120))
-def test_frame_batches_group_by_length_within_budget(lengths, budget):
-    items = [(SimpleNamespace(n_frames=t), i) for i, t in enumerate(lengths)]
-    pulled, yielded = [], set()
-
-    def source():
-        for item in items:
-            pulled.append(item)
-            yield item
-
+@given(lengths=st.lists(st.integers(1, 80), max_size=40), budget=st.integers(4, 120),
+       n_procs=st.integers(1, 4))
+def test_frame_batches_group_by_length_within_budget(lengths, budget, n_procs):
+    planned = [(t, i) for i, t in enumerate(lengths)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(aug, "EMIT_BATCH_FRAMES", budget)
-        windows = list(aug._windows(iter(items)))
-        batches = []
-        for batch in aug._frame_batches(source()):
-            # held now: this batch, the rest of its window, and one file read ahead
-            held = [item for item in pulled if item[1] not in yielded]
-            assert len(held) <= 2 or sum(map(frames_of, held[:-1])) <= budget
-            yielded.update(i for _, i in batch)
-            batches.append(batch)
-    assert sorted(i for batch in batches for _, i in batch) == list(range(len(items)))
+        windows = list(aug._windows(iter(planned)))
+        # a process holds one window of features, and cuts every batch out of it
+        batches = [batch for window in windows for batch in aug._frame_batches(
+            [(SimpleNamespace(n_frames=t), i) for t, i in window])]
+        shares = aug._shares(windows, n_procs)
+    assert sorted(i for batch in batches for _, i in batch) == list(range(len(planned)))
+    window_of = {i: w for w, window in enumerate(windows) for _, i in window}
     for batch in batches:
+        assert len({window_of[i] for _, i in batch}) == 1
         rows = sorted(map(frames_of, batch))
         assert len(rows) == 1 or len(rows) * rows[-1] <= budget
         assert rows[-1] <= aug.EMIT_LENGTH_RATIO * rows[0]
-    assert [item for window in windows for item in window] == items
+    assert [item for window in windows for item in window] == planned
     for window in windows:
-        assert len(window) == 1 or sum(map(frames_of, window)) <= budget
+        assert len(window) == 1 or sum(t for t, _ in window) <= budget
+    # every window goes to exactly one of n_procs shares, each in path order
+    assert len(shares) == n_procs
+    assert sorted(map(window_of.get, (w[0][1] for share in shares for w in share))) == \
+        list(range(len(windows)))
+    for share in shares:
+        starts = [window[0][1] for window in share]
+        assert starts == sorted(starts)
 
 
 def test_emit_dataset_length_grouping_keeps_path_order_outputs(tmp_path, monkeypatch,
@@ -423,7 +440,7 @@ def test_emit_dataset_length_grouping_keeps_path_order_outputs(tmp_path, monkeyp
     monkeypatch.setattr(aug, "_frame_batches", path_order_batches)
     in_order = aug.emit_dataset(corpus, toy_vc_model64, pool, policy, tmp_path / "in_order",
                                 seed=5)
-    assert sizes[7:] == [2, 2, 1, 2, 2, 1]   # [30, 5] [17, 6] [40] [9, 22] [4, 12] [33]
+    assert sizes[7:] == [2, 2, 1, 1, 2, 1, 1]   # [30, 5] [17, 6] | [40] [9] | [22, 4] [12] | [33]
     rows = grouped.manifest_path.read_text().splitlines()
     assert [row.split("\t")[0] for row in rows] == sorted(f"utt{i}.melf" for i in range(10))
     assert grouped.manifest_path.read_bytes() == in_order.manifest_path.read_bytes()
@@ -434,6 +451,234 @@ def test_emit_dataset_length_grouping_keeps_path_order_outputs(tmp_path, monkeyp
         np.testing.assert_allclose(read_melf(tmp_path / "grouped" / conv).data,
                                    read_melf(tmp_path / "in_order" / conv).data,
                                    rtol=2.0**-21, atol=0)
+
+
+def mixed_format_corpus(tmp_path, melf_frames, wav_seconds, rate=16000):
+    """`m<i>.melf` of the given frame counts and `w<i>.wav` of the given durations."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for i, t in enumerate(melf_frames):
+        write_melf(corpus / f"m{i}.melf", toy_mel_spec(t=t, seed=300 + i))
+    rng = np.random.default_rng(5)
+    for i, seconds in enumerate(wav_seconds):
+        n = int(seconds * rate)
+        samples = 0.3 * np.sin(np.arange(n) * (0.05 + 0.01 * i)) + 0.01 * rng.normal(size=n)
+        write_wav(corpus / f"w{i}.wav", Waveform(samples, sample_rate_hz=rate))
+    return corpus
+
+
+def tree_bytes(out):
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*"))}
+
+
+def test_emit_dataset_output_bytes_do_not_depend_on_cpu_count(tmp_path, monkeypatch,
+                                                              toy_vc_model):
+    corpus = mixed_format_corpus(tmp_path, [12, 40, 7, 25, 60, 9], [0.3, 0.55, 0.2, 0.8, 0.4])
+    good = (corpus / "w0.wav").read_bytes()
+    (corpus / "w_cut.wav").write_bytes(good[:-200])           # header valid, data short
+    (corpus / "m_junk.melf").write_bytes(b"JUNKDATA")         # fails its header
+    policy = SpecAugmentPolicy(n_freq_masks=1, max_freq_width=2,
+                               n_time_masks=1, max_time_width=3)
+    pool = aug.SpeakerPool(ids=(0, 1, 2))
+    monkeypatch.setattr(aug, "EMIT_BATCH_FRAMES", 64)
+    planned = [(aug._source_frames(p, toy_vc_model), p.name)
+               for p in sorted(corpus.iterdir()) if p.name not in ("w_cut.wav", "m_junk.melf")]
+    assert len(list(aug._windows(planned))) >= 6
+    runs = {}
+    for n in (1, 2, 3, 4):
+        cpus(monkeypatch, n)
+        out = tmp_path / f"views{n}"
+        result = aug.emit_dataset(corpus, toy_vc_model, pool, policy, out, seed=4)
+        runs[n] = (tree_bytes(out), result.n_pairs, result.failures)
+    assert runs[1][1] == 11
+    assert [rel for rel, _ in runs[1][2]] == ["m_junk.melf", "w_cut.wav"]
+    for n in (2, 3, 4):
+        assert runs[n] == runs[1]
+
+
+def test_header_frame_counts_equal_featurized_counts(tmp_path, toy_vc_model):
+    corpus = mixed_format_corpus(tmp_path, [3, 4, 5, 33, 98], [])
+    for rate in (16000, 22050):
+        window, hop = frame_geometry(rate)
+        for n in (window - 1, window, window + 3 * hop, window + 4 * hop - 1, window + 4 * hop,
+                  rate, 4 * rate + 7):
+            path = corpus / f"r{rate}_{n}.wav"
+            write_wav(path, Waveform(np.zeros(n), sample_rate_hz=rate))
+
+    def outcome(frames):
+        try:
+            return frames()
+        except ValueError as e:   # DataError too: the same check must refuse the file
+            return str(e)
+
+    counts = []
+    for path in sorted(corpus.iterdir()):
+        counts.append(outcome(lambda: aug._source_frames(path, toy_vc_model)))
+        assert counts[-1] == outcome(lambda: aug._read_source(path, toy_vc_model).n_frames), \
+            path.name
+        if path.suffix == ".wav":
+            wav = read_wav(path)
+            assert read_wav_header(path) == (len(wav.samples), wav.sample_rate_hz)
+        else:
+            assert read_melf_header(path) == read_melf(path).data.shape
+    # MELF 4, 5, 33, 98; per rate 4, 4 and 5 frames either side of a hop, 1 s and 4 s
+    assert sum(isinstance(c, int) for c in counts) == 14
+    assert (counts.count(4), counts.count(5)) == (5, 3)
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_emit_dataset_payload_failures_found_by_the_reader(tmp_path, monkeypatch,
+                                                           toy_vc_model, n_cpus):
+    corpus = mixed_format_corpus(tmp_path, [12, 30, 20], [0.3, 0.4])
+    good = (corpus / "w0.wav").read_bytes()
+    (corpus / "w_cut.wav").write_bytes(good[:-100])
+    inf = bytearray((corpus / "m1.melf").read_bytes())
+    inf[16 + 4 * 9 : 16 + 4 * 10] = np.array([np.inf], dtype="<f4").tobytes()
+    (corpus / "m_inf.melf").write_bytes(bytes(inf))
+    monkeypatch.setattr(aug, "EMIT_BATCH_FRAMES", 48)
+    cpus(monkeypatch, n_cpus)
+    result = aug.emit_dataset(corpus, toy_vc_model, aug.SpeakerPool(ids=(0, 1)),
+                              SpecAugmentPolicy(), tmp_path / "views", seed=0)
+    failures = dict(result.failures)
+    assert list(failures) == ["m_inf.melf", "w_cut.wav"]
+    assert failures["m_inf.melf"].endswith("m_inf.melf: non-finite value at offset 52")
+    assert failures["w_cut.wav"].endswith(
+        f"w_cut.wav: data chunk holds {len(good) - 144} bytes, header declares {len(good) - 44}")
+    rows = [line.split("\t")[0] for line in result.manifest_path.read_text().splitlines()]
+    assert rows == ["m0.melf", "m1.melf", "m2.melf", "w0.wav", "w1.wav"]
+
+
+class Timeout(Exception):
+    pass
+
+
+@pytest.fixture
+def time_limit():
+    """Fail a test that runs for more than 60 s, killing any worker it left."""
+    def expire(signum, frame):
+        for child in multiprocessing.active_children():
+            child.kill()
+        raise Timeout("emit did not return within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def test_emit_dataset_leaves_no_child_process(tmp_path, monkeypatch, toy_vc_model, time_limit):
+    corpus = mixed_length_corpus(tmp_path, [12, 30, 20, 9, 16, 24])
+    monkeypatch.setattr(aug, "EMIT_BATCH_FRAMES", 32)
+    cpus(monkeypatch, 2)
+    args = (toy_vc_model, aug.SpeakerPool(ids=(0, 1)), SpecAugmentPolicy())
+    result = aug.emit_dataset(corpus, *args, tmp_path / "ok", seed=0)
+    assert result.n_pairs == 6 and not result.failures
+    assert multiprocessing.active_children() == []
+
+    caller = os.getpid()
+    real_write = aug.write_melf
+
+    def failing_in_workers(failure):
+        def write(path, mel):
+            if os.getpid() != caller:
+                failure()
+            real_write(path, mel)
+        return write
+
+    def disk_full():
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(aug, "write_melf", failing_in_workers(disk_full))
+    with pytest.raises(OSError, match="No space left"):
+        aug.emit_dataset(corpus, *args, tmp_path / "raised", seed=0)
+    assert multiprocessing.active_children() == []
+
+    monkeypatch.setattr(aug, "write_melf", failing_in_workers(lambda: os._exit(7)))
+    with pytest.raises(ChildProcessError, match="exited with code 7 without a result"):
+        aug.emit_dataset(corpus, *args, tmp_path / "died", seed=0)
+    assert multiprocessing.active_children() == []
+
+
+def test_one_process_emit_never_imports_multiprocessing(tmp_path, toy_vc_model):
+    corpus = make_corpus_dir(tmp_path, n=3)
+    checkpoint = tmp_path / "toy.vcck"
+    save_checkpoint(toy_vc_model, checkpoint)
+    script = (
+        "import sys\n"
+        "from vcaug import augment, cli, model, signal\n"
+        "assert 'multiprocessing' not in sys.modules, 'imported by the package'\n"
+        f"m = model.load_checkpoint({str(checkpoint)!r})\n"
+        f"r = augment.emit_dataset({str(corpus)!r}, m, augment.SpeakerPool.all_of(m),\n"
+        f"                         signal.SpecAugmentPolicy(), {str(tmp_path / 'views')!r}, 0)\n"
+        "assert r.n_pairs == 3 and not r.failures\n"
+        "assert 'multiprocessing' not in sys.modules, 'imported by a one-window emit'\n"
+    )
+    src = str(Path(aug.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+
+
+def parent_emit(corpus, model, pool, policy, out, seed, budget=8192):
+    """A copy of the serial emit that read every source in path order and cut
+    windows of at most `budget` real frames from the read features."""
+    out.mkdir()
+    rows = []
+    read = [(aug._read_source(corpus / rel, model), rel, aug._output_stem(rel))
+            for rel in sorted(p.name for p in corpus.iterdir())]
+    window, frames, windows = [], 0, []
+    for item in read:
+        if window and frames + item[0].n_frames > budget:
+            windows.append(window)
+            window, frames = [], 0
+        window.append(item)
+        frames += item[0].n_frames
+    windows.append(window)
+    for window in windows:
+        window.sort(key=frames_of)
+        batches, batch = [], []
+        for item in window:
+            t = item[0].n_frames
+            if batch and (t > 2 * batch[0][0].n_frames or (len(batch) + 1) * t > budget):
+                batches.append(batch)
+                batch = []
+            batch.append(item)
+        batches.append(batch)
+        for batch in batches:
+            pairs = aug._view_pairs([mel for mel, _, _ in batch],
+                                    [aug._file_seed(seed, rel) for _, rel, _ in batch], pool,
+                                    policy, lambda m, t: aug._convert_batch(m, t, model))
+            for (_, rel, stem), pair in zip(batch, pairs):
+                write_melf(out / f"{stem}.orig.melf", pair.original)
+                write_melf(out / f"{stem}.conv.melf", pair.converted)
+                rows.append((rel, f"{rel}\t{stem}.orig.melf\t{stem}.conv.melf\t"
+                                  f"{pair.target_speaker_id}\t{pair.seed}\n"))
+    (out / "manifest.tsv").write_text("".join(row for _, row in sorted(rows)))
+
+
+def test_parallel_emit_matches_the_serial_emit_to_float32_rounding(tmp_path, monkeypatch,
+                                                                   toy_vc_model):
+    seconds = [0.5, 4.0, 1.2, 3.1, 0.7, 2.2, 4.0, 0.9, 1.6, 2.8, 4.0, 3.5, 0.6, 1.9] * 2
+    corpus = mixed_format_corpus(tmp_path, [98, 140, 60, 98, 220, 75], seconds)
+    policy = SpecAugmentPolicy(n_freq_masks=1, max_freq_width=2,
+                               n_time_masks=1, max_time_width=3)
+    pool = aug.SpeakerPool(ids=(0, 1, 2))
+    cpus(monkeypatch, 2)
+    result = aug.emit_dataset(corpus, toy_vc_model, pool, policy, tmp_path / "parallel", seed=9)
+    assert result.n_pairs == 34 and not result.failures
+    planned = [(aug._source_frames(p, toy_vc_model),) for p in sorted(corpus.iterdir())]
+    assert len(list(aug._windows(planned))) >= 3
+    parent_emit(corpus, toy_vc_model, pool, policy, tmp_path / "serial", seed=9)
+    parallel, serial = tree_bytes(tmp_path / "parallel"), tree_bytes(tmp_path / "serial")
+    assert parallel.keys() == serial.keys()
+    for name in parallel:
+        if name.endswith(".conv.melf"):
+            np.testing.assert_allclose(read_melf(tmp_path / "parallel" / name).data,
+                                       read_melf(tmp_path / "serial" / name).data,
+                                       rtol=0, atol=2e-6)
+        else:
+            assert parallel[name] == serial[name], name
 
 
 def test_emit_dataset_missing_corpus_creates_no_output(tmp_path, toy_vc_model):

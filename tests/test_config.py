@@ -1,9 +1,13 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vcaug import cli
-from vcaug.config import load_config
+from vcaug.config import ConfigError, load_config
+
+from conftest import damage
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -76,3 +80,26 @@ def test_non_utf8_config_exits_with_config_error(tmp_path, capsys):
     code, err = run_gradcheck(path, capsys)
     assert code == cli.EXIT_CONFIG
     assert "utf-8" in err
+
+
+@settings(max_examples=300, deadline=None)
+@given(flips=st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(1, 255)), max_size=4),
+       cut=st.none() | st.integers(0, 1200))
+def test_config_reader_raises_only_config_error(tmp_path_factory, flips, cut):
+    path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    path.write_bytes(damage((CONFIGS / "desk.cfg").read_bytes(), flips, cut))
+    try:
+        cfg = load_config(path, validate_paths=False)
+        cfg.model_config(n_speakers=4)
+        cfg.train_config()
+        cfg.augment_policy()
+    except ConfigError:
+        pass
+
+
+def test_negative_mask_count_is_a_config_error(tmp_path):
+    path = tmp_path / "neg.cfg"
+    path.write_text((CONFIGS / "desk.cfg").read_text(encoding="utf-8").replace(
+        "n_time_masks = 2", "n_time_masks = -1"), encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"\[augment\] n_time_masks must be non-negative"):
+        load_config(path, validate_paths=False).augment_policy()

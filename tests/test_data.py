@@ -4,9 +4,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vcaug import data as vd
 from vcaug.signal import mel_filterbank
+
+from conftest import damage
 
 
 def test_speaker_profiles_deterministic_and_distinct():
@@ -153,6 +157,30 @@ def test_speaker_map_rejects_bad_lines(tmp_path):
 def test_speaker_map_missing_file():
     with pytest.raises(vd.DataError, match="not found"):
         vd.load_speaker_map("/nonexistent/speakers.tsv")
+
+
+def test_speaker_map_directory_and_bad_bytes_raise_data_error(tmp_path):
+    with pytest.raises(vd.DataError, match=f"{tmp_path}: cannot read speaker map"):
+        vd.load_speaker_map(tmp_path)
+    path = tmp_path / "speakers.tsv"
+    path.write_bytes(b"0\talice\n1\tb\xe9b\n")
+    with pytest.raises(vd.DataError, match="speakers.tsv: speaker map is not UTF-8 text"):
+        vd.load_speaker_map(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(flips=st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(1, 255)), max_size=4),
+       cut=st.none() | st.integers(0, 60))
+def test_speaker_map_reader_raises_only_data_error(tmp_path_factory, flips, cut):
+    path = tmp_path_factory.getbasetemp() / "fuzz_speakers.tsv"
+    vd.write_speaker_map(path, ["alice", "bob", "carol", "dave"])
+    path.write_bytes(damage(path.read_bytes(), flips, cut))
+    try:
+        mapping = vd.load_speaker_map(path)
+    except vd.DataError as e:
+        assert str(path) in str(e)
+    else:
+        assert sorted(mapping.values()) == list(range(len(mapping)))
 
 
 def test_corpus_tree_round_trip(tmp_path):

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import struct
 from dataclasses import replace
@@ -310,6 +311,39 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     np.testing.assert_array_equal(before.data, after.data)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_load_checkpoint_draws_nothing_and_adopts_the_read_arrays(tmp_path, monkeypatch, dtype):
+    model = vm.VcModel(toy_config(seed=5), dtype=dtype)
+    model.set_feature_stats(np.full(8, -3.0), np.full(8, 0.5))
+    path = tmp_path / "model.vcck"
+    vm.save_checkpoint(model, path)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("load drew random values")
+
+    monkeypatch.setattr(ad, "uniform_init", no_draw)
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda *args: SimpleNamespace(uniform=no_draw, integers=no_draw))
+    loaded = vm.load_checkpoint(path, dtype=dtype)
+    assert list(loaded.params) == list(model.params)
+    named = vm._named_arrays(loaded)
+    for name, ref in vm._named_arrays(model).items():
+        got = named[name]
+        assert got.dtype == dtype and got.flags.owndata and got.flags.writeable
+        np.testing.assert_array_equal(got, ref.astype(np.float32))
+    assert loaded.codebook.groups[0] is loaded.params["vq.group0.codebook"]
+    assert loaded.adversary.w2 is loaded.params["adv.w2"]
+
+
+def test_checkpoint_misshapen_tensor_raises_checkpoint_error(tmp_path):
+    path = tmp_path / "model.vcck"
+    vm.save_checkpoint(vm.VcModel(replace(toy_config(), adv_hidden=12)), path)
+    _rewrite_checkpoint(path, edit_meta=lambda m: m.update(config=toy_config().to_dict()))
+    with pytest.raises(vm.CheckpointError,
+                       match=r"tensor adv.w1 has shape \(8, 12\), expected \(8, 16\)"):
+        vm.load_checkpoint(path)
+
+
 def test_checkpoint_bytes_deterministic(tmp_path):
     model = desk_model(seed=12)
     p1, p2 = tmp_path / "a.vcck", tmp_path / "b.vcck"
@@ -391,7 +425,7 @@ def _rewrite_checkpoint(path, edit_meta=None, edit_table=None):
 
 
 def _drop_tensor(table, victim):
-    named = vm._parse_tensor_table(table)
+    named = vm._read_tensor_table(io.BytesIO(table), len(table), hashlib.sha256())
     del named[victim]
     return b"".join(vm._tensor_table_parts(named))
 

@@ -269,8 +269,10 @@ def test_truncated_wav_raises_at_every_offset(tmp_path):
     path = tmp_path / "cut.wav"
     for n in range(len(good)):
         path.write_bytes(good[:n])
-        with pytest.raises(sig.WavFormatError, match=r"cut.wav: .*\d bytes"):
+        with pytest.raises(sig.WavFormatError, match=r"cut.wav: .*\d bytes") as refused:
             sig.read_wav(path)
+        header = _outcome(sig.read_wav_header, path, sig.WavFormatError)
+        assert header == str(refused.value) or "data chunk holds" in str(refused.value)
     path.write_bytes(good)
     assert len(sig.read_wav(path).samples) == 40
 
@@ -293,12 +295,23 @@ def test_wav_header_byte_flips_raise_only_wav_format_error(tmp_path_factory, fli
         blob[index] ^= mask
     path = tmp_dir / "flipped.wav"
     path.write_bytes(bytes(blob[:keep]))
+    header = _outcome(sig.read_wav_header, path, sig.WavFormatError)
     try:
         wav = sig.read_wav(path)
     except sig.WavFormatError as e:
         assert "flipped.wav" in str(e)
+        # the header reader refuses what read_wav refuses in the header, with its message
+        assert header == str(e) or "data chunk holds" in str(e)
     else:
         assert wav.samples.ndim == 1 and wav.sample_rate_hz > 0
+        assert header == (len(wav.samples), wav.sample_rate_hz)
+
+
+def _outcome(read, path, error):
+    try:
+        return read(path)
+    except error as e:
+        return str(e)
 
 
 def test_readers_given_a_directory_raise_their_own_errors(tmp_path):
@@ -307,8 +320,12 @@ def test_readers_given_a_directory_raise_their_own_errors(tmp_path):
     named = re.escape(str(tmp_path))
     with pytest.raises(sig.WavFormatError, match=named):
         sig.read_wav(tmp_path)
+    with pytest.raises(sig.WavFormatError, match=named):
+        sig.read_wav_header(tmp_path)
     with pytest.raises(sig.MelfFormatError, match=named):
         sig.read_melf(tmp_path)
+    with pytest.raises(sig.MelfFormatError, match=named):
+        sig.read_melf_header(tmp_path)
     with pytest.raises(vm.CheckpointError, match=named):
         vm.read_checkpoint_raw(tmp_path)
 
@@ -361,11 +378,14 @@ def test_truncated_melf_raises_at_every_offset(tmp_path):
 def _read_flipped_melf(tmp_dir, blob):
     path = tmp_dir / "flipped.melf"
     path.write_bytes(bytes(blob))
+    header = _outcome(sig.read_melf_header, path, sig.MelfFormatError)
     try:
         mel = sig.read_melf(path)
     except sig.MelfFormatError as e:
         assert "flipped.melf" in str(e)
+        assert header == str(e) or "non-finite" in str(e)
         return None
+    assert header == mel.data.shape
     assert np.isfinite(mel.data).all()
     assert 16 + 4 * mel.data.size == len(blob)
     return mel

@@ -13,7 +13,7 @@ from vcaug.autodiff import Tensor
 from vcaug.model import VcModel, load_checkpoint
 from vcaug.signal import MelSpectrogram
 
-from conftest import toy_config
+from conftest import damage, toy_config
 
 
 def test_huber_zero_for_equal_inputs():
@@ -153,6 +153,38 @@ def test_ledger_round_trip_and_formatting(tmp_path):
     back = tr.MetricsLedger.read(path)
     assert len(back) == 2
     assert back.records[0].recon == pytest.approx(0.123456789, abs=1e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(flips=st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(1, 255)), max_size=4),
+       cut=st.none() | st.integers(0, 400))
+def test_ledger_reader_raises_only_data_error(tmp_path_factory, flips, cut):
+    ledger = tr.MetricsLedger()
+    for step in range(1, 6):
+        ledger.append(tr.StepMetrics(step, 0.5 / step, 1.0, 0.25, 1.7, 0.4, 12.5))
+    path = tmp_path_factory.getbasetemp() / "fuzz.ledger"
+    ledger.write(path)
+    path.write_bytes(damage(path.read_bytes(), flips, cut))
+    try:
+        back = tr.MetricsLedger.read(path)
+    except vd.DataError as e:
+        assert str(path) in str(e)
+    else:
+        assert len(back) <= 5
+
+
+def test_ledger_reader_errors_name_the_path(tmp_path, capsys):
+    with pytest.raises(vd.DataError, match=f"{tmp_path}: cannot read ledger"):
+        tr.MetricsLedger.read(tmp_path)
+    bad = tmp_path / "bad.ledger"
+    bad.write_bytes(b"1\t0.5\t1\t0.25\t1.7\t0.4\t12.5\n2\tx\t1\t0.25\t1.7\t0.4\t12.5\n")
+    with pytest.raises(vd.DataError, match="bad.ledger:2: malformed ledger line"):
+        tr.MetricsLedger.read(bad)
+    bad.write_bytes(b"1\t0.5\xff\n")
+    with pytest.raises(vd.DataError, match="bad.ledger: ledger is not UTF-8 text"):
+        tr.MetricsLedger.read(bad)
+    assert cli.main(["select", str(tmp_path)]) == cli.EXIT_DATA
+    assert f"{tmp_path}: cannot read ledger" in capsys.readouterr().err
 
 
 def test_ledger_rejects_non_monotonic_steps():
