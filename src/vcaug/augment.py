@@ -8,29 +8,26 @@ applied to each view.  The conversion model is read-only throughout.
 `convert` renders one [T, M] utterance.  `emit_dataset` converts a corpus
 in padded batches grouped by length:
 
-- Windows are planned from file headers alone (a MELF header's T and M, a
-  WAV header's sample count and rate): sources that pass the header
-  checks fill a window, in sorted path order, up to `EMIT_BATCH_FRAMES`
-  real frames; a single longer file is a window alone.
-- One process runs each window from start to finish: it reads and
-  featurizes the window's files, sorts them by frame count (a stable sort)
-  and cuts them into batches, converts each batch, and writes both views.
-  A batch ends before a row more than `EMIT_LENGTH_RATIO` times its
-  shortest row, or before a row that would make rows x longest row exceed
-  `EMIT_BATCH_FRAMES`.  Each batch is one [B, T_max, M] forward with
-  per-row lengths.
-- The windows are shared out, largest first, to the least-loaded of
-  min(windows, CPUs) processes: the caller and forked workers.  The caller
+- The batches are planned from file headers alone (a MELF header's T and
+  M, a WAV header's sample count and rate).  The sources that pass the
+  header checks are sorted by frame count (a stable sort) and cut into
+  batches: a batch ends before a row more than `EMIT_LENGTH_RATIO` times
+  its shortest row, or before a row that would make rows x longest row
+  exceed `EMIT_BATCH_FRAMES`.
+- The batches are shared out, largest (in padded frames) first, to the
+  least-loaded of min(batches, CPUs) processes: the caller and forked
+  workers.  Each process reads, converts and writes one batch at a time;
+  a batch is one [B, T_max, M] forward with per-row lengths.  The caller
   gathers every share's manifest rows and failures and writes the manifest.
 
-Each process holds one window of features at a time, so emit memory is
+Each process holds one batch of features at a time, so emit memory is
 bounded by that budget, not by the corpus size.  Each row computes what
 the utterance would alone, but float32 GEMM summation order depends on the
 batch shape, so a converted view can differ from `convert`'s output, and
 across batch compositions, by float32 rounding.  Seeds, target speakers and
-masks are drawn per file, the windows and their batches depend only on the
-corpus, and the manifest is written in sorted path order, so the output
-bytes do not depend on the CPU count or on which process ran a window.
+masks are drawn per file, the batches depend only on the corpus, and the
+manifest is written in sorted path order, so the output bytes do not
+depend on the CPU count or on which process ran a batch.
 """
 
 from __future__ import annotations
@@ -85,25 +82,15 @@ class ViewPair:
     seed: int
 
 
-# Real frames per window, and padded frames (rows x longest row) per batched
-# forward, in `emit_dataset`: 20 one-second utterances, or 5 of 4 s.  A
-# one-process emit of the vcbench corpora at budgets 1024 / 2048 / 4096 /
-# 8192 frames (ms, median of 15 emits interleaved across budgets, range over
-# two processes; OpenBLAS 1 thread, 2 vCPUs):
-#   mmap threshold fixed at 128 KiB   augment_melf 162-200 / 167-194 / 186-212 / 185-218
-#   (as vcbench sets it)              augment_wav_mixed 342-345 / 299-300 / 308-310 / 306-328
-#   glibc default malloc settings     augment_melf 156-216 / 147-182 / 132-194 / 141-202
-#                                     augment_wav_mixed 286-316 / 230-266 / 206-234 / 210-230
-# So 2048 costs a serial emit little or nothing, except about 10% on wav
-# under glibc's defaults, while it splits those corpora (5,880 and about
-# 6,400 real frames) into 3-4 windows to share between processes.  Under
-# the fixed threshold an emit's minor page faults fall from 25k (melf) and
-# 36k (wav) at 8192 to 16k and 14k at 2048.
+# Padded frames (rows x longest row) per batched forward in `emit_dataset`:
+# 20 one-second utterances, or 5 of 4 s; a longer file is a batch alone.
+# It splits the vcbench corpora (5,880 and about 6,400 real frames) into
+# 3-5 batches to share between processes.
 EMIT_BATCH_FRAMES = 2048
 
-# Longest row over shortest allowed in one emit batch.  Measured at the
-# earlier budget of 8192 frames, when the augment_wav_mixed corpus (24 files
-# of 0.5-4 s, 6,375 real frames on seed 11) was one window: the batched
+# Longest row over shortest allowed in one emit batch.  Measured with the
+# budget at 8192 frames, when the augment_wav_mixed corpus (24 files of
+# 0.5-4 s, 6,375 real frames on seed 11) was grouped as a whole: the batched
 # forward took, in process CPU ms with OpenBLAS on 1 thread, 2 vCPUs
 # (median of 15), path-order grouping / ratio 3 / 2 / 1.5: 204 / 177 / 156 /
 # 155 on seed 11 and 213 / 177 / 170 / 149 on seed 12.  Ratio 2 cut the
@@ -140,11 +127,7 @@ def convert(mel: MelSpectrogram, target_speaker_id: int, model: VcModel) -> MelS
     neither is run.
     """
     _check_shape(mel.n_frames, mel.n_mels, model)
-    return MelSpectrogram(
-        data=_decode_as(mel.data, target_speaker_id, model).astype(np.float32),
-        frame_size_ms=mel.frame_size_ms,
-        frame_shift_ms=mel.frame_shift_ms,
-    )
+    return MelSpectrogram(data=_decode_as(mel.data, target_speaker_id, model).astype(np.float32))
 
 
 def _convert_batch(mels: list[MelSpectrogram], targets: list[int],
@@ -152,11 +135,7 @@ def _convert_batch(mels: list[MelSpectrogram], targets: list[int],
     """Convert checked utterances in one padded forward, each cut to its length."""
     batch, lengths = pad_batch([mel.data for mel in mels])
     recon = _decode_as(batch, np.asarray(targets), model, lengths).astype(np.float32)
-    return [
-        MelSpectrogram(data=row[:n], frame_size_ms=mel.frame_size_ms,
-                       frame_shift_ms=mel.frame_shift_ms)
-        for row, n, mel in zip(recon, lengths, mels)
-    ]
+    return [MelSpectrogram(data=row[:n]) for row, n in zip(recon, lengths)]
 
 
 def sample_target(pool: SpeakerPool, rng: np.random.Generator) -> int:
@@ -165,18 +144,18 @@ def sample_target(pool: SpeakerPool, rng: np.random.Generator) -> int:
 
 
 def _view_pairs(mels, seeds, pool: SpeakerPool, policy: SpecAugmentPolicy,
-                convert_all) -> list[ViewPair]:
+                model: VcModel) -> list[ViewPair]:
     """Both views of each utterance, drawn from a generator seeded per utterance.
 
     Each generator draws the target speaker, then the original view's masks,
-    then the converted view's masks; `convert_all(mels, targets)` renders
-    the conversions in between and draws nothing.
+    then the converted view's masks; the conversions, one padded forward
+    (`_convert_batch`), come in between and draw nothing.
     """
     rngs = [np.random.default_rng(seed) for seed in seeds]
     targets = [sample_target(pool, rng) for rng in rngs]
     pairs = []
     for mel, converted, target, rng, seed in zip(
-            mels, convert_all(mels, targets), targets, rngs, seeds):
+            mels, _convert_batch(mels, targets, model), targets, rngs, seeds):
         original_view = spec_augment(mel, policy, rng)
         converted_view = spec_augment(converted, policy, rng)
         pairs.append(ViewPair(original=original_view, converted=converted_view,
@@ -224,34 +203,17 @@ def _read_source(path: Path, model: VcModel) -> MelSpectrogram:
     return mel
 
 
-def _windows(planned):
-    """Consecutive (frames, ...) items holding at most `EMIT_BATCH_FRAMES` frames in all.
+def _frame_batches(planned):
+    """Length-grouped batches of planned (frames, ...) items.
 
-    An item longer than the budget on its own forms a window of one.
-    """
-    window, frames = [], 0
-    for item in planned:
-        t = item[0]
-        if window and frames + t > EMIT_BATCH_FRAMES:
-            yield window
-            window, frames = [], 0
-        window.append(item)
-        frames += t
-    if window:
-        yield window
-
-
-def _frame_batches(window):
-    """Length-grouped batches of one window of read (features, ...) items.
-
-    The window sorted by frame count (stably) is cut before a row longer
+    The items sorted by frame count (stably) are cut before a row longer
     than `EMIT_LENGTH_RATIO` times the batch's shortest, or whose length
     times the grown row count would exceed `EMIT_BATCH_FRAMES`.
     """
     batch = []
-    for item in sorted(window, key=lambda item: item[0].n_frames):
-        t = item[0].n_frames
-        if batch and (t > EMIT_LENGTH_RATIO * batch[0][0].n_frames
+    for item in sorted(planned, key=lambda item: item[0]):
+        t = item[0]
+        if batch and (t > EMIT_LENGTH_RATIO * batch[0][0]
                       or (len(batch) + 1) * t > EMIT_BATCH_FRAMES):
             yield batch
             batch = []
@@ -260,20 +222,20 @@ def _frame_batches(window):
         yield batch
 
 
-def _shares(windows, n: int) -> list[list]:
-    """`windows` dealt to n processes, largest first to the least loaded (in frames).
+def _shares(batches, n: int) -> list[list]:
+    """`batches` dealt to n processes, largest first to the least loaded.
 
-    Ties go to the lower window and process index, and each share keeps
-    path order.
+    A batch weighs its padded frames, rows x longest row.  Ties go to the
+    lower batch and process index, and each share keeps the batches' order.
     """
-    frames = [sum(t for t, *_ in window) for window in windows]
+    padded = [len(batch) * max(t for t, *_ in batch) for batch in batches]
     loads = [0] * n
     shares: list[list[int]] = [[] for _ in range(n)]
-    for i in sorted(range(len(windows)), key=lambda i: -frames[i]):
+    for i in sorted(range(len(batches)), key=lambda i: -padded[i]):
         least = loads.index(min(loads))
-        loads[least] += frames[i]
+        loads[least] += padded[i]
         shares[least].append(i)
-    return [[windows[i] for i in sorted(share)] for share in shares]
+    return [[batches[i] for i in sorted(share)] for share in shares]
 
 
 def _cpus() -> int:
@@ -366,16 +328,15 @@ def emit_dataset(
     to or inside it (whose views a later run would read back as sources),
     raises `DataError` before `out_dir` is created.
 
-    Windows of at most `EMIT_BATCH_FRAMES` real frames are planned from the
-    file headers, and each runs in one process, the caller or a forked
-    worker, which reads, converts and writes it in length-grouped batches
-    (module docstring); each process holds one window of features at a
-    time.  The windows depend only on the corpus, so the output bytes do
-    not depend on the CPU count.  The manifest lists files in sorted
-    relative-path order, and `failures` is sorted.  An exception raised
-    while writing views, in any process, is raised here once every worker
-    has been joined, as is `ChildProcessError` for a worker that died
-    without a result.
+    Length-grouped batches are planned from the file headers, and each runs
+    in one process, the caller or a forked worker, which reads, converts
+    and writes it (module docstring); each process holds one batch of
+    features at a time.  The batches depend only on the corpus, so the
+    output bytes do not depend on the CPU count.  The manifest lists files
+    in sorted relative-path order, and `failures` is sorted.  An exception
+    raised while writing views, in any process, is raised here once every
+    worker has been joined, as is `ChildProcessError` for a worker that
+    died without a result.
     """
     corpus_dir = Path(corpus_dir)
     out_dir = Path(out_dir)
@@ -406,40 +367,38 @@ def emit_dataset(
         except Exception as e:  # noqa: BLE001 - recorded per file
             failures.append((rel, str(e)))
 
-    def convert_all(mels, targets):
-        return _convert_batch(mels, targets, model)
-
     def run(share):
-        """Read, convert and write each window; its manifest rows and failures."""
+        """Read, convert and write each batch; its manifest rows and failures."""
         rows: dict[str, str] = {}   # relative path -> manifest row
         failed: list[tuple[str, str]] = []
-        for window in share:
+        for batch in share:
             read = []
-            for _, rel, stem in window:
+            for _, rel, stem in batch:
                 try:
                     read.append((_read_source(corpus_dir / rel, model), rel, stem))
                 except Exception as e:  # noqa: BLE001 - recorded per file
                     failed.append((rel, str(e)))
-            for batch in _frame_batches(read):
-                try:
-                    pairs = _view_pairs([mel for mel, _, _ in batch],
-                                        [_file_seed(seed, rel) for _, rel, _ in batch],
-                                        pool, policy, convert_all)
-                except Exception as e:  # noqa: BLE001 - recorded per file
-                    failed.extend((rel, f"batch conversion failed: {e}") for _, rel, _ in batch)
-                    continue
-                for (_, rel, stem), pair in zip(batch, pairs):
-                    orig_rel = f"{stem}.orig.melf"
-                    conv_rel = f"{stem}.conv.melf"
-                    write_melf(out_dir / orig_rel, pair.original)
-                    write_melf(out_dir / conv_rel, pair.converted)
-                    rows[rel] = (f"{rel}\t{orig_rel}\t{conv_rel}\t"
-                                 f"{pair.target_speaker_id}\t{pair.seed}")
+            if not read:
+                continue
+            try:
+                pairs = _view_pairs([mel for mel, _, _ in read],
+                                    [_file_seed(seed, rel) for _, rel, _ in read],
+                                    pool, policy, model)
+            except Exception as e:  # noqa: BLE001 - recorded per file
+                failed.extend((rel, f"batch conversion failed: {e}") for _, rel, _ in read)
+                continue
+            for (_, rel, stem), pair in zip(read, pairs):
+                orig_rel = f"{stem}.orig.melf"
+                conv_rel = f"{stem}.conv.melf"
+                write_melf(out_dir / orig_rel, pair.original)
+                write_melf(out_dir / conv_rel, pair.converted)
+                rows[rel] = (f"{rel}\t{orig_rel}\t{conv_rel}\t"
+                             f"{pair.target_speaker_id}\t{pair.seed}")
         return rows, failed
 
-    windows = list(_windows(planned))
+    batches = list(_frame_batches(planned))
     rows: dict[str, str] = {}
-    shares = _shares(windows, max(1, min(len(windows), _cpus())))
+    shares = _shares(batches, max(1, min(len(batches), _cpus())))
     for share_rows, share_failures in _run_shares(shares, run):
         rows.update(share_rows)
         failures.extend(share_failures)

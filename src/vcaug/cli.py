@@ -16,7 +16,7 @@ process CPU at the same wall time: a 4-s `convert` on a desk model took
 16-21 ms of CPU with OpenBLAS's default 2 threads on 2 vCPUs and 7-9 ms
 with 1, in 7-11 ms of wall time either way.  `augment` now runs one
 process per CPU (the caller and forked workers, each converting whole
-windows of the corpus), so BLAS threads would only compete with the other
+length-grouped batches), so BLAS threads would only compete with the other
 processes for the same CPUs: keep `OPENBLAS_NUM_THREADS=1` there too.  Set
 it in the environment; the program leaves the thread count to the BLAS.
 """

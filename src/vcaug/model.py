@@ -38,7 +38,7 @@ import math
 import numbers
 import os
 import struct
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import Iterator
 
 import numpy as np
@@ -53,6 +53,19 @@ CHECKPOINT_MAGIC = b"VCCK"
 CHECKPOINT_VERSION = 1
 
 LN_EPS = 1e-5
+
+# Fixed architecture sizes.  Config snapshots from checkpoints written when
+# these were config fields carry them as keys; `ModelConfig.from_dict`
+# accepts such a key at exactly this value.
+SUBSAMPLE_FACTOR = 4   # the encoder's two stride-2 convs
+CONV_KERNEL = 3        # subsampling and depthwise convs
+FF_MULTIPLIER = 2      # feed-forward hidden width over model_dim
+UPSAMPLE_KERNEL = 4    # each stride-2 transposed conv of the decoder
+_FORMER_FIELDS = {
+    "encoder": {"subsample_factor": SUBSAMPLE_FACTOR, "conv_kernel": CONV_KERNEL,
+                "ff_multiplier": FF_MULTIPLIER},
+    "decoder": {"upsample_kernel": UPSAMPLE_KERNEL},
+}
 
 
 class CheckpointError(ValueError):
@@ -76,30 +89,21 @@ class EncoderConfig:
     n_blocks: int = 2
     model_dim: int = 64
     n_heads: int = 2
-    subsample_factor: int = 4
-    conv_kernel: int = 3
-    ff_multiplier: int = 2
     frozen: bool = False
 
     def __post_init__(self):
-        _require_positive(self, "n_blocks", "model_dim", "n_heads", "conv_kernel",
-                          "ff_multiplier")
+        _require_positive(self, "n_blocks", "model_dim", "n_heads")
         if self.model_dim % self.n_heads != 0:
             raise ValueError(f"model_dim {self.model_dim} not divisible by {self.n_heads} heads")
-        if self.subsample_factor != 4:
-            raise ValueError("subsample_factor is fixed at 4")
-        if self.conv_kernel % 2 == 0:
-            raise ValueError("conv_kernel must be odd")
 
 
 @dataclass(frozen=True)
 class DecoderConfig:
     n_lstm_layers: int = 2
     lstm_dim: int = 64
-    upsample_kernel: int = 4
 
     def __post_init__(self):
-        _require_positive(self, "n_lstm_layers", "lstm_dim", "upsample_kernel")
+        _require_positive(self, "n_lstm_layers", "lstm_dim")
 
 
 @dataclass(frozen=True)
@@ -127,6 +131,12 @@ class ModelConfig:
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":
         d = dict(d)
+        for section, former in _FORMER_FIELDS.items():
+            d[section] = dict(d[section])
+            for key, value in former.items():
+                given = d[section].pop(key, value)
+                if type(given) is not int or given != value:
+                    raise ValueError(f"{section}.{key} is fixed at {value}, got {given!r}")
         d["encoder"] = EncoderConfig(**d["encoder"])
         d["decoder"] = DecoderConfig(**d["decoder"])
         return ModelConfig(**d)
@@ -153,7 +163,7 @@ def pad_batch(arrays) -> tuple[np.ndarray, np.ndarray]:
 
 def _encoded_lengths(lengths):
     """Valid encoder frames per row, ceil(T_b / 4); None passes through."""
-    return None if lengths is None else -(-np.asarray(lengths) // 4)
+    return None if lengths is None else -(-np.asarray(lengths) // SUBSAMPLE_FACTOR)
 
 
 class VcModel:
@@ -218,7 +228,7 @@ class VcModel:
         cfg = self.config
         enc = cfg.encoder
         dim = enc.model_dim
-        k = enc.conv_kernel
+        k = CONV_KERNEL
 
         self._add("enc.sub1.w", (k, cfg.n_mels, dim), k * cfg.n_mels)
         self._add_zeros("enc.sub1.b", (dim,))
@@ -234,7 +244,7 @@ class VcModel:
             self._add(f"{p}.conv.dw", (k, dim), k)
             self._add(f"{p}.conv.pw.w", (dim, dim), dim)
             self._add_zeros(f"{p}.conv.pw.b", (dim,))
-            hidden = dim * enc.ff_multiplier
+            hidden = dim * FF_MULTIPLIER
             self._add(f"{p}.ff.w1", (dim, hidden), dim)
             self._add_zeros(f"{p}.ff.b1", (hidden,))
             self._add(f"{p}.ff.w2", (hidden, dim), hidden)
@@ -266,7 +276,7 @@ class VcModel:
                 self._add(f"{p}.wh", (dec.lstm_dim, 4 * dec.lstm_dim), dec.lstm_dim, gain=g)
                 self._add_zeros(f"{p}.b", (4 * dec.lstm_dim,))
             in_dim = 2 * dec.lstm_dim
-        ku = dec.upsample_kernel
+        ku = UPSAMPLE_KERNEL
         self._add("dec.up1.w", (ku, in_dim, dec.lstm_dim), ku * in_dim, gain=g)
         self._add_zeros("dec.up1.b", (dec.lstm_dim,))
         self._add("dec.up2.w", (ku, dec.lstm_dim, dec.lstm_dim), ku * dec.lstm_dim, gain=g)
@@ -335,7 +345,8 @@ class VcModel:
         if shortest < 4:
             raise ValueError(f"need at least 4 frames to encode, got {shortest}")
         # right-pad time to a multiple of 4: a zeros buffer and one slice copy
-        normalized = np.zeros(values.shape[:-2] + (t + (-t) % 4, values.shape[-1]), dtype=self.dtype)
+        normalized = np.zeros(values.shape[:-2] + (t + (-t) % SUBSAMPLE_FACTOR, values.shape[-1]),
+                              dtype=self.dtype)
         valid = normalized[..., :t, :]
         np.divide(values.astype(self.dtype) - self.feature_mean, self.feature_std, out=valid)
         mask = ad.length_mask(lengths, t, self.dtype)
@@ -604,15 +615,9 @@ def load_encoder_from(model: VcModel, donor_path) -> None:
     meta, _, named = read_checkpoint_raw(donor_path)
     donor_cfg = _config_from_meta(meta, donor_path)
     ours = model.config
-    mismatched = []
-    if donor_cfg.n_mels != ours.n_mels:
-        mismatched.append("n_mels")
-    donor_enc = replace(donor_cfg.encoder, frozen=ours.encoder.frozen)
-    if donor_enc != ours.encoder:
-        for f_name in ("n_blocks", "model_dim", "n_heads", "subsample_factor",
-                       "conv_kernel", "ff_multiplier"):
-            if getattr(donor_cfg.encoder, f_name) != getattr(ours.encoder, f_name):
-                mismatched.append(f"encoder.{f_name}")
+    mismatched = ["n_mels"] if donor_cfg.n_mels != ours.n_mels else []
+    mismatched += [f"encoder.{f.name}" for f in fields(EncoderConfig) if f.name != "frozen"
+                   and getattr(donor_cfg.encoder, f.name) != getattr(ours.encoder, f.name)]
     if mismatched:
         raise CheckpointError(
             f"{donor_path}: encoder config mismatch on keys: {', '.join(mismatched)}"

@@ -71,8 +71,6 @@ class MelSpectrogram:
     """T x M matrix of natural-log mel magnitudes."""
 
     data: np.ndarray
-    frame_size_ms: float = 25.0
-    frame_shift_ms: float = 10.0
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.float32)
@@ -190,7 +188,7 @@ def compute_log_mel(
         np.matmul(mag, fbank_t, out=data[block])
     np.maximum(data, LOG_FLOOR, out=data)
     np.log(data, out=data)
-    return MelSpectrogram(data=data, frame_size_ms=frame_size_ms, frame_shift_ms=frame_shift_ms)
+    return MelSpectrogram(data=data)
 
 
 def spec_augment(
@@ -220,7 +218,7 @@ def spec_augment(
             data[:, start : start + width] = policy.mask_value
         for start, width in draw(policy.n_time_masks, policy.max_time_width, t):
             data[start : start + width, :] = policy.mask_value
-    return MelSpectrogram(data=data, frame_size_ms=mel.frame_size_ms, frame_shift_ms=mel.frame_shift_ms)
+    return MelSpectrogram(data=data)
 
 
 def _wav_header(path, stream, n_bytes: int) -> tuple[int, int, wave.Wave_read]:

@@ -118,10 +118,6 @@ class Adam:
             sizes[p.values.dtype] = max(sizes.get(p.values.dtype, 0), p.values.size)
         self._scratch = {dtype: np.empty(n, dtype=dtype) for dtype, n in sizes.items()}
 
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
-
     def step(self) -> None:
         self.t += 1
         b1c = 1.0 - self.beta1**self.t

@@ -5,7 +5,6 @@ import signal
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +21,7 @@ from vcaug.signal import (
     MelSpectrogram,
     SpecAugmentPolicy,
     Waveform,
+    frame_count,
     frame_geometry,
     read_melf,
     read_melf_header,
@@ -107,11 +107,8 @@ def test_sample_target_seeded_sequence():
 
 
 def view_pair(mel, model, pool, policy, seed):
-    """Both views of one utterance: `_view_pairs` with a one-utterance convert."""
-    def convert_one(mels, targets):
-        return [aug.convert(mels[0], targets[0], model)]
-
-    return aug._view_pairs([mel], [seed], pool, policy, convert_one)[0]
+    """Both views of one utterance: `_view_pairs` with a batch of one."""
+    return aug._view_pairs([mel], [seed], pool, policy, model)[0]
 
 
 def test_make_view_pair_no_masks_keeps_original(toy_vc_model):
@@ -268,7 +265,7 @@ def test_conversion_runs_no_bottleneck_loss(tmp_path, monkeypatch, toy_vc_model)
 
 
 def cpus(monkeypatch, n):
-    """Let emit see n CPUs, so it runs min(windows, n) processes."""
+    """Let emit see n CPUs, so it runs min(batches, n) processes."""
     monkeypatch.setattr(aug.os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
@@ -306,7 +303,7 @@ def test_emit_dataset_batch_budget_changes_only_float_rounding(tmp_path, monkeyp
     assert sizes == [3, 4]
     monkeypatch.setattr(aug, "EMIT_BATCH_FRAMES", 24)
     split = aug.emit_dataset(corpus, toy_vc_model64, pool, policy, tmp_path / "many", seed=3)
-    assert sizes[2:] == [2, 1, 1, 1, 1, 1]
+    assert sizes[2:] == [3, 2, 1, 1]   # [4, 5, 7] [9, 11] [12] [16]
     assert whole.n_pairs == split.n_pairs == 7 and not whole.failures and not split.failures
     assert whole.manifest_path.read_bytes() == split.manifest_path.read_bytes()
     for line in whole.manifest_path.read_text().splitlines():
@@ -376,12 +373,12 @@ def test_emit_dataset_rejects_colliding_output_names(tmp_path, toy_vc_model):
                                                      "manifest.tsv"]
 
 
-def path_order_batches(window):
-    """The path-order grouping `_frame_batches` replaced, within one window:
-    consecutive items while rows x longest row fits the budget."""
+def path_order_batches(planned):
+    """Path-order grouping, the alternative `_frame_batches` is compared with:
+    consecutive planned items while rows x longest row fits the budget."""
     batch, longest = [], 0
-    for item in window:
-        t = item[0].n_frames
+    for item in planned:
+        t = item[0]
         if batch and (len(batch) + 1) * max(longest, t) > aug.EMIT_BATCH_FRAMES:
             yield batch
             batch, longest = [], 0
@@ -391,10 +388,6 @@ def path_order_batches(window):
         yield batch
 
 
-def frames_of(item):
-    return item[0].n_frames
-
-
 @settings(max_examples=200, deadline=None)
 @given(lengths=st.lists(st.integers(1, 80), max_size=40), budget=st.integers(4, 120),
        n_procs=st.integers(1, 4))
@@ -402,28 +395,43 @@ def test_frame_batches_group_by_length_within_budget(lengths, budget, n_procs):
     planned = [(t, i) for i, t in enumerate(lengths)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(aug, "EMIT_BATCH_FRAMES", budget)
-        windows = list(aug._windows(iter(planned)))
-        # a process holds one window of features, and cuts every batch out of it
-        batches = [batch for window in windows for batch in aug._frame_batches(
-            [(SimpleNamespace(n_frames=t), i) for t, i in window])]
-        shares = aug._shares(windows, n_procs)
-    assert sorted(i for batch in batches for _, i in batch) == list(range(len(planned)))
-    window_of = {i: w for w, window in enumerate(windows) for _, i in window}
+        batches = list(aug._frame_batches(iter(planned)))
+    shares = aug._shares(batches, n_procs)
+    # every item once, in stable frame-count order
+    assert [item for batch in batches for item in batch] == sorted(planned, key=lambda item: item[0])
     for batch in batches:
-        assert len({window_of[i] for _, i in batch}) == 1
-        rows = sorted(map(frames_of, batch))
+        rows = [t for t, _ in batch]
         assert len(rows) == 1 or len(rows) * rows[-1] <= budget
         assert rows[-1] <= aug.EMIT_LENGTH_RATIO * rows[0]
-    assert [item for window in windows for item in window] == planned
-    for window in windows:
-        assert len(window) == 1 or sum(t for t, _ in window) <= budget
-    # every window goes to exactly one of n_procs shares, each in path order
-    assert len(shares) == n_procs
-    assert sorted(map(window_of.get, (w[0][1] for share in shares for w in share))) == \
-        list(range(len(windows)))
-    for share in shares:
-        starts = [window[0][1] for window in share]
-        assert starts == sorted(starts)
+    # every batch goes to exactly one of n_procs shares, each in plan order
+    index = {id(batch): b for b, batch in enumerate(batches)}
+    dealt = [[index[id(batch)] for batch in share] for share in shares]
+    assert len(dealt) == n_procs
+    assert sorted(b for share in dealt for b in share) == list(range(len(batches)))
+    assert all(share == sorted(share) for share in dealt)
+    # largest first to the least loaded: no share exceeds an even split by
+    # more than the largest batch
+    padded = [len(batch) * batch[-1][0] for batch in batches]
+    loads = [sum(padded[b] for b in share) for share in dealt]
+    assert max(loads) <= sum(padded) / n_procs + max(padded, default=0)
+
+
+@pytest.mark.parametrize("seed", [1, 11, 1701, 1702, 2001])
+def test_two_processes_share_the_wav_benchmark_corpus_evenly(seed):
+    """The busier of two processes gets at most 55% of the padded frames.
+
+    The frame counts are those of vcbench's augment_wav_mixed corpus: per
+    speaker (6), three files whose durations are drawn one from each of 18
+    equal strata of 0.5-4 s, then one of 4 s; 16 kHz.  No file is written.
+    """
+    rng = np.random.default_rng([seed, 2])
+    drawn = iter(0.5 + 3.5 * (rng.permutation(18) + rng.uniform(size=18)) / 18)
+    seconds = [4.0 if u == 3 else float(next(drawn)) for _ in range(6) for u in range(4)]
+    planned = [(frame_count(int(round(s * 16000)), *frame_geometry(16000)), i)
+               for i, s in enumerate(seconds)]
+    shares = aug._shares(list(aug._frame_batches(planned)), 2)
+    loads = [sum(len(batch) * batch[-1][0] for batch in share) for share in shares]
+    assert max(loads) <= 0.55 * sum(loads), loads
 
 
 def test_emit_dataset_length_grouping_keeps_path_order_outputs(tmp_path, monkeypatch,
@@ -436,11 +444,11 @@ def test_emit_dataset_length_grouping_keeps_path_order_outputs(tmp_path, monkeyp
     monkeypatch.setattr(aug, "EMIT_BATCH_FRAMES", 64)
     sizes = count_batches(monkeypatch)
     grouped = aug.emit_dataset(corpus, toy_vc_model64, pool, policy, tmp_path / "grouped", seed=5)
-    assert sizes == [2, 2, 1, 1, 1, 2, 1]   # [5, 6] [17, 30] | [9] [40] | [4] [12, 22] | [33]
+    assert sizes == [3, 3, 2, 1, 1]   # [4, 5, 6] [9, 12, 17] [22, 30] [33] [40]
     monkeypatch.setattr(aug, "_frame_batches", path_order_batches)
     in_order = aug.emit_dataset(corpus, toy_vc_model64, pool, policy, tmp_path / "in_order",
                                 seed=5)
-    assert sizes[7:] == [2, 2, 1, 1, 2, 1, 1]   # [30, 5] [17, 6] | [40] [9] | [22, 4] [12] | [33]
+    assert sizes[5:] == [2, 2, 1, 2, 2, 1]   # [30, 5] [17, 6] [40] [9, 22] [4, 12] [33]
     rows = grouped.manifest_path.read_text().splitlines()
     assert [row.split("\t")[0] for row in rows] == sorted(f"utt{i}.melf" for i in range(10))
     assert grouped.manifest_path.read_bytes() == in_order.manifest_path.read_bytes()
@@ -483,7 +491,7 @@ def test_emit_dataset_output_bytes_do_not_depend_on_cpu_count(tmp_path, monkeypa
     monkeypatch.setattr(aug, "EMIT_BATCH_FRAMES", 64)
     planned = [(aug._source_frames(p, toy_vc_model), p.name)
                for p in sorted(corpus.iterdir()) if p.name not in ("w_cut.wav", "m_junk.melf")]
-    assert len(list(aug._windows(planned))) >= 6
+    assert len(list(aug._frame_batches(planned))) >= 6
     runs = {}
     for n in (1, 2, 3, 4):
         cpus(monkeypatch, n)
@@ -612,7 +620,7 @@ def test_one_process_emit_never_imports_multiprocessing(tmp_path, toy_vc_model):
         f"r = augment.emit_dataset({str(corpus)!r}, m, augment.SpeakerPool.all_of(m),\n"
         f"                         signal.SpecAugmentPolicy(), {str(tmp_path / 'views')!r}, 0)\n"
         "assert r.n_pairs == 3 and not r.failures\n"
-        "assert 'multiprocessing' not in sys.modules, 'imported by a one-window emit'\n"
+        "assert 'multiprocessing' not in sys.modules, 'imported by a one-batch emit'\n"
     )
     src = str(Path(aug.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
@@ -636,7 +644,7 @@ def parent_emit(corpus, model, pool, policy, out, seed, budget=8192):
         frames += item[0].n_frames
     windows.append(window)
     for window in windows:
-        window.sort(key=frames_of)
+        window.sort(key=lambda item: item[0].n_frames)
         batches, batch = [], []
         for item in window:
             t = item[0].n_frames
@@ -648,7 +656,7 @@ def parent_emit(corpus, model, pool, policy, out, seed, budget=8192):
         for batch in batches:
             pairs = aug._view_pairs([mel for mel, _, _ in batch],
                                     [aug._file_seed(seed, rel) for _, rel, _ in batch], pool,
-                                    policy, lambda m, t: aug._convert_batch(m, t, model))
+                                    policy, model)
             for (_, rel, stem), pair in zip(batch, pairs):
                 write_melf(out / f"{stem}.orig.melf", pair.original)
                 write_melf(out / f"{stem}.conv.melf", pair.converted)
@@ -668,7 +676,7 @@ def test_parallel_emit_matches_the_serial_emit_to_float32_rounding(tmp_path, mon
     result = aug.emit_dataset(corpus, toy_vc_model, pool, policy, tmp_path / "parallel", seed=9)
     assert result.n_pairs == 34 and not result.failures
     planned = [(aug._source_frames(p, toy_vc_model),) for p in sorted(corpus.iterdir())]
-    assert len(list(aug._windows(planned))) >= 3
+    assert len(list(aug._frame_batches(planned))) >= 3
     parent_emit(corpus, toy_vc_model, pool, policy, tmp_path / "serial", seed=9)
     parallel, serial = tree_bytes(tmp_path / "parallel"), tree_bytes(tmp_path / "serial")
     assert parallel.keys() == serial.keys()

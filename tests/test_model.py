@@ -611,6 +611,42 @@ def test_config_round_trip():
     assert vm.ModelConfig.from_dict(cfg.to_dict()) == cfg
 
 
+# sizes that config snapshots held as keys before they became module constants
+FORMER_CONFIG_KEYS = {"encoder": {"subsample_factor": 4, "conv_kernel": 3, "ff_multiplier": 2},
+                      "decoder": {"upsample_kernel": 4}}
+
+
+def test_checkpoint_with_the_former_fixed_config_keys_loads(tmp_path):
+    model = vm.VcModel(toy_config())
+    model.set_feature_stats(np.full(8, -2.0), np.full(8, 1.5))
+    path = tmp_path / "model.vcck"
+    vm.save_checkpoint(model, path)
+
+    def former_keys(**changed):
+        def edit(meta):
+            for section, keys in FORMER_CONFIG_KEYS.items():
+                meta["config"][section].update({k: changed.get(k, v) for k, v in keys.items()})
+        return edit
+
+    _rewrite_checkpoint(path, edit_meta=former_keys())
+    assert vm.read_checkpoint_raw(path)[0]["config"]["decoder"] == {
+        "n_lstm_layers": 2, "lstm_dim": 8, "upsample_kernel": 4}
+    loaded = vm.load_checkpoint(path)
+    assert loaded.config == model.config
+    for name, t in model.params.items():
+        np.testing.assert_array_equal(loaded.params[name].values, t.values)
+    np.testing.assert_array_equal(loaded.feature_std, model.feature_std)
+    vm.load_encoder_from(vm.VcModel(toy_config()), path)
+
+    for key, value in [("subsample_factor", 2), ("conv_kernel", 5), ("conv_kernel", 3.0),
+                       ("ff_multiplier", 4), ("upsample_kernel", 2)]:
+        _rewrite_checkpoint(path, edit_meta=former_keys(**{key: value}))
+        with pytest.raises(vm.CheckpointError, match=f"{key} is fixed at"):
+            vm.load_checkpoint(path)
+        with pytest.raises(vm.CheckpointError, match=f"{key} is fixed at"):
+            vm.load_encoder_from(vm.VcModel(toy_config()), path)
+
+
 def test_frozen_flag_excludes_encoder_params():
     model = vm.VcModel(toy_config(frozen=True))
     trainable = model.parameters(trainable_only=True)

@@ -307,7 +307,7 @@ def per_utterance_reference(model, dataset, cfg):
             for term in losses[1:]:
                 loss = ad.add(loss, term)
             loss = ad.mul(loss, Tensor(np.asarray(1.0 / len(picks))))
-        optimizer.zero_grad()
+        ad.zero_grads(optimizer.params.values())
         tape.backward(loss)
         optimizer.step()
 
