@@ -8,7 +8,9 @@ fuse what would otherwise be long compositions, each recorded as one node
 with a hand-written backward: `layer_norm`; `split_heads`/`merge_heads`,
 which put attention heads on a batch axis so that `matmul` (which accepts
 any equal leading axes) serves every head at once; and `bilstm_layer`,
-which runs both directions of an LSTM layer in one time loop.
+which runs both directions of an LSTM layer in one time loop and takes an
+input that is constant over time (a condition row per sequence) as a
+per-sequence gate bias.
 `bilstm_layer` takes the i, f, o gates' sigmoid as 1/2 + tanh(z/2)/2, so
 all four gates cost one tanh per step; in float32 this rounds differently
 from 1/(1 + exp(-z)), by about an ulp.  Ops executed while a `Tape` is
@@ -37,6 +39,7 @@ where x equals the anchor and has exactly the reversal's backward.
 
 from __future__ import annotations
 
+import functools
 import threading
 import zlib
 from dataclasses import dataclass
@@ -191,8 +194,8 @@ def fresh_param(name: str, shape, init) -> Tensor:
     """The default parameter maker: a tensor holding `init()`.
 
     A maker takes a parameter's name, its shape and a function that draws
-    its initial values; a model being loaded passes one that adopts the
-    loaded array instead and draws nothing.
+    its initial values; `VcModel` passes one that only declares the
+    parameter, and places and fills its array afterwards.
     """
     return Tensor(init())
 
@@ -228,26 +231,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # activations and pointwise transcendentals
-
-
-def tanh(a: Tensor) -> Tensor:
-    y = np.tanh(a.values)
-    out = Tensor(y)
-
-    def bwd(g):
-        _accum(a, g * (1.0 - y * y))
-
-    return _record(out, bwd)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    y = 1.0 / (1.0 + np.exp(-a.values))
-    out = Tensor(y)
-
-    def bwd(g):
-        _accum(a, g * y * (1.0 - y))
-
-    return _record(out, bwd)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -544,29 +527,49 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     return _record(out, bwd)
 
 
+@functools.lru_cache(maxsize=16)
+def _gate_affine(hidden: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only [4H] scale and offset that turn tanh of the scaled gates into
+    sigmoid on the i, f, o columns and leave the cell column's tanh."""
+    sigmoid_cols = np.arange(4 * hidden) // hidden != 2
+    scale = np.where(sigmoid_cols, 0.5, 1.0).astype(dtype)
+    offset = np.where(sigmoid_cols, 0.5, 0.0).astype(dtype)
+    scale.flags.writeable = offset.flags.writeable = False
+    return scale, offset
+
+
 def bilstm_layer(x: Tensor, fwd_weights: Sequence[Tensor], bwd_weights: Sequence[Tensor],
-                 lengths=None) -> Tensor:
+                 lengths=None, cond: Tensor | None = None) -> Tensor:
     """A bidirectional LSTM layer over a whole sequence, recorded as a single op.
 
     x: [T, I] or a padded batch [B, T, I]; `fwd_weights` and `bwd_weights`
-    are each one direction's (wx [I, 4H], wh [H, 4H], b [4H]).  Returns [T, 2H] or
-    [B, T, 2H]: the forward direction's h on the first H channels and the
-    reverse direction's on the last H, with h[t] the state after consuming
-    x[t].  Each direction starts from zero h and c; the forward one runs
-    t = 0..T-1, the reverse one from each row's last valid frame,
+    are each one direction's (wx [I + E, 4H], wh [H, 4H], b [4H]).  Returns
+    [T, 2H] or [B, T, 2H]: the forward direction's h on the first H channels
+    and the reverse direction's on the last H, with h[t] the state after
+    consuming x[t].  Each direction starts from zero h and c; the forward one
+    runs t = 0..T-1, the reverse one from each row's last valid frame,
     lengths[b] - 1, down to 0.  Frames past a row's length are consumed after
     all of its valid ones in both directions, so they never reach a valid
     output.  Gate order along the last axis is (input, forget, cell, output).
 
+    `cond` is a condition row per sequence, [E] or [B, E] (E = 0 without
+    it), that every frame of its sequence sees as E more input channels
+    after its own I: the layer computes exactly what it would over each
+    frame with the row appended, but multiplies only the frames by wx[:I]
+    and adds cond @ wx[I:], one product per sequence, to every frame's
+    gates.
+
     Before the loop, each direction's input projection is one
-    [rows, I] @ [I, 4H] GEMM, copied into contiguous step-major
+    [rows, I] @ [I, 4H] GEMM; its per-sequence bias (b, plus the condition
+    product) is added and the result copied into contiguous step-major
     [T, 2, B, 4H] gates in the order that direction reads frames (a reverse
     row is its valid prefix flipped).  The loop advances both directions
     with one [2, B, H] @ [2, H, 4H] recurrent matmul per step and activates
     the gates in place.  All four take one tanh: the
     cell gate is tanh(z), and i, f, o use sigmoid(z) = 1/2 + tanh(z/2)/2.
-    The z/2 costs nothing, because the i, f, o columns of wx, wh and b are
-    halved before the loop, which rounds nothing (a power-of-two scale).
+    The z/2 costs nothing: the projection is halved on the i, f, o columns
+    as it is copied into the gates, and so are those columns of the stacked
+    wh, which rounds nothing (a power-of-two scale).
     The identity rounds differently from 1/(1 + exp(-z)): in float32 both
     stay within about 1e-7 of the exact sigmoid, but near 0 the identity's
     values are multiples of 2**-25 and it reaches exactly 0 below about
@@ -576,18 +579,23 @@ def bilstm_layer(x: Tensor, fwd_weights: Sequence[Tensor], bwd_weights: Sequence
     tape, only the current step's c and tanh(c) are kept).  Backpropagation
     through time fills the pre-activation gradient dZ of both directions,
     one step at a time; then dwh is one batched [2, H, rows] @ [2, rows, 4H]
-    GEMM, and each direction's dwx = xT dZ, its part of dx = dZ wxT and its
-    db = sum dZ (float64) take one operation each.
+    GEMM, and each direction's dwx[:I] = xT dZ, its part of dx = dZ wx[:I]T
+    and its db = sum dZ (float64) take one operation each.  The condition
+    row's gradient and dwx[I:] come from dZ summed over each sequence's
+    frames.
     """
     (wxf, whf, bf), (wxb, whb, bb) = fwd_weights, bwd_weights
     hidden = whf.shape[0] if whf.ndim else 0
     h4 = 4 * hidden
+    cond_dim = cond.shape[-1] if cond is not None and cond.ndim else 0
     if (x.ndim not in (2, 3) or hidden == 0
-            or any(w.shape != (x.shape[-1], h4) for w in (wxf, wxb))
+            or (cond is not None and cond.shape != x.shape[:-2] + (cond_dim,))
+            or any(w.shape != (x.shape[-1] + cond_dim, h4) for w in (wxf, wxb))
             or any(w.shape != (hidden, h4) for w in (whf, whb))
             or any(v.shape != (h4,) for v in (bf, bb))):
         raise ShapeError("bilstm_layer", x.shape,
-                         *(p.shape for p in (*fwd_weights, *bwd_weights)))
+                         *(p.shape for p in (*fwd_weights, *bwd_weights)),
+                         *(() if cond is None else (cond.shape,)))
     t, in_dim = x.shape[-2], x.shape[-1]
     if lengths is not None:
         lengths = np.asarray(lengths)
@@ -595,6 +603,7 @@ def bilstm_layer(x: Tensor, fwd_weights: Sequence[Tensor], bwd_weights: Sequence
             raise ShapeError("bilstm_layer", x.shape, lengths.shape)
     rows, dtype = x.shape[0] if x.ndim == 3 else 1, x.dtype
     x2 = x.values.reshape(-1, in_dim)
+    cond2 = None if cond is None else cond.values.reshape(rows, cond_dim)
 
     valid = [t] * rows if lengths is None else lengths.tolist()
 
@@ -610,18 +619,19 @@ def bilstm_layer(x: Tensor, fwd_weights: Sequence[Tensor], bwd_weights: Sequence
         flip(frames[:, :, 1])
         return frames.reshape(rows, t, -1)
 
-    sigmoid_cols = np.arange(h4) // hidden != 2
-    scale = np.where(sigmoid_cols, 0.5, 1.0).astype(dtype)
-    offset = np.where(sigmoid_cols, 0.5, 0.0).astype(dtype)
+    scale, offset = _gate_affine(hidden, dtype)
     gates = np.empty((t, 2, rows, h4), dtype=dtype)
     proj = np.empty((rows * t, h4), dtype=dtype)
     for d, (wx, b) in enumerate(((wxf, bf), (wxb, bb))):
-        np.matmul(x2, wx.values * scale, out=proj)
-        proj += b.values * scale
-        gates[:, d] = proj.reshape(rows, t, h4).transpose(1, 0, 2)
-    del proj   # unused in the loop; freeing it lowers peak memory
+        np.matmul(x2, wx.values[:in_dim], out=proj)
+        bias = b.values if cond is None else cond2 @ wx.values[in_dim:] + b.values
+        proj3 = proj.reshape(rows, t, h4)
+        proj3 += bias.reshape(-1, 1, h4)
+        np.multiply(proj3.transpose(1, 0, 2), scale, out=gates[:, d])
+    del proj, proj3   # unused in the loop; freeing it lowers peak memory
     flip(gates[:, 1].transpose(1, 0, 2))
-    wh2 = np.stack([whf.values * scale, whb.values * scale])
+    wh2 = np.stack([whf.values, whb.values])
+    wh2 *= scale
     hs = np.empty((t, 2, rows, hidden), dtype=dtype)
     # only backward reads every step's c and tanh(c); without a tape one slot is reused
     kept = t if _active_tape() is not None else 1
@@ -673,12 +683,22 @@ def bilstm_layer(x: Tensor, fwd_weights: Sequence[Tensor], bwd_weights: Sequence
         _accum(whf, dwh[0])
         _accum(whb, dwh[1])
         dz_frames = to_frames(dz_flat).reshape(-1, 2, h4)
+        # each sequence's dZ summed over its frames: what its condition row sees
+        dz_rows = None if cond is None else dz_frames.reshape(rows, t, 2, h4).sum(axis=1)
         dx = np.zeros_like(x2)
+        dcond = None if cond is None else np.zeros_like(cond2)
         for d, (wx, b) in enumerate(((wxf, bf), (wxb, bb))):
             _accum(b, dz_frames[:, d].sum(axis=0, dtype=np.float64))
-            _accum(wx, x2.T @ dz_frames[:, d])
-            dx += dz_frames[:, d] @ wx.values.T
+            dwx = np.empty_like(wx.values)
+            np.matmul(x2.T, dz_frames[:, d], out=dwx[:in_dim])
+            dx += dz_frames[:, d] @ wx.values[:in_dim].T
+            if cond is not None:
+                np.matmul(cond2.T, dz_rows[:, d], out=dwx[in_dim:])
+                dcond += dz_rows[:, d] @ wx.values[in_dim:].T
+            _accum(wx, dwx)
         _accum(x, dx.reshape(x.shape))
+        if cond is not None:
+            _accum(cond, dcond.reshape(cond.shape))
 
     return _record(out, bwd)
 

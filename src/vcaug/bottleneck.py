@@ -58,7 +58,7 @@ class Codebook:
         ]
 
     def init_from_outputs(self, z_e_values: np.ndarray, rng: np.random.Generator) -> None:
-        """Reseed entries from rows of a batch of encoder outputs.
+        """Reseed entries, in place, from rows of a batch of encoder outputs.
 
         Sampling rows of real activations avoids dead codes at small scale.
         """
@@ -66,7 +66,7 @@ class Codebook:
         for g, table in enumerate(self.groups):
             block = z_e_values[:, g * self.group_dim : (g + 1) * self.group_dim]
             picks = rng.integers(0, t, size=self.n_entries)
-            table.values = block[picks].astype(table.values.dtype)
+            table.values[...] = block[picks]
 
     def parameters(self) -> dict[str, Tensor]:
         return {f"vq.group{g}.codebook": t for g, t in enumerate(self.groups)}

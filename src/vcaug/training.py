@@ -98,8 +98,22 @@ def total_loss(recon: Tensor, codebook: Tensor, commit: Tensor, adv: Tensor,
     return ad.add(ad.add(recon, ad.mul(codebook, gamma)), ad.add(commit, adv))
 
 
+ADAM_BLOCK = 1 << 16   # elements per pass: a block's m, v, gradient and scratch stay in cache
+
+
 class Adam:
-    """Standard Adam with bias correction; a missing gradient counts as zero."""
+    """Standard Adam with bias correction; a missing gradient counts as zero.
+
+    Each step writes every parameter's `.values` in place, never rebinding
+    it, so views of them (a model's flat buffer) see the update.  The
+    moments are flat, one `m` and one `v` over the parameters in order,
+    allocated by the first step, so an optimizer that never steps holds
+    nothing.  A step is one pass over them in blocks of `ADAM_BLOCK`
+    elements: gather the block's gradient from the parameters' own `.grad`
+    arrays, update it with one operation per textbook term in the textbook
+    order (so the result is bit-equal to a per-tensor update), and subtract
+    each parameter's share from its values.  All parameters share one dtype.
+    """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-4,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -109,29 +123,47 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m = {k: np.zeros_like(p.values) for k, p in params.items()}
-        self._v = {k: np.zeros_like(p.values) for k, p in params.items()}
-        # one flat buffer per dtype, sized for the largest parameter and
-        # reused by each parameter's update in turn
-        sizes: dict[np.dtype, int] = {}
-        for p in params.values():
-            sizes[p.values.dtype] = max(sizes.get(p.values.dtype, 0), p.values.size)
-        self._scratch = {dtype: np.empty(n, dtype=dtype) for dtype, n in sizes.items()}
+        self._state: tuple | None = None
+
+    def _plan(self) -> tuple:
+        """Flat m and v, two block-sized scratch arrays, and the blocks, each
+        (start, stop, pieces) with a piece (tensor, first, last, offset in block)."""
+        dtypes = {p.values.dtype for p in self.params.values()}
+        if len(dtypes) != 1:
+            raise ValueError(f"Adam needs parameters of one dtype, got {sorted(map(str, dtypes))}")
+        for name, p in self.params.items():
+            if not p.values.flags.c_contiguous:
+                raise ValueError(f"Adam updates in place; parameter {name} is not contiguous")
+        n = sum(p.values.size for p in self.params.values())
+        blocks = [(lo, min(lo + ADAM_BLOCK, n), []) for lo in range(0, n, ADAM_BLOCK)]
+        start = 0
+        for p in self.params.values():
+            stop = start + p.values.size
+            for lo, hi, pieces in blocks[start // ADAM_BLOCK : -(-stop // ADAM_BLOCK)]:
+                first, last = max(start, lo), min(stop, hi)
+                pieces.append((p, first - start, last - start, first - lo))
+            start = stop
+        dtype, scratch = dtypes.pop(), min(n, ADAM_BLOCK)
+        return (np.zeros(n, dtype), np.zeros(n, dtype),
+                np.empty(scratch, dtype), np.empty(scratch, dtype), blocks)
 
     def step(self) -> None:
+        if self._state is None:
+            self._state = self._plan()
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
-        for name, p in self.params.items():
-            g = p.grad
-            if g is None:
-                g = np.zeros_like(p.values)
-            m = self._m[name]
-            v = self._v[name]
-            s = self._scratch[p.values.dtype][: p.values.size].reshape(p.values.shape)
+        m_all, v_all, g_all, s_all, blocks = self._state
+        for lo, hi, pieces in blocks:
+            g, s, m, v = g_all[: hi - lo], s_all[: hi - lo], m_all[lo:hi], v_all[lo:hi]
+            for p, first, last, at in pieces:
+                dest = g[at : at + last - first]
+                if p.grad is None:
+                    dest.fill(0)
+                else:
+                    dest[...] = p.grad.reshape(-1)[first:last]
             # p - lr * (m / b1c) / (sqrt(v / b2c) + eps), one rounding per
-            # operation in the textbook order; p.values is rebound to a new
-            # array, so holders of the old one keep the old values
+            # operation in the textbook order
             m *= self.beta1
             m += np.multiply(g, 1.0 - self.beta1, out=s)
             v *= self.beta2
@@ -140,10 +172,12 @@ class Adam:
             np.divide(v, b2c, out=s)
             np.sqrt(s, out=s)
             s += self.eps
-            update = np.divide(m, b1c)
+            update = np.divide(m, b1c, out=g)
             update *= self.lr
             update /= s
-            p.values = np.subtract(p.values, update, out=update)
+            for p, first, last, at in pieces:
+                values = p.values.reshape(-1)[first:last]
+                np.subtract(values, update[at : at + last - first], out=values)
 
 
 @dataclass

@@ -11,6 +11,18 @@ def t64(values):
     return Tensor(np.asarray(values, dtype=np.float64))
 
 
+def tanh(a):
+    """tanh as one recorded op; the per-step LSTM oracle and the tape tests use it."""
+    y = np.tanh(a.values)
+    return ad._record(Tensor(y), lambda g: ad._accum(a, g * (1.0 - y * y)))
+
+
+def sigmoid(a):
+    """1/(1 + exp(-a)) as one recorded op, for the per-step LSTM oracle."""
+    y = 1.0 / (1.0 + np.exp(-a.values))
+    return ad._record(Tensor(y), lambda g: ad._accum(a, g * y * (1.0 - y)))
+
+
 def grads_of(fn, params):
     with Tape() as tape:
         loss = fn()
@@ -133,7 +145,7 @@ def _rng_tensor(rng, shape, scale=1.0):
 
 
 def _primitive_cases(rng):
-    """Each case: name -> (params dict, scalar fn). Shapes stay <= 32 elements."""
+    """Each case: name -> (params dict, scalar fn). Shapes stay <= 40 elements."""
     a = _rng_tensor(rng, (4, 3))
     b = _rng_tensor(rng, (4, 3))
     row = _rng_tensor(rng, (3,))
@@ -166,6 +178,12 @@ def _primitive_cases(rng):
     hk = _rng_tensor(rng, (2, 2, 3, 2))
     hv = _rng_tensor(rng, (2, 2, 2, 3))
     anchor = rng.normal(size=(4, 3))
+    # a 2-wide condition row per sequence: wx covers 3 frame channels, then the row's
+    cond_lstm = {f"{d}.{n}": _rng_tensor(rng, s)
+                 for d in ("fwd", "bwd") for n, s in (("wx", (5, 8)), ("wh", (2, 8)), ("b", (8,)))}
+    cfwd, cbwd = ([cond_lstm[f"{d}.{n}"] for n in ("wx", "wh", "b")] for d in ("fwd", "bwd"))
+    crow = _rng_tensor(rng, (2,))
+    crows = _rng_tensor(rng, (2, 2))
 
     def spread(x):
         # mixes elements so every input influences the scalar nontrivially
@@ -195,8 +213,8 @@ def _primitive_cases(rng):
         "narrow": ({"a": a}, lambda: spread(ad.narrow(a, 0, 1, 2))),
         "sum": ({"a": a}, lambda: spread(ad.reduce_sum(a, axis=0))),
         "mean": ({"a": a}, lambda: spread(ad.reduce_mean(a, axis=1))),
-        "tanh": ({"a": a}, lambda: spread(ad.tanh(a))),
-        "sigmoid": ({"a": a}, lambda: spread(ad.sigmoid(a))),
+        "tanh": ({"a": a}, lambda: spread(tanh(a))),
+        "sigmoid": ({"a": a}, lambda: spread(sigmoid(a))),
         "relu": ({"a": a}, lambda: spread(ad.relu(a))),
         "softmax": ({"a": a}, lambda: spread(ad.softmax(a, axis=-1))),
         "layer_norm": (
@@ -239,6 +257,14 @@ def _primitive_cases(rng):
             {"x": blx, **lstm},
             lambda: spread(ad.bilstm_layer(blx, fwd, bwd, lengths=blen)),
         ),
+        "bilstm_layer_cond": (
+            {"x": lx, "cond": crow, **cond_lstm},
+            lambda: spread(ad.bilstm_layer(lx, cfwd, cbwd, cond=crow)),
+        ),
+        "bilstm_layer_cond_lengths": (
+            {"x": blx, "cond": crows, **cond_lstm},
+            lambda: spread(ad.bilstm_layer(blx, cfwd, cbwd, lengths=blen, cond=crows)),
+        ),
         "cross_entropy_rows": (
             {"logits": row_logits},
             lambda: ad.cross_entropy(row_logits, np.array([1, 3, 0])),
@@ -270,12 +296,12 @@ def _lstm_steps_oracle(x, wx, wh, b, reverse=False):
     rows = [None] * t
     for s in (range(t - 1, -1, -1) if reverse else range(t)):
         gates = ad.add(ad.add(ad.matmul(ad.narrow(x, 0, s, 1), wx), ad.matmul(h, wh)), b)
-        i = ad.sigmoid(ad.narrow(gates, 1, 0, hidden))
-        f = ad.sigmoid(ad.narrow(gates, 1, hidden, hidden))
-        g = ad.tanh(ad.narrow(gates, 1, 2 * hidden, hidden))
-        o = ad.sigmoid(ad.narrow(gates, 1, 3 * hidden, hidden))
+        i = sigmoid(ad.narrow(gates, 1, 0, hidden))
+        f = sigmoid(ad.narrow(gates, 1, hidden, hidden))
+        g = tanh(ad.narrow(gates, 1, 2 * hidden, hidden))
+        o = sigmoid(ad.narrow(gates, 1, 3 * hidden, hidden))
         c = ad.add(ad.mul(f, c), ad.mul(i, g))
-        h = ad.mul(o, ad.tanh(c))
+        h = ad.mul(o, tanh(c))
         rows[s] = h
     return ad.concat(rows, axis=0)
 
@@ -444,7 +470,7 @@ def test_first_gradient_is_a_private_copy():
     # one output feeding two consumers accumulates both contributions
     x = t64([0.5, 1.5])
     with Tape() as tape:
-        y = ad.tanh(x)
+        y = tanh(x)
         loss = ad.add(ad.reduce_sum(ad.mul(y, t64([2.0, 2.0]))), ad.reduce_sum(ad.exp(y)))
     tape.backward(loss)
     expected_y = 2.0 + np.exp(np.tanh(x.values))
@@ -463,6 +489,14 @@ def test_bilstm_layer_records_one_node_and_checks_shapes():
         ad.bilstm_layer(x, fwd, [bwd[0], _rng_tensor(rng, (3, 8)), bwd[2]])
     with pytest.raises(ad.ShapeError, match="bilstm_layer"):
         ad.bilstm_layer(Tensor(x.values[None]), fwd, bwd, lengths=[7])
+    # a condition row needs wx rows for it, and one row per sequence
+    with pytest.raises(ad.ShapeError, match="bilstm_layer"):
+        ad.bilstm_layer(x, fwd, bwd, cond=_rng_tensor(rng, (2,)))
+    cfwd, cbwd = _lstm_weights(rng, 5, 2)
+    assert ad.bilstm_layer(x, cfwd, cbwd, cond=_rng_tensor(rng, (2,))).shape == (6, 4)
+    for bad in ((1, 2), (3,), ()):
+        with pytest.raises(ad.ShapeError, match="bilstm_layer"):
+            ad.bilstm_layer(x, cfwd, cbwd, cond=_rng_tensor(rng, bad))
 
 
 def test_stop_gradient_blocks_flow():
@@ -477,7 +511,7 @@ def test_tape_determinism():
         x = Tensor(rng.normal(size=(6, 4)).astype(np.float32))
         w = Tensor(rng.normal(size=(4, 2)).astype(np.float32))
         with Tape() as tape:
-            loss = ad.reduce_sum(ad.tanh(ad.matmul(x, w)))
+            loss = ad.reduce_sum(tanh(ad.matmul(x, w)))
         ad.zero_grads([x, w])
         tape.backward(loss)
         return x.grad.copy(), w.grad.copy()
@@ -495,7 +529,7 @@ def test_backward_releases_what_only_the_tape_holds():
     with Tape() as tape:
         x = ad.mul(x0, t64(2.0))
         z = ad.matmul(x, w)
-        h = ad.tanh(z)   # tanh saves its output array for backward
+        h = tanh(z)   # tanh saves its output array for backward
         saved = weakref.ref(h.values, lambda _: freed_with_nodes_left.append(len(tape)))
         y = ad.mul(h, h)
         loss = ad.reduce_sum(y)

@@ -39,7 +39,7 @@ def test_indices_match_brute_force_scan():
 
 def test_tie_takes_lowest_index():
     cb = make_codebook(dim=2, n_groups=1, n_entries=4)
-    cb.groups[0].values = np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [0.0, 5.0]])
+    cb.groups[0].values[...] = [[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [0.0, 5.0]]
     qr = bn.quantize(Tensor(np.zeros((3, 2))), cb)
     # entries 0, 1, 2 are equidistant from the origin; 0 wins every time
     np.testing.assert_array_equal(qr.indices[:, 0], [0, 0, 0])
@@ -47,7 +47,7 @@ def test_tie_takes_lowest_index():
 
 def test_loss_values_all_ones_difference():
     cb = make_codebook(dim=4, n_groups=1, n_entries=2)
-    cb.groups[0].values = np.zeros((2, 4))
+    cb.groups[0].values[...] = 0.0
     cb.groups[0].values[1] += 100.0  # keep entry 0 the nearest
     qr = bn.quantize(Tensor(np.ones((1, 4))), cb, commitment_weight=0.25)
     assert qr.codebook_loss.item() == pytest.approx(4.0)

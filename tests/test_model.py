@@ -3,6 +3,7 @@ import io
 import json
 import struct
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,10 +15,14 @@ from vcaug import augment as aug
 from vcaug import autodiff as ad
 from vcaug import cli
 from vcaug import model as vm
+from vcaug import training as tr
 from vcaug.autodiff import Tape, Tensor
+from vcaug.config import load_config
 from vcaug.signal import MelSpectrogram, write_melf
 
 from conftest import toy_config, toy_mel
+
+TOY_CFG = Path(__file__).resolve().parent.parent / "configs" / "toy.cfg"
 
 
 def desk_model(seed=0, n_mels=80):
@@ -60,29 +65,32 @@ def test_encode_ceil_division(t, expected):
 def test_embed_and_concat_shapes_and_content():
     model = desk_model()
     bottleneck_out = Tensor(np.random.default_rng(1).normal(size=(25, 64)).astype(np.float32))
-    out = model.embed_and_concat(bottleneck_out, 2)
-    assert out.shape == (25, 64 + 256)
-    np.testing.assert_array_equal(out.values[:, :64], bottleneck_out.values)
-    row = model.params["spk.embedding"].values[2]
-    for frame in out.values:
-        np.testing.assert_array_equal(frame[64:], row)
+    content, row = model.embed_and_concat(bottleneck_out, 2)
+    assert content is bottleneck_out
+    assert row.shape == (256,)
+    np.testing.assert_array_equal(row.values, model.params["spk.embedding"].values[2])
+    # a batch gets one row per id
+    batch = Tensor(np.zeros((3, 5, 64), dtype=np.float32))
+    content, rows = model.embed_and_concat(batch, [3, 0, 3])
+    assert content is batch and rows.shape == (3, 256)
+    np.testing.assert_array_equal(rows.values, model.params["spk.embedding"].values[[3, 0, 3]])
 
 
 def test_embed_and_concat_zero_row_extends_with_zeros():
     model = desk_model()
     model.params["spk.embedding"].values[1] = 0.0
     x = Tensor(np.random.default_rng(2).normal(size=(5, 64)).astype(np.float32))
-    out = model.embed_and_concat(x, 1)
-    assert (out.values[:, 64:] == 0).all()
+    _, row = model.embed_and_concat(x, 1)
+    assert (row.values == 0).all()
 
 
 def test_embed_and_concat_speaker_changes_only_tail():
     model = desk_model()
     x = Tensor(np.random.default_rng(3).normal(size=(7, 64)).astype(np.float32))
-    a = model.embed_and_concat(x, 0)
-    b = model.embed_and_concat(x, 3)
-    np.testing.assert_array_equal(a.values[:, :64], b.values[:, :64])
-    assert not np.array_equal(a.values[:, 64:], b.values[:, 64:])
+    content_a, row_a = model.embed_and_concat(x, 0)
+    content_b, row_b = model.embed_and_concat(x, 3)
+    assert content_a is content_b is x
+    assert not np.array_equal(row_a.values, row_b.values)
 
 
 def test_embed_out_of_range_speaker():
@@ -93,14 +101,15 @@ def test_embed_out_of_range_speaker():
 
 def test_decode_trims_to_target():
     model = desk_model()
-    x = Tensor(np.random.default_rng(4).normal(size=(25, 320)).astype(np.float32))
-    out = model.decode(x, target_len=98)
+    x = Tensor(np.random.default_rng(4).normal(size=(25, 64)).astype(np.float32))
+    out = model.decode(model.embed_and_concat(x, 1), target_len=98)
     assert out.shape == (98, 80)
 
 
 def test_decode_single_frame_input():
     model = desk_model()
-    x = Tensor(np.random.default_rng(5).normal(size=(1, 320)).astype(np.float32))
+    x = model.embed_and_concat(
+        Tensor(np.random.default_rng(5).normal(size=(1, 64)).astype(np.float32)), 0)
     for target in (1, 2, 3, 4):
         assert model.decode(x, target).shape == (target, 80)
     with pytest.raises(ValueError, match="exceeds"):
@@ -111,9 +120,9 @@ def test_decode_tape_length_does_not_grow_with_time():
     model = vm.VcModel(toy_config(), dtype=np.float64)
     lengths = []
     for t in (1, 5, 20):
-        x = Tensor(np.random.default_rng(t).normal(size=(t, 16)))
+        x = Tensor(np.random.default_rng(t).normal(size=(t, 8)))
         with Tape() as tape:
-            model.decode(x, target_len=4 * t)
+            model.decode(model.embed_and_concat(x, 2), target_len=4 * t)
         lengths.append(len(tape))
     assert lengths[0] == lengths[1] == lengths[2], lengths
 
@@ -130,11 +139,73 @@ def test_desk_batch_records_few_tape_nodes():
     assert len(enc) <= 63 and len(dec) <= 16, (len(enc), len(dec))
 
 
+def _decode_by_concatenation(model, z, ids, target_len, lengths=None):
+    """The decoder as composed before the speaker row became a gate bias: the
+    row tiled over every frame and concatenated, and the first BiLSTM layer
+    reading D + E input channels.  The rest is `VcModel.decode`, copied."""
+    emb = ad.embedding_lookup(model.params["spk.embedding"], np.asarray(ids)[..., None])
+    tiled = ad.add(Tensor(np.zeros(z.shape[:-1] + (model.config.speaker_dim,), model.dtype)), emb)
+    x = ad.concat([z, tiled], axis=z.ndim - 1)
+    for layer in range(model.config.decoder.n_lstm_layers):
+        fwd, bwd = ([model.params[f"dec.lstm{layer}.{d}.{w}"] for w in ("wx", "wh", "b")]
+                    for d in ("fwd", "bwd"))
+        x = ad.bilstm_layer(x, fwd, bwd, lengths)
+    x = ad.mask_frames(x, lengths)
+    x = ad.relu(ad.add(ad.conv1d_transpose(x, model.params["dec.up1.w"], stride=2, padding=1),
+                       model.params["dec.up1.b"]))
+    x = ad.mask_frames(x, None if lengths is None else 2 * np.asarray(lengths))
+    x = ad.relu(ad.add(ad.conv1d_transpose(x, model.params["dec.up2.w"], stride=2, padding=1),
+                       model.params["dec.up2.b"]))
+    x = ad.add(ad.matmul(x, model.params["dec.proj.w"]), model.params["dec.proj.b"])
+    x = ad.narrow(x, x.ndim - 2, 0, target_len)
+    return ad.add(ad.mul(x, Tensor(model.feature_std)), Tensor(model.feature_mean))
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_speaker_gate_bias_matches_concatenated_input_in_float64(batched):
+    # the row's share of the first layer's gates, added once per utterance, is
+    # the concatenated composition reassociated: equal to float64 rounding
+    model = vm.VcModel(load_config(TOY_CFG, validate_paths=False).model_config(4),
+                       dtype=np.float64)
+    rng = np.random.default_rng(21)
+    for p in model.params.values():   # nonzero biases, so every term is exercised
+        p.values += rng.normal(scale=0.1, size=p.shape)
+    model.set_feature_stats(rng.normal(size=8), rng.uniform(0.5, 2.0, size=8))
+    if batched:
+        z, ids, lengths = Tensor(rng.normal(size=(3, 6, 8))), np.array([2, 0, 2]), [6, 4, 2]
+    else:
+        z, ids, lengths = Tensor(rng.normal(size=(6, 8))), np.int64(3), None
+    weight = Tensor(rng.normal(size=z.shape[:-2] + (23, 8)))
+    inputs = {"z": z, **model.params}
+
+    def run(decode):
+        with Tape() as tape:
+            out = decode()
+            loss = ad.reduce_sum(ad.mul(out, weight))
+        ad.zero_grads(inputs.values())
+        tape.backward(loss)
+        return out.values, {k: None if t.grad is None else t.grad.copy() for k, t in inputs.items()}
+
+    new_out, new_grads = run(lambda: model.decode(model.embed_and_concat(z, ids), 23, lengths))
+    old_out, old_grads = run(lambda: _decode_by_concatenation(model, z, ids, 23, lengths))
+
+    def rel(a, b):
+        return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+    assert rel(new_out, old_out) <= 1e-12
+    for name, ref in old_grads.items():
+        got = new_grads[name]
+        if ref is None:
+            assert got is None, name
+        else:
+            assert got.shape == ref.shape and rel(got, ref) <= 1e-12, name
+
+
 def test_decode_outputs_finite_over_seeds():
     model = desk_model()
     for seed in range(100):
-        x = Tensor(np.random.default_rng(seed).normal(size=(6, 320)).astype(np.float32))
-        out = model.decode(x, target_len=24)
+        x = Tensor(np.random.default_rng(seed).normal(size=(6, 64)).astype(np.float32))
+        out = model.decode(model.embed_and_concat(x, seed % 4), target_len=24)
         assert np.isfinite(out.values).all()
 
 
@@ -329,10 +400,71 @@ def test_load_checkpoint_draws_nothing_and_adopts_the_read_arrays(tmp_path, monk
     named = vm._named_arrays(loaded)
     for name, ref in vm._named_arrays(model).items():
         got = named[name]
-        assert got.dtype == dtype and got.flags.owndata and got.flags.writeable
+        assert got.dtype == dtype and got.flags.writeable
+        # read into the model's own arrays: parameters into the flat buffer
+        assert np.shares_memory(got, loaded.buffer) == (name in loaded.params)
         np.testing.assert_array_equal(got, ref.astype(np.float32))
     assert loaded.codebook.groups[0] is loaded.params["vq.group0.codebook"]
     assert loaded.adversary.w2 is loaded.params["adv.w2"]
+
+
+def _assert_flat(model):
+    """Each trainable parameter is a contiguous view of its own slice of
+    `model.buffer`, in `params` order, and nothing else shares the buffer."""
+    trainable = model.parameters(trainable_only=True)
+    start, base, itemsize = 0, model.buffer.ctypes.data, model.buffer.itemsize
+    for name, p in model.params.items():
+        if name in trainable:
+            assert p.values.flags.c_contiguous and p.values.dtype == model.buffer.dtype, name
+            assert p.values.ctypes.data == base + start * itemsize, name
+            start += p.values.size
+        else:
+            assert not np.shares_memory(p.values, model.buffer), name
+    assert start == model.buffer.size
+    for stats in (model.feature_mean, model.feature_std):
+        assert not np.shares_memory(stats, model.buffer)
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_trainable_parameters_stay_views_of_the_flat_buffer(tmp_path, frozen):
+    model = vm.VcModel(toy_config(seed=3, frozen=frozen))
+    _assert_flat(model)
+    assert any(name.startswith("enc.") for name in model.parameters(trainable_only=True)) != frozen
+    path = tmp_path / "donor.vcck"
+    vm.save_checkpoint(vm.VcModel(toy_config(seed=4)), path)
+    for dtype in (np.float32, np.float64):
+        _assert_flat(vm.load_checkpoint(path, dtype=dtype))
+    vm.load_encoder_from(model, path)
+    _assert_flat(model)
+    np.testing.assert_array_equal(model.params["enc.sub1.w"].values,
+                                  vm.load_checkpoint(path).params["enc.sub1.w"].values)
+    rng = np.random.default_rng(5)
+    model.codebook.init_from_outputs(rng.normal(size=(20, 8)), rng)
+    _assert_flat(model)
+    before = model.buffer.copy()
+    corpus = [(MelSpectrogram(data=toy_mel(t=12, seed=i)), i % 3) for i in range(4)]
+    tr.train(model, corpus, tr.TrainConfig(steps=3, lr=1e-3, batch_size=2))
+    _assert_flat(model)
+    assert not np.array_equal(model.buffer, before)
+
+
+def test_save_load_save_is_byte_identical(tmp_path):
+    model = desk_model(seed=14)
+    model.set_feature_stats(np.linspace(-2, 2, 80), np.linspace(0.5, 1.5, 80))
+    model.step = 23
+    first, second = tmp_path / "a.vcck", tmp_path / "b.vcck"
+    vm.save_checkpoint(model, first)
+    vm.save_checkpoint(vm.load_checkpoint(first), second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_checkpoint_config_too_large_raises_checkpoint_error(tmp_path):
+    # the model is built from the metadata's config before the table is read
+    path = tmp_path / "model.vcck"
+    vm.save_checkpoint(vm.VcModel(toy_config()), path)
+    _rewrite_checkpoint(path, edit_meta=lambda m: m["config"].update(speaker_dim=1 << 42))
+    with pytest.raises(vm.CheckpointError):
+        vm.load_checkpoint(path)
 
 
 def test_checkpoint_misshapen_tensor_raises_checkpoint_error(tmp_path):

@@ -113,19 +113,23 @@ def test_adam_moves_against_gradient():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_adam_step_bit_equal_to_textbook_update(dtype):
+    # "big" spans three blocks, one of them wholly inside it; the blocks
+    # either side straddle it and its neighbours
+    assert 2 * tr.ADAM_BLOCK < 12 + 400 * 350 < 3 * tr.ADAM_BLOCK
     rng = np.random.default_rng(0)
     params = {"a": Tensor(rng.normal(size=(3, 4)).astype(dtype)),
+              "big": Tensor(rng.normal(size=(400, 350)).astype(dtype)),
               "b": Tensor(rng.normal(size=5).astype(dtype)),
               "c": Tensor(rng.normal(size=2).astype(dtype))}
     opt = tr.Adam(params, lr=1e-2)
     ref = {k: p.values.copy() for k, p in params.items()}
     m = {k: np.zeros_like(v) for k, v in ref.items()}
     v2 = {k: np.zeros_like(v) for k, v in ref.items()}
-    for t in range(1, 5):
-        held = {k: p.values for k, p in params.items()}
-        snapshot = {k: a.copy() for k, a in held.items()}
+    held = {k: p.values for k, p in params.items()}
+    for t in range(1, 6):
         for k, p in params.items():
-            p.grad = None if k == "c" else rng.normal(size=p.shape).astype(dtype)
+            missing = k == "c" or (k == "big" and t == 3)
+            p.grad = None if missing else rng.normal(size=p.shape).astype(dtype)
         grads = {k: np.zeros_like(ref[k]) if p.grad is None else p.grad.copy()
                  for k, p in params.items()}
         opt.step()
@@ -134,12 +138,24 @@ def test_adam_step_bit_equal_to_textbook_update(dtype):
             m[k] = m[k] * 0.9 + (1.0 - 0.9) * g
             v2[k] = v2[k] * 0.999 + (1.0 - 0.999) * g * g
             ref[k] = ref[k] - 1e-2 * (m[k] / b1c) / (np.sqrt(v2[k] / b2c) + 1e-8)
-            np.testing.assert_array_equal(opt._m[k], m[k])
-            np.testing.assert_array_equal(opt._v[k], v2[k])
             np.testing.assert_array_equal(params[k].values, ref[k])
             assert params[k].values.dtype == dtype
-            # the update rebinds: an array taken before the step keeps its values
-            np.testing.assert_array_equal(held[k], snapshot[k])
+            # the update is in place: an array taken before the step holds the new values
+            assert params[k].values is held[k]
+        m_flat, v_flat = opt._state[:2]
+        np.testing.assert_array_equal(m_flat, np.concatenate([m[k].ravel() for k in params]))
+        np.testing.assert_array_equal(v_flat, np.concatenate([v2[k].ravel() for k in params]))
+
+
+def test_train_with_zero_steps_allocates_no_optimizer_state(monkeypatch):
+    def no_state(self):
+        raise AssertionError("optimizer state allocated")
+
+    monkeypatch.setattr(tr.Adam, "_plan", no_state)
+    model = VcModel(toy_config(seed=2))
+    tr.train(model, toy_corpus(), toy_train_cfg(steps=0))
+    with pytest.raises(AssertionError, match="optimizer state"):
+        tr.train(model, toy_corpus(), toy_train_cfg(steps=1))
 
 
 def test_ledger_round_trip_and_formatting(tmp_path):
