@@ -68,9 +68,6 @@ class Codebook:
             picks = rng.integers(0, t, size=self.n_entries)
             table.values[...] = block[picks]
 
-    def parameters(self) -> dict[str, Tensor]:
-        return {f"vq.group{g}.codebook": t for g, t in enumerate(self.groups)}
-
 
 def perplexity(counts) -> float:
     """exp of the Shannon entropy of a usage distribution, with 0*ln(0) = 0."""

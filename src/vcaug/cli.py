@@ -203,7 +203,7 @@ def cmd_gradcheck(args) -> int:
         return tr.total_loss(recon_loss, qr.codebook_loss, qr.commit_loss, adv_loss, weights)
 
     report = ad.check_gradients(
-        loss_fn, model.parameters(), eps=1e-5,
+        loss_fn, model.params, eps=1e-5,
         sample_per_param=args.samples, rng=np.random.default_rng(seed),
     )
     worst = max(report.per_param, key=report.per_param.get)

@@ -231,7 +231,7 @@ def load_config(path, validate_paths: bool = True) -> RunConfig:
 
 
 def parse_pool(spec: str, n_speakers: int) -> tuple[int, ...]:
-    """Pool field: "all" or comma-separated ids, validated against the model."""
+    """Pool field: "all" or comma-separated distinct ids, validated against the model."""
     if spec.strip().lower() == "all":
         return tuple(range(n_speakers))
     try:
@@ -241,6 +241,9 @@ def parse_pool(spec: str, n_speakers: int) -> tuple[int, ...]:
     bad = [i for i in ids if not 0 <= i < n_speakers]
     if bad:
         raise ConfigError(f"[augment] pool: speaker ids {bad} out of range [0, {n_speakers})")
+    repeated = sorted({i for i in ids if ids.count(i) > 1})
+    if repeated:
+        raise ConfigError(f"[augment] pool: speaker ids {repeated} repeat")
     if not ids:
         raise ConfigError("[augment] pool: empty id list")
     return ids

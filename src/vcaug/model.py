@@ -126,6 +126,9 @@ class ModelConfig:
                           "vq_entries", "adv_hidden")
         if self.encoder.model_dim % self.vq_groups != 0:
             raise ValueError("model_dim must divide evenly into codebook groups")
+        if not 0 <= self.commitment_weight < math.inf:   # NaN fails too
+            raise ValueError(
+                f"commitment_weight must be finite and non-negative, got {self.commitment_weight}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -171,19 +174,20 @@ def _encoded_lengths(lengths):
 class VcModel:
     """Encoder + grouped codebook + speaker table + adversary head + decoder.
 
-    The trainable parameters (`parameters(trainable_only=True)`) share one
-    flat buffer, `buffer`, of the model's dtype: each one's `.values` is a
-    view of its own slice, in `params` order.  Code that changes a
-    parameter writes into that view (the optimizer, codebook seeding,
-    checkpoint and encoder loading), never rebinds it.  A frozen encoder's
-    parameters are not trainable and keep arrays of their own, as do the
-    feature statistics.
+    Every parameter's `.values` is a view of its own slice of one flat
+    array, `buffer`, of the model's dtype, in `params` order (see
+    `layout`).  The encoder is declared first, so a frozen encoder is the
+    buffer's leading slice and `trainable`, the slice of the buffer that
+    training updates, is the rest; otherwise it is the whole buffer.  Code
+    that changes a parameter writes into its view (the optimizer, codebook
+    seeding, checkpoint and encoder loading), never rebinds it.  The
+    feature statistics keep arrays of their own.
     """
 
     def __init__(self, config: ModelConfig, dtype=np.float32, draw: bool = True):
         """Parameters drawn from `config.seed`, zero feature mean and unit std.
 
-        With `draw=False` nothing is drawn and every array is left
+        With `draw=False` no parameter is drawn and the buffer is left
         uninitialized, for a loader to fill in place through
         `_named_arrays` (see `load_checkpoint`).
         """
@@ -191,10 +195,12 @@ class VcModel:
         self.dtype = dtype
         self.step = 0
         self.params: dict[str, Tensor] = {}
-        declared: dict[str, tuple[Tensor, tuple[int, ...], Callable[[], np.ndarray]]] = {}
+        self._shapes: dict[str, tuple[int, ...]] = {}
+        inits: dict[str, Callable[[], np.ndarray]] = {}
 
         def declare(name: str, shape, init) -> Tensor:
-            declared[name] = (t := Tensor(np.empty(0, dtype)), tuple(shape), init)
+            self._shapes[name], inits[name] = tuple(shape), init
+            self.params[name] = t = Tensor(np.empty(0, dtype))
             return t
 
         self._param = declare
@@ -202,39 +208,38 @@ class VcModel:
             self._build()
         finally:
             del self._param
-        n = (config.n_mels,)
-        mean = declare("norm.mean", n, lambda: np.zeros(n, dtype))
-        std = declare("norm.std", n, lambda: np.ones(n, dtype))
-        trainable = self.parameters(trainable_only=True)
-        self.buffer = np.empty(sum(math.prod(declared[name][1]) for name in trainable), dtype)
-        start = 0
-        for name, (t, shape, init) in declared.items():
-            if name in trainable:
-                t.values = self.buffer[start : start + math.prod(shape)].reshape(shape)
-                start += t.values.size
-            else:
-                t.values = np.empty(shape, dtype)
+        self.buffer = np.empty(sum(map(math.prod, self._shapes.values())), dtype)
+        for name, view in self.layout(self.buffer).items():
+            self.params[name].values = view
             if draw:
-                t.values[...] = init()
-        self.feature_mean, self.feature_std = mean.values, std.values
+                view[...] = inits[name]()
+        encoder = sum(math.prod(shape) for name, shape in self._shapes.items()
+                      if name.startswith("enc."))
+        self.trainable = slice(encoder if config.encoder.frozen else 0, self.buffer.size)
+        self.feature_mean = np.zeros(config.n_mels, dtype)
+        self.feature_std = np.ones(config.n_mels, dtype)
+
+    def layout(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """`flat`, an array of the buffer's size, cut into one view per
+        parameter, shaped like it, in `params` order: the buffer's layout."""
+        views, start = {}, 0
+        for name, shape in self._shapes.items():
+            stop = start + math.prod(shape)
+            views[name] = flat[start:stop].reshape(shape)
+            start = stop
+        return views
 
     # -- construction -------------------------------------------------------
 
     def _add(self, name: str, shape, fan_in: int, gain: float = 1.0) -> Tensor:
-        t = self._param(name, shape, lambda: ad.uniform_init(
+        return self._param(name, shape, lambda: ad.uniform_init(
             shape, fan_in, name, self.config.seed, self.dtype, gain=gain))
-        self.params[name] = t
-        return t
 
     def _add_zeros(self, name: str, shape) -> Tensor:
-        t = self._param(name, shape, lambda: np.zeros(shape, dtype=self.dtype))
-        self.params[name] = t
-        return t
+        return self._param(name, shape, lambda: np.zeros(shape, dtype=self.dtype))
 
     def _add_ones(self, name: str, shape) -> Tensor:
-        t = self._param(name, shape, lambda: np.ones(shape, dtype=self.dtype))
-        self.params[name] = t
-        return t
+        return self._param(name, shape, lambda: np.ones(shape, dtype=self.dtype))
 
     def _build(self) -> None:
         cfg = self.config
@@ -242,6 +247,7 @@ class VcModel:
         dim = enc.model_dim
         k = CONV_KERNEL
 
+        # the encoder first: frozen, it is the buffer's leading slice
         self._add("enc.sub1.w", (k, cfg.n_mels, dim), k * cfg.n_mels)
         self._add_zeros("enc.sub1.b", (dim,))
         self._add("enc.sub2.w", (k, dim, dim), k * dim)
@@ -268,7 +274,6 @@ class VcModel:
             dim, n_groups=cfg.vq_groups, n_entries=cfg.vq_entries,
             seed=cfg.seed, dtype=self.dtype, param=self._param,
         )
-        self.params.update(self.codebook.parameters())
 
         self._add("spk.embedding", (cfg.n_speakers, cfg.speaker_dim), cfg.speaker_dim)
 
@@ -276,7 +281,6 @@ class VcModel:
             dim, cfg.n_speakers, hidden_dim=cfg.adv_hidden, seed=cfg.seed, dtype=self.dtype,
             param=self._param,
         )
-        self.params.update(self.adversary.parameters())
 
         dec = cfg.decoder
         g = DECODER_INIT_GAIN
@@ -295,13 +299,6 @@ class VcModel:
         self._add_zeros("dec.up2.b", (dec.lstm_dim,))
         self._add("dec.proj.w", (dec.lstm_dim, cfg.n_mels), dec.lstm_dim, gain=g)
         self._add_zeros("dec.proj.b", (cfg.n_mels,))
-
-    # -- parameter access ---------------------------------------------------
-
-    def parameters(self, trainable_only: bool = False) -> dict[str, Tensor]:
-        if trainable_only and self.config.encoder.frozen:
-            return {k: v for k, v in self.params.items() if not k.startswith("enc.")}
-        return dict(self.params)
 
     def set_feature_stats(self, mean: np.ndarray, std: np.ndarray) -> None:
         self.feature_mean = np.asarray(mean, dtype=self.dtype)

@@ -22,6 +22,7 @@ lowest reconstruction loss.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -60,10 +61,10 @@ class LossWeights:
     delta: float = 1.0     # Huber threshold
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError("gamma must be non-negative")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if not 0 <= self.gamma < math.inf:   # NaN fails too
+            raise ValueError(f"gamma must be finite and non-negative, got {self.gamma}")
+        if not 0 < self.delta < math.inf:
+            raise ValueError(f"delta must be finite and positive, got {self.delta}")
 
 
 def huber(y, y_hat, delta: float = 1.0, lengths=None) -> Tensor:
@@ -99,85 +100,54 @@ def total_loss(recon: Tensor, codebook: Tensor, commit: Tensor, adv: Tensor,
 
 
 ADAM_BLOCK = 1 << 16   # elements per pass: a block's m, v, gradient and scratch stay in cache
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Standard Adam with bias correction; a missing gradient counts as zero.
+    """Standard Adam with bias correction over one flat array of values.
 
-    Each step writes every parameter's `.values` in place, never rebinding
-    it, so views of them (a model's flat buffer) see the update.  The
-    moments are flat, one `m` and one `v` over the parameters in order,
-    allocated by the first step, so an optimizer that never steps holds
-    nothing.  A step is one pass over them in blocks of `ADAM_BLOCK`
-    elements: gather the block's gradient from the parameters' own `.grad`
-    arrays, update it with one operation per textbook term in the textbook
-    order (so the result is bit-equal to a per-tensor update), and subtract
-    each parameter's share from its values.  All parameters share one dtype.
+    `step(grads)` takes the gradient in the layout of `values` and updates
+    `values` in place, never rebinding it, so views of it (a model's
+    parameters) see the update.  The moments `m` and `v` share that layout
+    and are allocated by the first step, so an optimizer that never steps
+    holds nothing.  A step is one pass in blocks of `ADAM_BLOCK` elements
+    with one operation per textbook term in the textbook order, so the
+    result is bit-equal to the update done element by element.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-4,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.params = params
+    def __init__(self, values: np.ndarray, lr: float = 1e-4):
+        self.values = values
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._state: tuple | None = None
 
-    def _plan(self) -> tuple:
-        """Flat m and v, two block-sized scratch arrays, and the blocks, each
-        (start, stop, pieces) with a piece (tensor, first, last, offset in block)."""
-        dtypes = {p.values.dtype for p in self.params.values()}
-        if len(dtypes) != 1:
-            raise ValueError(f"Adam needs parameters of one dtype, got {sorted(map(str, dtypes))}")
-        for name, p in self.params.items():
-            if not p.values.flags.c_contiguous:
-                raise ValueError(f"Adam updates in place; parameter {name} is not contiguous")
-        n = sum(p.values.size for p in self.params.values())
-        blocks = [(lo, min(lo + ADAM_BLOCK, n), []) for lo in range(0, n, ADAM_BLOCK)]
-        start = 0
-        for p in self.params.values():
-            stop = start + p.values.size
-            for lo, hi, pieces in blocks[start // ADAM_BLOCK : -(-stop // ADAM_BLOCK)]:
-                first, last = max(start, lo), min(stop, hi)
-                pieces.append((p, first - start, last - start, first - lo))
-            start = stop
-        dtype, scratch = dtypes.pop(), min(n, ADAM_BLOCK)
-        return (np.zeros(n, dtype), np.zeros(n, dtype),
-                np.empty(scratch, dtype), np.empty(scratch, dtype), blocks)
-
-    def step(self) -> None:
+    def step(self, grads: np.ndarray) -> None:
         if self._state is None:
-            self._state = self._plan()
+            n, dtype = self.values.size, self.values.dtype
+            scratch = min(n, ADAM_BLOCK)
+            self._state = (np.zeros(n, dtype), np.zeros(n, dtype),
+                           np.empty(scratch, dtype), np.empty(scratch, dtype))
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
-        m_all, v_all, g_all, s_all, blocks = self._state
-        for lo, hi, pieces in blocks:
-            g, s, m, v = g_all[: hi - lo], s_all[: hi - lo], m_all[lo:hi], v_all[lo:hi]
-            for p, first, last, at in pieces:
-                dest = g[at : at + last - first]
-                if p.grad is None:
-                    dest.fill(0)
-                else:
-                    dest[...] = p.grad.reshape(-1)[first:last]
+        b1c = 1.0 - BETA1**self.t
+        b2c = 1.0 - BETA2**self.t
+        m_all, v_all, s_all, u_all = self._state
+        for lo in range(0, self.values.size, ADAM_BLOCK):
+            p, g, m, v = (a[lo : lo + ADAM_BLOCK] for a in (self.values, grads, m_all, v_all))
+            s, u = s_all[: p.size], u_all[: p.size]
             # p - lr * (m / b1c) / (sqrt(v / b2c) + eps), one rounding per
             # operation in the textbook order
-            m *= self.beta1
-            m += np.multiply(g, 1.0 - self.beta1, out=s)
-            v *= self.beta2
-            np.multiply(g, 1.0 - self.beta2, out=s)
+            m *= BETA1
+            m += np.multiply(g, 1.0 - BETA1, out=s)
+            v *= BETA2
+            np.multiply(g, 1.0 - BETA2, out=s)
             v += np.multiply(s, g, out=s)
             np.divide(v, b2c, out=s)
             np.sqrt(s, out=s)
-            s += self.eps
-            update = np.divide(m, b1c, out=g)
+            s += EPS
+            update = np.divide(m, b1c, out=u)
             update *= self.lr
             update /= s
-            for p, first, last, at in pieces:
-                values = p.values.reshape(-1)[first:last]
-                np.subtract(values, update[at : at + last - first], out=values)
+            p -= update
 
 
 @dataclass
@@ -260,8 +230,10 @@ class TrainConfig:
                             ("adversarial_weight", 0)):
             if not getattr(self, name) >= least:   # NaN fails too
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
-        if not self.lr > 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
+        if self.adversarial_weight == math.inf:
+            raise ValueError("adversarial_weight must be finite, got inf")
 
 
 @dataclass
@@ -280,12 +252,6 @@ def feature_stats(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
     return stacked.mean(axis=0), stacked.std(axis=0)
 
 
-def _grad_norm(params: dict[str, Tensor]) -> float:
-    """Global L2 norm of every gradient; non-finite when any element is."""
-    return float(np.sqrt(sum(float(np.vdot(p.grad, p.grad))
-                             for p in params.values() if p.grad is not None)))
-
-
 def train(model: VcModel, dataset: Dataset, cfg: TrainConfig,
           checkpoint_meta: dict | None = None) -> TrainResult:
     """Run the Adam loop; deterministic given the seed.
@@ -293,9 +259,14 @@ def train(model: VcModel, dataset: Dataset, cfg: TrainConfig,
     The same features serve as input and reconstruction target.  At step 0
     the feature statistics and the codebook are initialized from the data.
     A non-finite loss or gradient halts training before the update, after
-    writing the parameters of the last completed step.  Every parameter's
-    gradient is released before `train` returns or raises `DivergenceError`:
-    nothing reads them after the last update.
+    writing the parameters of the last completed step.
+
+    Gradients share the buffer's layout: each step binds every parameter's
+    `.grad` to its view of one fresh zero array, so backward adds each
+    gradient into its slot, the divergence guard is one dot product over
+    the `trainable` slice, and Adam updates that slice in one pass.  The
+    array is released after the update (and before `DivergenceError` is
+    raised): nothing reads it after that.
     """
     if not dataset:
         raise ValueError("dataset is empty")
@@ -311,7 +282,7 @@ def train(model: VcModel, dataset: Dataset, cfg: TrainConfig,
         seed_outputs = [model.encode(mel).values for mel, _ in dataset[:8]]
         model.codebook.init_from_outputs(np.concatenate(seed_outputs, axis=0), rng)
 
-    optimizer = Adam(model.parameters(trainable_only=True), lr=cfg.lr)
+    optimizer = Adam(model.buffer[model.trainable], lr=cfg.lr)
     ledger = MetricsLedger()
     checkpoints: list[str] = []
 
@@ -336,16 +307,25 @@ def train(model: VcModel, dataset: Dataset, cfg: TrainConfig,
             adv_loss = ad.cross_entropy(logits, speakers)
             loss = total_loss(recon_loss, qr.codebook_loss, qr.commit_loss, adv_loss,
                               cfg.weights)
-        # every parameter, not only Adam's: a frozen encoder's weights get
-        # gradients too, which nothing reads
-        ad.zero_grads(model.params.values())
+        # a fresh array each step, released after the update: `np.zeros`
+        # maps its pages only as backward writes them, where one kept and
+        # refilled would hold every page while backward still holds its
+        # activations.  A frozen encoder's gradients land in the leading
+        # slice, which nothing reads.
+        grads = np.zeros(model.buffer.size, model.dtype)
+        for name, view in model.layout(grads).items():
+            model.params[name].grad = view
         tape.backward(loss)
-        if not (np.isfinite(loss.values).all() and np.isfinite(_grad_norm(optimizer.params))):
+        g = grads[model.trainable]
+        finite = np.isfinite(loss.values).all() and np.isfinite(np.vdot(g, g))
+        if finite:
+            optimizer.step(g)
+        ad.zero_grads(model.params.values())
+        del grads, g
+        if not finite:
             # the live parameters are still those of the last completed step
-            ad.zero_grads(model.params.values())
             path = write_checkpoint(f"{model.step:06d}-lastgood") if out_dir and i else None
             raise DivergenceError(step, path)
-        optimizer.step()
         model.step = step
 
         counts = bn.usage_counts(qr.indices, model.codebook.n_entries)
@@ -362,7 +342,6 @@ def train(model: VcModel, dataset: Dataset, cfg: TrainConfig,
         if out_dir and cfg.checkpoint_every and step % cfg.checkpoint_every == 0:
             write_checkpoint(f"{step:06d}")
 
-    ad.zero_grads(model.params.values())
     if out_dir:
         write_checkpoint("final")
         ledger.write(out_dir / "metrics.ledger")

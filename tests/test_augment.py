@@ -729,6 +729,19 @@ def test_cli_augment_missing_corpus_exits_2_without_output(tmp_path, capsys, toy
     assert not out.exists()
 
 
+def test_cli_augment_repeated_pool_id_is_a_config_error(tmp_path, capsys, toy_vc_model):
+    corpus = make_corpus_dir(tmp_path, n=3)
+    out = tmp_path / "views"
+    argv = augment_argv(tmp_path, toy_vc_model, corpus, out)
+    config = tmp_path / "pool.cfg"
+    config.write_text((CONFIGS / "toy.cfg").read_text(encoding="utf-8")
+                      + "\n[augment]\npool = 2,1,2\n", encoding="utf-8")
+    argv[argv.index("--config") + 1] = str(config)
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "[augment] pool: speaker ids [2] repeat" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_augment_out_inside_corpus_exits_2_without_output(tmp_path, capsys, toy_vc_model):
     corpus = make_corpus_dir(tmp_path, n=3)
     out = corpus / "views"

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vcaug import cli
+from vcaug import data as vd
 from vcaug.config import ConfigError, load_config
 
 from conftest import damage
@@ -66,6 +67,32 @@ def test_invalid_config_values_exit_with_config_error(tmp_path, capsys, replace,
     code, err = run_gradcheck(path, capsys)
     assert code == cli.EXIT_CONFIG
     assert "config error" in err and named in err
+
+
+@pytest.mark.parametrize("replace, add, named", [
+    ("", "gamma = nan", "[train] gamma must be finite and non-negative, got nan"),
+    ("", "gamma = inf", "[train] gamma must be finite and non-negative, got inf"),
+    ("", "delta = inf", "[train] delta must be finite and positive, got inf"),
+    ("", "delta = nan", "[train] delta must be finite and positive, got nan"),
+    ("commitment_weight = -1", "", "[model] commitment_weight must be finite and non-negative"),
+    ("commitment_weight = nan", "", "[model] commitment_weight must be finite and non-negative"),
+    ("commitment_weight = inf", "", "[model] commitment_weight must be finite and non-negative"),
+    ("lr = inf", "", "[train] lr must be finite and positive, got inf"),
+    ("adversarial_weight = inf", "", "[train] adversarial_weight must be finite, got inf"),
+], ids=["nan_gamma", "inf_gamma", "inf_delta", "nan_delta", "negative_commitment_weight",
+        "nan_commitment_weight", "inf_commitment_weight", "inf_lr", "inf_adversarial_weight"])
+def test_train_rejects_non_finite_or_out_of_range_floats(tmp_path, capsys, replace, add, named):
+    vd.write_corpus_tree(tmp_path / "corpus", n_speakers=2, utts_per_speaker=1,
+                         seed=0, duration_s=0.3)
+    path = tmp_path / "bad.cfg"
+    path.write_text(toy_text(replace, add)
+                    + "\n[data]\ncorpus = corpus\nspeaker_map = corpus/speakers.tsv\n",
+                    encoding="utf-8")
+    code = cli.main(["train", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and named in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_directory_exits_with_config_error(tmp_path, capsys):

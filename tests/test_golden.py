@@ -1,0 +1,102 @@
+"""Pinned digests of seeded training, checkpoints and emit.
+
+Refactors of the training and conversion code promise bit-identical
+results; these digests hold them to it.  Each one was computed before a
+change that claimed to keep the numbers, and must still match after it:
+
+- `model.buffer` bytes plus the ledger lines after 12 `configs/desk.cfg`
+  steps (batch 4, 98-frame synthetic utterances), with a trainable and with
+  a frozen encoder;
+- the `content_hash` of that model's checkpoint;
+- every file an emit writes (views and manifest) from a toy-shape model
+  trained for 2 steps.
+
+Pinned with numpy 2.4.6 and OpenBLAS 0.3.31 (scipy-openblas, DYNAMIC_ARCH,
+Haswell kernels), on x86-64.  Float32 GEMM results can differ on another
+BLAS, numpy or CPU kernel, so a mismatch there is not by itself a bug.
+After a deliberate numeric change (or on a new reference platform),
+re-pin: run the parent commit's code with this file, print the digests the
+helpers below compute, and paste them here in the commit that changes the
+numbers, saying why in CHANGES.md.
+"""
+
+import hashlib
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from vcaug import augment as aug
+from vcaug import data as vd
+from vcaug import training as tr
+from vcaug.config import load_config
+from vcaug.model import VcModel, read_checkpoint_raw, save_checkpoint
+from vcaug.signal import SpecAugmentPolicy
+
+from conftest import toy_config
+
+DESK = Path(__file__).resolve().parent.parent / "configs" / "desk.cfg"
+
+GOLDEN_DESK = {
+    False: "62a5ca59dfde08ab2d4d6b97c4cb620ea2d88420ed10cf268388a9177d25e25c",
+    True: "9471bab391ba073b9498c642fc31a7d4ccf31d510df46e583dcac5eabd0b5fde",
+}
+GOLDEN_CHECKPOINT = "4988cc72b4ec3753b9a3e8bb7daaa2199a9bc4df7007cd55e26a615816983a97"
+GOLDEN_EMIT = "aa004d63190f78a871e3d904b9adfc5d20600c5dabb0f5ee218ffc0bc0f17b1a"
+
+
+def desk_run(frozen: bool) -> tuple[VcModel, tr.TrainResult]:
+    """12 desk steps, batch 4, on 4 speakers x 3 one-second utterances."""
+    cfg = load_config(DESK, validate_paths=False)
+    model_cfg = cfg.model_config(n_speakers=4)
+    model_cfg = replace(model_cfg, encoder=replace(model_cfg.encoder, frozen=frozen))
+    model = VcModel(model_cfg)
+    dataset = vd.synthetic_corpus(4, 3, seed=5, n_mels=model_cfg.n_mels)
+    result = tr.train(model, dataset, replace(cfg.train_config(seed=7), steps=12))
+    return model, result
+
+
+def desk_digest(model: VcModel, result: tr.TrainResult) -> str:
+    h = hashlib.sha256(model.buffer.tobytes())
+    h.update("\n".join(result.ledger.lines()).encode("utf-8"))
+    return h.hexdigest()
+
+
+def tree_digest(root: Path) -> str:
+    """sha256 over every file's relative path and bytes, in sorted order."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        h.update(path.relative_to(root).as_posix().encode("utf-8") + b"\0")
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def emit_digest(tmp_path: Path) -> str:
+    """Emit from a toy model trained 2 steps (batch 2) on 3 x 2 wav files."""
+    vd.write_corpus_tree(tmp_path / "corpus", n_speakers=3, utts_per_speaker=2,
+                         seed=2, duration_s=0.4)
+    cfg = toy_config(seed=4)
+    model = VcModel(cfg)
+    dataset = vd.load_corpus(tmp_path / "corpus", vd.load_speaker_map(
+        tmp_path / "corpus" / "speakers.tsv"), n_mels=cfg.n_mels)
+    tr.train(model, dataset, tr.TrainConfig(steps=2, lr=1e-3, seed=3, batch_size=2))
+    policy = SpecAugmentPolicy(n_freq_masks=1, max_freq_width=2, n_time_masks=1,
+                               max_time_width=3)
+    aug.emit_dataset(tmp_path / "corpus", model, aug.SpeakerPool.all_of(model), policy,
+                     tmp_path / "views", seed=9)
+    return tree_digest(tmp_path / "views")
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["trainable", "frozen"])
+def test_desk_training_matches_pinned_digest(frozen):
+    assert desk_digest(*desk_run(frozen)) == GOLDEN_DESK[frozen]
+
+
+def test_desk_checkpoint_matches_pinned_content_hash(tmp_path):
+    model, _ = desk_run(frozen=False)
+    save_checkpoint(model, tmp_path / "desk.vcck")
+    assert read_checkpoint_raw(tmp_path / "desk.vcck")[0]["content_hash"] == GOLDEN_CHECKPOINT
+
+
+def test_toy_emit_tree_matches_pinned_digest(tmp_path):
+    assert emit_digest(tmp_path) == GOLDEN_EMIT

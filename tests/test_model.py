@@ -253,7 +253,7 @@ def test_end_to_end_gradcheck_toy_config():
     mel = toy_mel(t=12, m=8, seed=8)
     frozen = model.capture_selection(mel)
     report = ad.check_gradients(
-        toy_loss_fn(model, mel, frozen), model.parameters(),
+        toy_loss_fn(model, mel, frozen), model.params,
         eps=1e-5, sample_per_param=4, rng=np.random.default_rng(0),
     )
     assert report.ok(1e-4), report.per_param
@@ -270,12 +270,12 @@ def test_frozen_surrogate_matches_real_graph():
     for kind, sel in (("real", None), ("frozen", frozen)):
         with Tape() as tape:
             loss = toy_loss_fn(model, mel, sel)()
-        ad.zero_grads(model.parameters().values())
+        ad.zero_grads(model.params.values())
         tape.backward(loss)
         losses[kind] = loss.item()
         grads[kind] = {
             k: (None if p.grad is None else p.grad.copy())
-            for k, p in model.parameters().items()
+            for k, p in model.params.items()
         }
 
     assert losses["real"] == pytest.approx(losses["frozen"], rel=1e-12)
@@ -409,18 +409,21 @@ def test_load_checkpoint_draws_nothing_and_adopts_the_read_arrays(tmp_path, monk
 
 
 def _assert_flat(model):
-    """Each trainable parameter is a contiguous view of its own slice of
-    `model.buffer`, in `params` order, and nothing else shares the buffer."""
-    trainable = model.parameters(trainable_only=True)
+    """Each parameter is a contiguous view of its own slice of `model.buffer`,
+    in `params` order, covering it; the feature statistics are apart; and
+    `trainable` starts right after the encoder when it is frozen, else at 0."""
     start, base, itemsize = 0, model.buffer.ctypes.data, model.buffer.itemsize
+    encoder = 0
     for name, p in model.params.items():
-        if name in trainable:
-            assert p.values.flags.c_contiguous and p.values.dtype == model.buffer.dtype, name
-            assert p.values.ctypes.data == base + start * itemsize, name
-            start += p.values.size
-        else:
-            assert not np.shares_memory(p.values, model.buffer), name
+        assert p.values.flags.c_contiguous and p.values.dtype == model.buffer.dtype, name
+        assert p.values.ctypes.data == base + start * itemsize, name
+        start += p.values.size
+        if name.startswith("enc."):
+            assert start - p.values.size == encoder, name   # the encoder leads
+            encoder = start
     assert start == model.buffer.size
+    assert model.trainable == slice(encoder if model.config.encoder.frozen else 0,
+                                    model.buffer.size)
     for stats in (model.feature_mean, model.feature_std):
         assert not np.shares_memory(stats, model.buffer)
 
@@ -429,7 +432,7 @@ def _assert_flat(model):
 def test_trainable_parameters_stay_views_of_the_flat_buffer(tmp_path, frozen):
     model = vm.VcModel(toy_config(seed=3, frozen=frozen))
     _assert_flat(model)
-    assert any(name.startswith("enc.") for name in model.parameters(trainable_only=True)) != frozen
+    assert (model.trainable.start > 0) == frozen
     path = tmp_path / "donor.vcck"
     vm.save_checkpoint(vm.VcModel(toy_config(seed=4)), path)
     for dtype in (np.float32, np.float64):
@@ -781,10 +784,11 @@ def test_checkpoint_with_the_former_fixed_config_keys_loads(tmp_path):
 
 def test_frozen_flag_excludes_encoder_params():
     model = vm.VcModel(toy_config(frozen=True))
-    trainable = model.parameters(trainable_only=True)
-    assert not any(k.startswith("enc.") for k in trainable)
+    views = model.layout(np.arange(model.buffer.size))
+    trainable = {name for name, v in views.items() if v.min() >= model.trainable.start}
+    assert trainable == {k for k in model.params if not k.startswith("enc.")}
     assert any(k.startswith("dec.") for k in trainable)
     assert any(k.startswith("vq.") for k in trainable)
     assert "spk.embedding" in trainable
-    full = model.parameters()
-    assert any(k.startswith("enc.") for k in full)
+    assert model.trainable.start == sum(p.values.size for k, p in model.params.items()
+                                        if k.startswith("enc.")) > 0

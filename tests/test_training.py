@@ -80,82 +80,77 @@ def test_loss_weights_validation():
         tr.LossWeights(delta=0.0)
 
 
+def textbook_adam(p, g, m, v, t: int, lr: float):
+    """One Adam step of one element, the textbook's operations in order;
+    on arrays, the same step element by element."""
+    m = m * 0.9 + (1.0 - 0.9) * g
+    v = v * 0.999 + (1.0 - 0.999) * g * g
+    p = p - lr * (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
+    return p, m, v
+
+
 def test_adam_zero_gradient_is_noop():
-    p = Tensor(np.array([1.0, 2.0], dtype=np.float32))
-    opt = tr.Adam({"p": p}, lr=0.1)
-    before = p.values.copy()
-    p.grad = np.zeros_like(p.values)
-    opt.step()
-    np.testing.assert_array_equal(p.values, before)
+    values = np.array([1.0, 2.0], dtype=np.float32)
+    before = values.copy()
+    tr.Adam(values, lr=0.1).step(np.zeros_like(values))
+    np.testing.assert_array_equal(values, before)
 
 
-def test_adam_missing_gradient_counts_as_zero():
-    a, b = (Tensor(np.array([1.0, -2.0, 3.0], dtype=np.float32)) for _ in range(2))
-    opt = tr.Adam({"a": a, "b": b}, lr=0.1)
-    a.grad = np.array([0.5, -1.0, 2.0], dtype=np.float32)
-    b.grad = a.grad.copy()
-    opt.step()
-    after_first = a.values.copy()
-    a.grad, b.grad = None, np.zeros(3, dtype=np.float32)
-    opt.step()
-    np.testing.assert_array_equal(a.values, b.values)
-    # the first moment still moves the parameter: zero is not a no-op here
-    assert not np.array_equal(a.values, after_first)
+def test_adam_zero_gradient_after_a_step_still_moves():
+    values = np.array([1.0, -2.0, 3.0], dtype=np.float32)
+    opt = tr.Adam(values, lr=0.1)
+    opt.step(np.array([0.5, -1.0, 2.0], dtype=np.float32))
+    after_first = values.copy()
+    opt.step(np.zeros_like(values))
+    # the first moment still moves the values: zero is not a no-op here
+    assert (values != after_first).all()
 
 
 def test_adam_moves_against_gradient():
-    p = Tensor(np.array([1.0], dtype=np.float32))
-    opt = tr.Adam({"p": p}, lr=0.1)
-    p.grad = np.array([1.0], dtype=np.float32)
-    opt.step()
-    assert p.values[0] < 1.0
+    values = np.array([1.0], dtype=np.float32)
+    tr.Adam(values, lr=0.1).step(np.array([1.0], dtype=np.float32))
+    assert values[0] < 1.0
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_adam_step_bit_equal_to_textbook_update(dtype):
-    # "big" spans three blocks, one of them wholly inside it; the blocks
-    # either side straddle it and its neighbours
-    assert 2 * tr.ADAM_BLOCK < 12 + 400 * 350 < 3 * tr.ADAM_BLOCK
+    n = 2 * tr.ADAM_BLOCK + 1234   # three blocks, the last one partial
+    edges = [0, tr.ADAM_BLOCK - 1, tr.ADAM_BLOCK, 2 * tr.ADAM_BLOCK, n - 1]
     rng = np.random.default_rng(0)
-    params = {"a": Tensor(rng.normal(size=(3, 4)).astype(dtype)),
-              "big": Tensor(rng.normal(size=(400, 350)).astype(dtype)),
-              "b": Tensor(rng.normal(size=5).astype(dtype)),
-              "c": Tensor(rng.normal(size=2).astype(dtype))}
-    opt = tr.Adam(params, lr=1e-2)
-    ref = {k: p.values.copy() for k, p in params.items()}
-    m = {k: np.zeros_like(v) for k, v in ref.items()}
-    v2 = {k: np.zeros_like(v) for k, v in ref.items()}
-    held = {k: p.values for k, p in params.items()}
+    values = rng.normal(size=n).astype(dtype)
+    opt = tr.Adam(values, lr=1e-2)
+    held = values
+    ref, m, v = values.copy(), np.zeros(n, dtype), np.zeros(n, dtype)
     for t in range(1, 6):
-        for k, p in params.items():
-            missing = k == "c" or (k == "big" and t == 3)
-            p.grad = None if missing else rng.normal(size=p.shape).astype(dtype)
-        grads = {k: np.zeros_like(ref[k]) if p.grad is None else p.grad.copy()
-                 for k, p in params.items()}
-        opt.step()
-        b1c, b2c = 1.0 - 0.9**t, 1.0 - 0.999**t
-        for k, g in grads.items():
-            m[k] = m[k] * 0.9 + (1.0 - 0.9) * g
-            v2[k] = v2[k] * 0.999 + (1.0 - 0.999) * g * g
-            ref[k] = ref[k] - 1e-2 * (m[k] / b1c) / (np.sqrt(v2[k] / b2c) + 1e-8)
-            np.testing.assert_array_equal(params[k].values, ref[k])
-            assert params[k].values.dtype == dtype
-            # the update is in place: an array taken before the step holds the new values
-            assert params[k].values is held[k]
-        m_flat, v_flat = opt._state[:2]
-        np.testing.assert_array_equal(m_flat, np.concatenate([m[k].ravel() for k in params]))
-        np.testing.assert_array_equal(v_flat, np.concatenate([v2[k].ravel() for k in params]))
+        grads = rng.normal(size=n).astype(dtype)
+        if t == 3:
+            grads[tr.ADAM_BLOCK // 2 : 3 * tr.ADAM_BLOCK // 2] = 0
+        given = grads.copy()
+        one_by_one = [textbook_adam(ref[i], grads[i], m[i], v[i], t, 1e-2)[0] for i in edges]
+        opt.step(grads)
+        ref, m, v = textbook_adam(ref, grads, m, v, t, 1e-2)
+        np.testing.assert_array_equal(values, ref)
+        assert values.dtype == dtype and [values[i] for i in edges] == one_by_one
+        # the update is in place, and the gradient is read, not written
+        assert values is held
+        np.testing.assert_array_equal(grads, given)
+        np.testing.assert_array_equal(opt._state[0], m)
+        np.testing.assert_array_equal(opt._state[1], v)
 
 
 def test_train_with_zero_steps_allocates_no_optimizer_state(monkeypatch):
-    def no_state(self):
-        raise AssertionError("optimizer state allocated")
-
-    monkeypatch.setattr(tr.Adam, "_plan", no_state)
     model = VcModel(toy_config(seed=2))
+    laid_out, stepped = [], []
+    layout, step = model.layout, tr.Adam.step
+    monkeypatch.setattr(model, "layout", lambda flat: laid_out.append(flat.size) or layout(flat))
+    monkeypatch.setattr(tr.Adam, "step",
+                        lambda self, grads: stepped.append(self._state) or step(self, grads))
     tr.train(model, toy_corpus(), toy_train_cfg(steps=0))
-    with pytest.raises(AssertionError, match="optimizer state"):
-        tr.train(model, toy_corpus(), toy_train_cfg(steps=1))
+    # no gradient array was laid out, and Adam, which allocates its moments
+    # on its first step, never stepped
+    assert laid_out == [] and stepped == []
+    tr.train(model, toy_corpus(), toy_train_cfg(steps=1))
+    assert laid_out == [model.buffer.size] and stepped == [None]
 
 
 def test_ledger_round_trip_and_formatting(tmp_path):
@@ -307,7 +302,7 @@ def per_utterance_reference(model, dataset, cfg):
     model.set_feature_stats(*tr.feature_stats(dataset))
     model.codebook.init_from_outputs(
         np.concatenate([model.encode(mel).values for mel, _ in dataset[:8]]), rng)
-    optimizer = tr.Adam(model.parameters(trainable_only=True), lr=cfg.lr)
+    optimizer = tr.Adam(model.buffer[model.trainable], lr=cfg.lr)
     for _ in range(cfg.steps):
         picks = [dataset[int(rng.integers(len(dataset)))] for _ in range(cfg.batch_size)]
         with ad.Tape() as tape:
@@ -323,9 +318,11 @@ def per_utterance_reference(model, dataset, cfg):
             for term in losses[1:]:
                 loss = ad.add(loss, term)
             loss = ad.mul(loss, Tensor(np.asarray(1.0 / len(picks))))
-        ad.zero_grads(optimizer.params.values())
+        ad.zero_grads(model.params.values())
         tape.backward(loss)
-        optimizer.step()
+        grads = np.concatenate([(np.zeros_like(p.values) if p.grad is None else p.grad).ravel()
+                                for p in model.params.values()])
+        optimizer.step(grads[model.trainable])
 
 
 def test_batched_train_matches_per_utterance_reference():
