@@ -40,17 +40,14 @@ from pathlib import Path
 import numpy as np
 
 from . import bottleneck as bn
-from .data import DataError
+from .data import DataError, read_features
 from .model import VcModel, _encoded_lengths, pad_batch
 from .signal import (
     MelSpectrogram,
     SpecAugmentPolicy,
-    compute_log_mel,
     frame_count,
     frame_geometry,
-    read_melf,
     read_melf_header,
-    read_wav,
     read_wav_header,
     spec_augment,
     write_melf,
@@ -195,10 +192,7 @@ def _source_frames(path: Path, model: VcModel) -> int:
 
 
 def _read_source(path: Path, model: VcModel) -> MelSpectrogram:
-    if path.suffix == ".melf":
-        mel = read_melf(path)
-    else:
-        mel = compute_log_mel(read_wav(path), n_mels=model.config.n_mels)
+    mel = read_features(path, model.config.n_mels)
     _check_shape(mel.n_frames, mel.n_mels, model)
     return mel
 

@@ -2,15 +2,15 @@
 
 Everything the conversion model needs is built from the primitives here:
 elementwise arithmetic with broadcasting, matmul, 1-d (transposed and
-depthwise) convolutions, reductions, the usual activations, embedding
-lookup, gradient reversal and the straight-through estimator.  Three ops
-fuse what would otherwise be long compositions, each recorded as one node
-with a hand-written backward: `layer_norm`; `split_heads`/`merge_heads`,
-which put attention heads on a batch axis so that `matmul` (which accepts
-any equal leading axes) serves every head at once; and `bilstm_layer`,
-which runs both directions of an LSTM layer in one time loop and takes an
-input that is constant over time (a condition row per sequence) as a
-per-sequence gate bias.
+depthwise) convolutions, reductions, relu and softmax, embedding lookup,
+gradient reversal and the straight-through estimator.  Several ops fuse
+what would otherwise be long compositions, each recorded as one node with
+a hand-written backward: `layer_norm`; `split_heads`/`merge_heads`, which
+put attention heads on a batch axis so that `matmul` (which accepts any
+equal leading axes) serves every head at once; `bilstm_layer`, which runs
+both directions of an LSTM layer in one time loop and takes an input that
+is constant over time (a condition row per sequence) as a per-sequence
+gate bias; and the two loss terms, `huber` and `cross_entropy`.
 `bilstm_layer` takes the i, f, o gates' sigmoid as 1/2 + tanh(z/2)/2, so
 all four gates cost one tanh per step; in float32 this rounds differently
 from 1/(1 + exp(-z)), by about an ulp.  Ops executed while a `Tape` is
@@ -19,6 +19,11 @@ reverse to fill in `.grad` arrays.  A tape replays once: backward drops
 each record as it passes it, so the activations that op saved and the
 gradients of intermediates nothing else holds are freed while backward
 runs.  Tensors the caller still holds keep their `.grad`.
+
+A constant is a plain numpy array, never a `Tensor`.  `add`, `sub`, `mul`
+and `huber` take an array on either side and `conv1d` an array input;
+backward computes no gradient for an array operand, so a constant, a
+detached value (`t.values`) or the input features cost no backward work.
 
 Sequence ops take time on axis -2 and accept an optional leading batch
 axis: one utterance is `[T, C]`, a padded batch is `[B, T, C]`.  Row b of
@@ -69,13 +74,9 @@ class Tensor:
 
     __slots__ = ("values", "grad")
 
-    def __init__(self, values, dtype=None):
+    def __init__(self, values):
         arr = np.asarray(values)
-        if dtype is not None:
-            arr = arr.astype(dtype, copy=False)
-        elif arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(DEFAULT_DTYPE)
-        self.values = arr
+        self.values = arr if arr.dtype in (np.float32, np.float64) else arr.astype(DEFAULT_DTYPE)
         self.grad: np.ndarray | None = None
 
     @property
@@ -204,33 +205,43 @@ def fresh_param(name: str, shape, init) -> Tensor:
 # elementwise arithmetic (broadcasting)
 
 
-def _binary(op: str, a: Tensor, b: Tensor, fwd, da, db) -> Tensor:
+Operand = Tensor | np.ndarray
+
+
+def _values(a: Operand) -> np.ndarray:
+    return a.values if isinstance(a, Tensor) else a
+
+
+def _binary(op: str, a: Operand, b: Operand, fwd, da, db) -> Tensor:
+    """`fwd` of the two operands' values; backward feeds only `Tensor` operands."""
     try:
-        out = Tensor(fwd(a.values, b.values))
+        out = Tensor(fwd(_values(a), _values(b)))
     except ValueError:
         raise ShapeError(op, a.shape, b.shape) from None
 
     def bwd(g: np.ndarray) -> None:
-        _accum(a, _unbroadcast(da(g), a.shape))
-        _accum(b, _unbroadcast(db(g), b.shape))
+        if isinstance(a, Tensor):
+            _accum(a, _unbroadcast(da(g), a.shape))
+        if isinstance(b, Tensor):
+            _accum(b, _unbroadcast(db(g), b.shape))
 
     return _record(out, bwd)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
+def add(a: Operand, b: Operand) -> Tensor:
     return _binary("add", a, b, np.add, lambda g: g, lambda g: g)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
+def sub(a: Operand, b: Operand) -> Tensor:
     return _binary("sub", a, b, np.subtract, lambda g: g, lambda g: -g)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    return _binary("mul", a, b, np.multiply, lambda g: g * b.values, lambda g: g * a.values)
+def mul(a: Operand, b: Operand) -> Tensor:
+    return _binary("mul", a, b, np.multiply, lambda g: g * _values(b), lambda g: g * _values(a))
 
 
 # ---------------------------------------------------------------------------
-# activations and pointwise transcendentals
+# activations
 
 
 def relu(a: Tensor) -> Tensor:
@@ -239,25 +250,6 @@ def relu(a: Tensor) -> Tensor:
 
     def bwd(g):
         _accum(a, g * (a.values > 0.0))
-
-    return _record(out, bwd)
-
-
-def exp(a: Tensor) -> Tensor:
-    y = np.exp(a.values)
-    out = Tensor(y)
-
-    def bwd(g):
-        _accum(a, g * y)
-
-    return _record(out, bwd)
-
-
-def log(a: Tensor) -> Tensor:
-    out = Tensor(np.log(a.values))
-
-    def bwd(g):
-        _accum(a, g / a.values)
 
     return _record(out, bwd)
 
@@ -417,17 +409,18 @@ def _pad_time(x: np.ndarray, before: int, after: int) -> np.ndarray:
     return out
 
 
-def conv1d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+def conv1d(x: Operand, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """1-d convolution over time.  x: [..., T, Cin], w: [K, Cin, Cout].
 
     Output length is floor((T + 2*padding - K) / stride) + 1.  Computed as
-    one [rows, Cin] @ [Cin, Cout] GEMM per kernel tap.
+    one [rows, Cin] @ [Cin, Cout] GEMM per kernel tap.  An array `x` (input
+    features) gets no gradient, so backward runs only the weight GEMMs.
     """
     if x.ndim < 2 or w.ndim != 3 or x.shape[-1] != w.shape[1]:
         raise ShapeError("conv1d", x.shape, w.shape)
     k, cin, cout = w.shape
     lead = x.shape[:-2]
-    xp = _pad_time(x.values, padding, padding)
+    xp = _pad_time(_values(x), padding, padding)
     t_pad = xp.shape[-2]
     if t_pad < k:
         raise ShapeError("conv1d", x.shape, w.shape)
@@ -442,6 +435,8 @@ def conv1d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     def bwd(g):
         g2 = g.reshape(-1, cout)
         _accum(w, np.stack([tap.T @ g2 for tap in taps]))
+        if not isinstance(x, Tensor):
+            return
         gxp = np.zeros_like(xp)
         for j in range(k):
             gxp[..., j : j + span : stride, :] += (g2 @ w.values[j].T).reshape(lead + (t_out, cin))
@@ -740,12 +735,7 @@ def layer_norm(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None
 
 
 # ---------------------------------------------------------------------------
-# estimator / reversal / stop-gradient
-
-
-def stop_gradient(a: Tensor) -> Tensor:
-    """Detach: same values, no gradient flows back through this point."""
-    return Tensor(a.values)
+# estimator, reversal and loss terms
 
 
 def grad_reverse(x: Tensor, weight: float, anchor=None) -> Tensor:
@@ -785,21 +775,46 @@ def straight_through(z_e: Tensor, z_q: Tensor) -> Tensor:
     return _record(out, bwd)
 
 
+def huber(y: Operand, y_hat: Operand, delta: float = 1.0) -> Tensor:
+    """Elementwise Huber penalty of d = y - y_hat, one op: 0.5*d^2 where
+    |d| < delta, delta*(|d| - delta/2) elsewhere.  The branches meet with
+    equal slope, so the gradient is clip(d, -delta, delta), negated for y_hat."""
+    if y.shape != y_hat.shape:
+        raise ShapeError("huber", y.shape, y_hat.shape)
+    d = _values(y) - _values(y_hat)
+    abs_d = np.abs(d)
+    lin = np.asarray(delta, d.dtype) * (abs_d - np.asarray(0.5 * delta, d.dtype))
+    value = np.where(abs_d < delta, np.asarray(0.5, d.dtype) * d * d, lin)
+    slope = np.clip(d, -delta, delta)
+    return _binary("huber", y, y_hat, lambda *_: value, lambda g: g * slope,
+                   lambda g: -(g * slope))
+
+
 def cross_entropy(logits: Tensor, label) -> Tensor:
     """Softmax cross-entropy of [S] logits against an integer label, or the
-    row mean over [B, S] logits against [B] labels."""
+    row mean over [B, S] logits against [B] labels; one op.  With e =
+    exp(logits - max) and s its row sum, a row's gradient is
+    (g / s) * e - g * onehot, g being the upstream gradient over the rows."""
     labels = np.asarray(label)
     if logits.ndim not in (1, 2) or labels.shape != logits.shape[:-1]:
         raise ShapeError("cross_entropy", logits.shape, labels.shape)
     n = logits.shape[-1]
     if labels.min() < 0 or labels.max() >= n:
         raise ValueError(f"label {label} out of range [0, {n})")
-    # max-shift as a constant keeps logsumexp exact for values and gradients
-    shift = Tensor(logits.values.max(axis=-1, keepdims=True))
-    lse = add(log(reduce_sum(exp(sub(logits, shift)), axis=-1, keepdims=True)), shift)
-    onehot = Tensor((labels[..., None] == np.arange(n)).astype(logits.dtype))
-    picked = reduce_sum(mul(logits, onehot), axis=-1, keepdims=True)
-    return reduce_mean(sub(lse, picked))
+    lv = logits.values
+    shift = lv.max(axis=-1, keepdims=True)   # keeps exp finite
+    e = np.exp(lv - shift)
+    s = e.sum(axis=-1, keepdims=True, dtype=np.float64).astype(lv.dtype)
+    onehot = (labels[..., None] == np.arange(n)).astype(lv.dtype)
+    picked = (lv * onehot).sum(axis=-1, keepdims=True, dtype=np.float64).astype(lv.dtype)
+    per_row = np.log(s) + shift - picked
+    out = Tensor(per_row.mean(dtype=np.float64).astype(lv.dtype))
+
+    def bwd(g):
+        g = g / per_row.size
+        _accum(logits, (g / s) * e - g * onehot)
+
+    return _record(out, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -823,7 +838,7 @@ def length_mask(lengths, t: int, dtype) -> np.ndarray | None:
 def mask_frames(x: Tensor, lengths) -> Tensor:
     """Zero the frames of [B, T, C] past each row's length."""
     mask = length_mask(lengths, x.shape[-2], x.dtype)
-    return x if mask is None else mul(x, Tensor(mask[..., None]))
+    return x if mask is None else mul(x, mask[..., None])
 
 
 def frame_mean(x: Tensor, lengths=None) -> Tensor:
@@ -832,7 +847,7 @@ def frame_mean(x: Tensor, lengths=None) -> Tensor:
     if mask is None:
         return reduce_mean(x, axis=-2)
     weights = mask / np.asarray(lengths)[:, None]
-    return reduce_sum(mul(x, Tensor(weights[..., None].astype(x.dtype))), axis=-2)
+    return reduce_sum(mul(x, weights[..., None].astype(x.dtype)), axis=-2)
 
 
 def row_mean(x: Tensor, lengths=None) -> Tensor:
@@ -843,7 +858,7 @@ def row_mean(x: Tensor, lengths=None) -> Tensor:
         return reduce_mean(x)
     per_row = np.asarray(lengths) * (x.values[0, 0].size * x.shape[0])
     weights = (mask / per_row[:, None]).reshape(mask.shape + (1,) * (x.ndim - 2))
-    return reduce_sum(mul(x, Tensor(weights.astype(x.dtype))))
+    return reduce_sum(mul(x, weights.astype(x.dtype)))
 
 
 # ---------------------------------------------------------------------------

@@ -124,11 +124,11 @@ def select(z_e: Tensor, codebook: Codebook, indices=None) -> tuple[Tensor, np.nd
     return ad.concat(parts, axis=z_e.ndim - 1), indices
 
 
-def _sq_distance(a: Tensor, b: Tensor, lengths, scale: float) -> Tensor:
+def _sq_distance(a: ad.Operand, b: ad.Operand, lengths, scale: float) -> Tensor:
     """scale * mean over valid frames of the squared L2 distance over all channels."""
     diff = ad.sub(a, b)
     per_frame = ad.reduce_sum(ad.mul(diff, diff), axis=a.ndim - 1)
-    return ad.mul(ad.row_mean(per_frame, lengths), Tensor(np.asarray(scale, dtype=a.dtype)))
+    return ad.mul(ad.row_mean(per_frame, lengths), np.asarray(scale, dtype=a.dtype))
 
 
 def quantize(z_e: Tensor, codebook: Codebook, commitment_weight: float = 0.25,
@@ -154,12 +154,11 @@ def quantize(z_e: Tensor, codebook: Codebook, commitment_weight: float = 0.25,
         raise ad.ShapeError("quantize", z_e.shape, (codebook.dim,))
     e, indices = select(z_e, codebook, None if pinned is None else pinned.indices)
     if pinned is None:
-        z0, e0 = ad.stop_gradient(z_e), ad.stop_gradient(e)
+        z0, e0 = z_e.values, e.values
         z_q = ad.straight_through(z_e, e)
     else:
-        z0 = Tensor(pinned.z_e.astype(z_e.dtype))
-        e0 = Tensor(pinned.e_sel.astype(z_e.dtype))
-        z_q = ad.add(z_e, Tensor(e0.values - z0.values))
+        z0, e0 = pinned.z_e.astype(z_e.dtype), pinned.e_sel.astype(z_e.dtype)
+        z_q = ad.add(z_e, e0 - z0)
 
     scale = 1.0 / codebook.n_groups
     mask = ad.length_mask(lengths, z_e.shape[-2], bool)

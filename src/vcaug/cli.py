@@ -87,19 +87,19 @@ def cmd_featurize(args) -> int:
     return EXIT_DATA if failures else EXIT_OK
 
 
-def _load_training_inputs(cfg):
+def _speaker_map(cfg) -> dict[str, int]:
     if not cfg.data.corpus or not cfg.data.speaker_map:
         raise ConfigError("[data] corpus and speaker_map are required for this command")
-    speaker_map = vd.load_speaker_map(cfg.resolve(cfg.data.speaker_map))
-    corpus = vd.load_corpus(cfg.resolve(cfg.data.corpus), speaker_map, n_mels=cfg.model.n_mels)
-    return speaker_map, corpus
+    return vd.load_speaker_map(cfg.resolve(cfg.data.speaker_map))
 
 
 def cmd_train(args) -> int:
+    # every config check runs before the corpus is read and featurized
     cfg = load_config(args.config)
-    speaker_map, corpus = _load_training_inputs(cfg)
-    model = _build_model(cfg, len(speaker_map))
     train_cfg = cfg.train_config(seed=args.seed, out_dir=args.out)
+    speaker_map = _speaker_map(cfg)
+    model = _build_model(cfg, len(speaker_map))
+    corpus = vd.load_corpus(cfg.resolve(cfg.data.corpus), speaker_map, n_mels=cfg.model.n_mels)
     result = tr.train(model, corpus, train_cfg, checkpoint_meta=_checkpoint_meta(cfg))
     if result.ledger.records:
         means = result.ledger.final_window_means()
@@ -121,7 +121,9 @@ def cmd_sweep(args) -> int:
         tr.sweep_configs(weights, train_cfg)
     except ValueError as e:
         raise ConfigError(f"--weights: {e}") from None
-    speaker_map, corpus = _load_training_inputs(cfg)
+    speaker_map = _speaker_map(cfg)
+    cfg.model_config(len(speaker_map))   # [model] is checked before the corpus is read
+    corpus = vd.load_corpus(cfg.resolve(cfg.data.corpus), speaker_map, n_mels=cfg.model.n_mels)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     result = tr.sweep_adversarial_weight(
@@ -141,16 +143,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_select(args) -> int:
-    candidates = []
-    for path in args.ledgers:
-        ledger = tr.MetricsLedger.read(path)
-        means = ledger.final_window_means(args.window)
-        candidates.append(tr.CandidateMetrics(
-            label=Path(path).stem,
-            speaker_acc=means["speaker_acc"],
-            perplexity=means["perplexity"],
-            recon=means["recon"],
-        ))
+    candidates = [tr.CandidateMetrics.from_ledger(Path(path).stem, tr.MetricsLedger.read(path),
+                                                  args.window)
+                  for path in args.ledgers]
     report = tr.select_model(candidates, acc_max=args.acc_max, ppl_min=args.ppl_min)
     print("\n".join(report.lines()))
     if args.out:
@@ -198,7 +193,7 @@ def cmd_gradcheck(args) -> int:
         recon, qr, logits = model.forward_tensors(
             mel, 1, adv_weight=cfg.train.adversarial_weight, frozen_selection=frozen
         )
-        recon_loss = tr.huber(ad.Tensor(mel), recon, delta=weights.delta)
+        recon_loss = tr.huber(mel, recon, delta=weights.delta)
         adv_loss = ad.cross_entropy(logits, 1)
         return tr.total_loss(recon_loss, qr.codebook_loss, qr.commit_loss, adv_loss, weights)
 

@@ -258,9 +258,20 @@ def write_corpus_tree(
     return map_path
 
 
+def read_features(path, n_mels: int) -> MelSpectrogram:
+    """A `.melf` file's features or a `.wav` file's log-mel, with `n_mels`
+    bins or a `DataError` naming the path."""
+    path = Path(path)
+    mel = (read_melf(path) if path.suffix == ".melf"
+           else compute_log_mel(read_wav(path), n_mels=n_mels))
+    if mel.n_mels != n_mels:
+        raise DataError(f"{path}: feature dim {mel.n_mels} does not match n_mels {n_mels}")
+    return mel
+
+
 def load_corpus(corpus_dir, speaker_map: dict[str, int],
                 n_mels: int = 80) -> list[tuple[MelSpectrogram, int]]:
-    """Read `<dir>/<speaker>/*.{melf,wav}` in sorted order; wavs are featurized."""
+    """Read `<dir>/<speaker>/*.{melf,wav}` in sorted order with `read_features`."""
     corpus_dir = Path(corpus_dir)
     if not corpus_dir.is_dir():
         raise DataError(f"corpus directory not found: {corpus_dir}")
@@ -270,10 +281,8 @@ def load_corpus(corpus_dir, speaker_map: dict[str, int],
             raise DataError(f"{spk_dir}: speaker {spk_dir.name!r} not in speaker map")
         spk_id = speaker_map[spk_dir.name]
         for path in sorted(spk_dir.iterdir()):
-            if path.suffix == ".melf":
-                dataset.append((read_melf(path), spk_id))
-            elif path.suffix == ".wav":
-                dataset.append((compute_log_mel(read_wav(path), n_mels=n_mels), spk_id))
+            if path.suffix in (".melf", ".wav"):
+                dataset.append((read_features(path, n_mels), spk_id))
     if not dataset:
         raise DataError(f"{corpus_dir}: no .melf or .wav files found")
     return dataset

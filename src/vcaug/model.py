@@ -313,14 +313,14 @@ class VcModel:
         """Multi-head self-attention with the heads on a batch axis: one QKᵀ,
         one softmax and one ·V over [..., heads, T, head_dim]."""
         enc = self.config.encoder
-        scale = Tensor(np.asarray(1.0 / np.sqrt(enc.model_dim // enc.n_heads), dtype=self.dtype))
+        scale = np.asarray(1.0 / np.sqrt(enc.model_dim // enc.n_heads), dtype=self.dtype)
         q, k, v = (ad.split_heads(ad.matmul(x, self.params[f"{prefix}.{w}"]), enc.n_heads)
                    for w in ("wq", "wk", "wv"))
         scores = ad.mul(ad.matmul(q, ad.transpose(k)), scale)
         mask = ad.length_mask(lengths, x.shape[-2], self.dtype)
         if mask is not None:
             # [B, 1, 1, T]: one bias per key, shared by every head and query
-            scores = ad.add(scores, Tensor((1.0 - mask[:, None, None, :]) * PAD_KEY_BIAS))
+            scores = ad.add(scores, (1.0 - mask[:, None, None, :]) * PAD_KEY_BIAS)
         heads = ad.matmul(ad.softmax(scores, axis=-1), v)
         return ad.matmul(ad.merge_heads(heads), self.params[f"{prefix}.wo"])
 
@@ -361,8 +361,7 @@ class VcModel:
         mask = ad.length_mask(lengths, t, self.dtype)
         if mask is not None:
             valid *= mask[..., None]
-        x = Tensor(normalized)
-        x = ad.relu(ad.add(ad.conv1d(x, self.params["enc.sub1.w"], stride=2, padding=1),
+        x = ad.relu(ad.add(ad.conv1d(normalized, self.params["enc.sub1.w"], stride=2, padding=1),
                            self.params["enc.sub1.b"]))
         x = ad.relu(ad.add(ad.conv1d(x, self.params["enc.sub2.w"], stride=2, padding=1),
                            self.params["enc.sub2.b"]))
@@ -417,9 +416,7 @@ class VcModel:
                            self.params["dec.up2.b"]))
         x = ad.add(ad.matmul(x, self.params["dec.proj.w"]), self.params["dec.proj.b"])
         x = ad.narrow(x, x.ndim - 2, 0, target_len)
-        std = Tensor(self.feature_std)
-        mean = Tensor(self.feature_mean)
-        return ad.add(ad.mul(x, std), mean)
+        return ad.add(ad.mul(x, self.feature_std), self.feature_mean)
 
     def forward_tensors(self, mel, speaker_id, adv_weight: float = 0.1,
                         frozen_selection: bn.FrozenSelection | None = None, lengths=None):

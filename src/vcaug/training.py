@@ -68,34 +68,20 @@ class LossWeights:
 
 
 def huber(y, y_hat, delta: float = 1.0, lengths=None) -> Tensor:
-    """Mean Huber loss: 0.5*d^2 below `delta`, delta*(|d| - delta/2) beyond.
+    """Mean Huber loss, two ops: the elementwise `ad.huber` and `ad.row_mean`.
 
-    For padded [B, T, M] inputs with per-row `lengths` the mean is taken
-    per utterance over its [lengths[b], M] valid entries, then over rows.
+    Either side may be an array (a target is one).  For padded [B, T, M]
+    inputs the mean is per utterance over its [lengths[b], M] valid
+    entries, then over rows.
     """
-    y = y if isinstance(y, Tensor) else Tensor(y)
-    y_hat = y_hat if isinstance(y_hat, Tensor) else Tensor(y_hat)
-    if y.shape != y_hat.shape:
-        raise ad.ShapeError("huber", y.shape, y_hat.shape)
-    d = ad.sub(y, y_hat)
-    # the sign and the branch choice are locally constant; both branches
-    # agree in value and slope at |d| = delta, so treating them as constants
-    # is exact
-    abs_d = ad.mul(d, Tensor(np.sign(d.values)))
-    mask = Tensor((np.abs(d.values) < delta).astype(d.dtype))
-    inv_mask = Tensor((1.0 - mask.values).astype(d.dtype))
-    half = Tensor(np.asarray(0.5, dtype=d.dtype))
-    quad = ad.mul(ad.mul(half, d), d)
-    lin = ad.mul(Tensor(np.asarray(delta, dtype=d.dtype)),
-                 ad.sub(abs_d, Tensor(np.asarray(0.5 * delta, dtype=d.dtype))))
-    return ad.row_mean(ad.add(ad.mul(mask, quad), ad.mul(inv_mask, lin)), lengths)
+    return ad.row_mean(ad.huber(y, y_hat, delta), lengths)
 
 
 def total_loss(recon: Tensor, codebook: Tensor, commit: Tensor, adv: Tensor,
                weights: LossWeights) -> Tensor:
     """Sum of the four components; `commit` arrives already weighted and the
     adversarial term enters unscaled (its strength is the reversal weight)."""
-    gamma = Tensor(np.asarray(weights.gamma, dtype=codebook.dtype))
+    gamma = np.asarray(weights.gamma, dtype=codebook.dtype)
     return ad.add(ad.add(recon, ad.mul(codebook, gamma)), ad.add(commit, adv))
 
 
@@ -302,7 +288,7 @@ def train(model: VcModel, dataset: Dataset, cfg: TrainConfig,
             recon, qr, logits = model.forward_tensors(
                 values, speakers, adv_weight=cfg.adversarial_weight, lengths=lengths
             )
-            recon_loss = huber(Tensor(values.astype(model.dtype)), recon,
+            recon_loss = huber(values.astype(model.dtype), recon,
                                delta=cfg.weights.delta, lengths=lengths)
             adv_loss = ad.cross_entropy(logits, speakers)
             loss = total_loss(recon_loss, qr.codebook_loss, qr.commit_loss, adv_loss,
@@ -358,6 +344,13 @@ class CandidateMetrics:
     speaker_acc: float
     perplexity: float
     recon: float
+
+    @staticmethod
+    def from_ledger(label: str, ledger: MetricsLedger, window: float) -> "CandidateMetrics":
+        """A run's final-window means over the last `window` fraction of its steps."""
+        means = ledger.final_window_means(window)
+        return CandidateMetrics(label=label, speaker_acc=means["speaker_acc"],
+                                perplexity=means["perplexity"], recon=means["recon"])
 
 
 @dataclass
@@ -443,13 +436,7 @@ def sweep_adversarial_weight(
         n_entries = model.config.vq_entries
         result = train(model, dataset, run_cfg)
         ledgers[label] = result.ledger
-        means = result.ledger.final_window_means(window)
-        candidates.append(CandidateMetrics(
-            label=label,
-            speaker_acc=means["speaker_acc"],
-            perplexity=means["perplexity"],
-            recon=means["recon"],
-        ))
+        candidates.append(CandidateMetrics.from_ledger(label, result.ledger, window))
     if ppl_min is None:
         ppl_min = n_entries / 2
     report = select_model(candidates, acc_max=acc_max, ppl_min=ppl_min)

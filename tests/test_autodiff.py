@@ -23,6 +23,17 @@ def sigmoid(a):
     return ad._record(Tensor(y), lambda g: ad._accum(a, g * y * (1.0 - y)))
 
 
+def exp(a):
+    """exp as one recorded op, for the layer-norm oracle and the tape tests."""
+    y = np.exp(a.values)
+    return ad._record(Tensor(y), lambda g: ad._accum(a, g * y))
+
+
+def log(a):
+    """log as one recorded op, for the layer-norm oracle and the tape tests."""
+    return ad._record(Tensor(np.log(a.values)), lambda g: ad._accum(a, g / a.values))
+
+
 def grads_of(fn, params):
     with Tape() as tape:
         loss = fn()
@@ -129,7 +140,7 @@ def test_sum_squares_matches_hand_gradient():
 def test_check_gradients_rejects_non_finite_loss():
     x = t64([-1.0])
     with np.errstate(invalid="ignore"), pytest.raises(ad.NonFiniteError):
-        ad.check_gradients(lambda: ad.reduce_sum(ad.log(x)), {"x": x})
+        ad.check_gradients(lambda: ad.reduce_sum(log(x)), {"x": x})
 
 
 def test_backward_requires_scalar_loss():
@@ -164,7 +175,6 @@ def _primitive_cases(rng):
     fwd, bwd = ([lstm[f"{d}.{n}"] for n in ("wx", "wh", "b")] for d in ("fwd", "bwd"))
     lg = _rng_tensor(rng, (3,))
     lbv = _rng_tensor(rng, (3,))
-    pos = Tensor(np.abs(rng.normal(size=(4, 3))).astype(np.float64) + 0.5)
     logits = _rng_tensor(rng, (6,))
     # padded-batch shapes: [B, T, C] with time on axis -2
     bm = _rng_tensor(rng, (2, 3, 4))
@@ -178,6 +188,13 @@ def _primitive_cases(rng):
     hk = _rng_tensor(rng, (2, 2, 3, 2))
     hv = _rng_tensor(rng, (2, 2, 2, 3))
     anchor = rng.normal(size=(4, 3))
+    # Huber: |y - y_hat| in [0.2, 0.8] and [1.2, 2.5] on alternate elements, so
+    # both branches are probed and every probe stays clear of |d| = delta = 1
+    hy_hat = _rng_tensor(rng, (4, 3))
+    alternate = np.arange(12).reshape(4, 3) % 2 == 0
+    hd = np.where(alternate, rng.uniform(0.2, 0.8, (4, 3)), rng.uniform(1.2, 2.5, (4, 3)))
+    hy = hy_hat.values + rng.choice([-1.0, 1.0], size=(4, 3)) * hd
+    hy_t = Tensor(hy.copy())
     # a 2-wide condition row per sequence: wx covers 3 frame channels, then the row's
     cond_lstm = {f"{d}.{n}": _rng_tensor(rng, s)
                  for d in ("fwd", "bwd") for n, s in (("wx", (5, 8)), ("wh", (2, 8)), ("b", (8,)))}
@@ -273,8 +290,18 @@ def _primitive_cases(rng):
             {"a": a},
             lambda: spread(ad.grad_reverse(a, 0.7, anchor=anchor)),
         ),
-        "exp": ({"a": a}, lambda: spread(ad.exp(a))),
-        "log": ({"a": pos}, lambda: spread(ad.log(pos))),
+        "huber": ({"y_hat": hy_hat}, lambda: spread(ad.huber(hy, hy_hat, 1.0))),
+        "huber_both_tensors": (
+            {"y": hy_t, "y_hat": hy_hat},
+            lambda: spread(ad.huber(hy_t, hy_hat, 1.0)),
+        ),
+        "add_array_left": ({"b": row}, lambda: spread(ad.add(a.values, row))),
+        "sub_array_right": ({"a": a}, lambda: spread(ad.sub(a, b.values))),
+        "mul_array_left": ({"b": row}, lambda: spread(ad.mul(a.values, row))),
+        "conv1d_array_input": (
+            {"w": cw},
+            lambda: spread(ad.conv1d(bx.values, cw, stride=2, padding=1)),
+        ),
     }
 
 
@@ -395,7 +422,7 @@ def _layer_norm_oracle(x, gain=None, bias=None, eps=1e-5):
     centered = ad.sub(x, m)
     var = ad.reduce_mean(ad.mul(centered, centered), axis=-1, keepdims=True)
     shifted = ad.add(var, Tensor(np.asarray(eps, dtype=x.dtype)))
-    inv = ad.exp(ad.mul(ad.log(shifted), Tensor(np.asarray(-0.5, dtype=x.dtype))))
+    inv = exp(ad.mul(log(shifted), Tensor(np.asarray(-0.5, dtype=x.dtype))))
     out = ad.mul(centered, inv)
     if gain is not None:
         out = ad.mul(out, gain)
@@ -471,7 +498,7 @@ def test_first_gradient_is_a_private_copy():
     x = t64([0.5, 1.5])
     with Tape() as tape:
         y = tanh(x)
-        loss = ad.add(ad.reduce_sum(ad.mul(y, t64([2.0, 2.0]))), ad.reduce_sum(ad.exp(y)))
+        loss = ad.add(ad.reduce_sum(ad.mul(y, t64([2.0, 2.0]))), ad.reduce_sum(exp(y)))
     tape.backward(loss)
     expected_y = 2.0 + np.exp(np.tanh(x.values))
     np.testing.assert_allclose(y.grad, expected_y, rtol=1e-15)
@@ -501,7 +528,7 @@ def test_bilstm_layer_records_one_node_and_checks_shapes():
 
 def test_stop_gradient_blocks_flow():
     x = t64([1.0, 2.0])
-    (g,) = grads_of(lambda: ad.reduce_sum(ad.mul(ad.stop_gradient(x), x)), [x])
+    (g,) = grads_of(lambda: ad.reduce_sum(ad.mul(x.values, x)), [x])
     np.testing.assert_allclose(g, [1.0, 2.0])  # only the live branch contributes
 
 
@@ -556,3 +583,46 @@ def test_second_backward_on_a_replayed_tape_raises():
     with pytest.raises(RuntimeError, match="already replayed"):
         tape.backward(loss)
     np.testing.assert_array_equal(x.grad, first)
+
+
+def _live_grad(call, args, live, upstream):
+    with Tape() as tape:
+        loss = ad.reduce_sum(ad.mul(call(*args), upstream))
+    live.grad = None
+    tape.backward(loss)
+    return live.grad
+
+
+@pytest.mark.parametrize("op, array_side", [
+    ("add", 0), ("add", 1), ("sub", 0), ("sub", 1), ("mul", 0), ("mul", 1), ("conv1d", 0),
+])
+def test_an_array_operand_leaves_the_tensor_gradient_bit_equal(op, array_side):
+    rng = np.random.default_rng(21)
+    if op == "conv1d":
+        const = rng.normal(size=(2, 7, 3)).astype(np.float32)
+        live = Tensor(rng.normal(size=(3, 3, 4)).astype(np.float32))
+        upstream = rng.normal(size=(2, 4, 4)).astype(np.float32)
+
+        def call(x, w):
+            return ad.conv1d(x, w, stride=2, padding=1)
+    else:
+        # the Tensor side broadcasts, so its gradient is a sum over the array's rows
+        const = rng.normal(size=(2, 5, 3)).astype(np.float32)
+        live = Tensor(rng.normal(size=(3,)).astype(np.float32))
+        upstream = rng.normal(size=(2, 5, 3)).astype(np.float32)
+        call = getattr(ad, op)
+    before = const.copy()
+    with_array = [live, live]
+    with_array[array_side] = const
+    wrapped = Tensor(const.copy())
+    with_tensor = [live, live]
+    with_tensor[array_side] = wrapped
+    got = _live_grad(call, with_array, live, upstream)
+    want = _live_grad(call, with_tensor, live, upstream)
+    assert got.dtype == np.float32
+    np.testing.assert_array_equal(got, want)
+    assert wrapped.grad is not None   # the wrapped constant did get one
+    np.testing.assert_array_equal(const, before)
+    with Tape() as tape:
+        call(*with_array)
+    assert len(tape) == 1

@@ -238,7 +238,7 @@ def per_group_quantize(z_e, codebook, commitment_weight, lengths=None, pinned=No
         idx_cols.append(idx)
         e_sel = ad.embedding_lookup(table, idx)
         if pinned is None:
-            zg0, e0 = ad.stop_gradient(zg), ad.stop_gradient(e_sel)
+            zg0, e0 = zg.values, e_sel.values
             parts.append(ad.straight_through(zg, e_sel))
         else:
             zg0 = Tensor(pinned.z_e[:, lo : lo + gd])

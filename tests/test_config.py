@@ -95,6 +95,28 @@ def test_train_rejects_non_finite_or_out_of_range_floats(tmp_path, capsys, repla
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, replace, named", [
+    ("train", "lr = 0", "[train] lr must be finite and positive"),
+    ("train", "vq_groups = 3", "[model]"),
+    ("sweep", "vq_groups = 3", "[model]"),
+    ("sweep", "lr = 0", "[train] lr must be finite and positive"),
+], ids=["train_lr", "train_model", "sweep_model", "sweep_lr"])
+def test_config_errors_come_before_the_corpus_is_read(tmp_path, capsys, command, replace, named):
+    # an unreadable file in the corpus: reading the corpus first would exit 2
+    vd.write_corpus_tree(tmp_path / "corpus", n_speakers=2, utts_per_speaker=1,
+                         seed=0, duration_s=0.3)
+    (tmp_path / "corpus" / "spk1" / "bad.wav").write_bytes(b"RIFF\0\0\0\0")
+    path = tmp_path / "bad.cfg"
+    path.write_text(toy_text(replace)
+                    + "\n[data]\ncorpus = corpus\nspeaker_map = corpus/speakers.tsv\n",
+                    encoding="utf-8")
+    code = cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG, err
+    assert "config error" in err and named in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_directory_exits_with_config_error(tmp_path, capsys):
     code = cli.main(["train", "--config", str(tmp_path), "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_CONFIG

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vcaug import cli
 from vcaug import data as vd
-from vcaug.signal import mel_filterbank
+from vcaug.signal import MelSpectrogram, mel_filterbank, write_melf
 
 from conftest import damage
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_speaker_profiles_deterministic_and_distinct():
@@ -214,6 +217,30 @@ def test_load_corpus_unknown_speaker_dir(tmp_path):
     (corpus / "ghost" / "u.melf").write_bytes(b"")
     with pytest.raises(vd.DataError, match="not in speaker map"):
         vd.load_corpus(corpus, {"alice": 0})
+
+
+def test_read_features_names_the_file_whose_dimension_differs(tmp_path):
+    melf = tmp_path / "wide.melf"
+    write_melf(melf, MelSpectrogram(data=np.zeros((20, 40), dtype=np.float32)))
+    with pytest.raises(vd.DataError, match=r"wide\.melf: feature dim 40 does not match n_mels 8"):
+        vd.read_features(melf, 8)
+    assert vd.read_features(melf, 40).data.shape == (20, 40)
+    wav = vd.write_corpus_tree(tmp_path / "c", n_speakers=1, utts_per_speaker=1,
+                               duration_s=0.3).parent / "spk0" / "u00.wav"
+    assert vd.read_features(wav, 8).n_mels == 8
+
+
+def test_cli_train_on_a_corpus_with_another_feature_dim_names_the_file(tmp_path, capsys):
+    vd.write_corpus_tree(tmp_path / "corpus", n_speakers=2, utts_per_speaker=1, duration_s=0.3)
+    wide = tmp_path / "corpus" / "spk0" / "wide.melf"
+    write_melf(wide, MelSpectrogram(data=np.zeros((20, 40), dtype=np.float32)))
+    config = tmp_path / "toy.cfg"
+    config.write_text((CONFIGS / "toy.cfg").read_text(encoding="utf-8")
+                      + "\n[data]\ncorpus = corpus\nspeaker_map = corpus/speakers.tsv\n",
+                      encoding="utf-8")
+    code = cli.main(["train", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_DATA
+    assert f"data error: {wide}: feature dim 40" in capsys.readouterr().err
 
 
 def test_load_corpus_empty(tmp_path):

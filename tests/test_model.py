@@ -139,6 +139,19 @@ def test_desk_batch_records_few_tape_nodes():
     assert len(enc) <= 63 and len(dec) <= 16, (len(enc), len(dec))
 
 
+def test_desk_batch_loss_stage_records_few_tape_nodes():
+    # huber is one op plus its mean, cross_entropy one op, total_loss four
+    model = vm.VcModel(vm.ModelConfig())
+    mels = np.random.default_rng(3).normal(size=(4, 98, 80)).astype(np.float32)
+    speakers = np.arange(4)
+    lengths = [98] * 4
+    recon, qr, logits = model.forward_tensors(mels, speakers, lengths=lengths)
+    with Tape() as loss:
+        tr.total_loss(tr.huber(mels, recon, lengths=lengths), qr.codebook_loss, qr.commit_loss,
+                      ad.cross_entropy(logits, speakers), tr.LossWeights())
+    assert len(loss) <= 7, len(loss)
+
+
 def _decode_by_concatenation(model, z, ids, target_len, lengths=None):
     """The decoder as composed before the speaker row became a gate bias: the
     row tiled over every frame and concatenated, and the first BiLSTM layer
