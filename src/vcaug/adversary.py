@@ -5,12 +5,8 @@ The head reads the quantized bottleneck output, mean-pools it over frames
 Reversal makes its training signal adversarial to everything upstream: the
 head itself still learns to classify, while the encoder is pushed to scrub
 speaker information.  The head's accuracy doubles as the leakage metric
-logged during training.
-
-For the finite-difference oracle the same `logits` call takes an anchor, the
-pooled input captured at the check point; the reversal then becomes the
-smooth anchor - weight * (pooled - anchor), equal in value and gradient
-there.
+logged during training.  Inside `check_gradients` the reversal is replayed
+as a smooth function of the pooled input (see `autodiff.grad_reverse`).
 """
 
 from __future__ import annotations
@@ -36,13 +32,11 @@ class AdversaryHead:
     def parameters(self) -> dict[str, Tensor]:
         return {"adv.w1": self.w1, "adv.b1": self.b1, "adv.w2": self.w2, "adv.b2": self.b2}
 
-    def logits(self, x: Tensor, reversal_weight: float, lengths=None, anchor=None) -> Tensor:
+    def logits(self, x: Tensor, reversal_weight: float, lengths=None) -> Tensor:
         """Speaker logits [S] for a [T', D] input, or [B, S] for a padded
         [B, T', D] batch pooled over each row's first lengths[b] frames.
-        Reversal affects gradients only; `anchor` (the pooled input at a
-        capture point) makes it smooth for finite differences, see
-        `autodiff.grad_reverse`."""
-        rev = ad.grad_reverse(ad.frame_mean(x, lengths), reversal_weight, anchor)
+        Reversal affects gradients only."""
+        rev = ad.grad_reverse(ad.frame_mean(x, lengths), reversal_weight)
         h = ad.relu(ad.add(ad.matmul(rev, self.w1), self.b1))
         return ad.add(ad.matmul(h, self.w2), self.b2)
 

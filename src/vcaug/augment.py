@@ -41,7 +41,7 @@ import numpy as np
 
 from . import bottleneck as bn
 from .data import DataError, read_features
-from .model import VcModel, _encoded_lengths, pad_batch
+from .model import MIN_FRAMES, VcModel, _encoded_lengths, pad_batch
 from .signal import (
     MelSpectrogram,
     SpecAugmentPolicy,
@@ -99,8 +99,8 @@ EMIT_LENGTH_RATIO = 2
 def _check_shape(n_frames: int, n_mels: int, model: VcModel) -> None:
     if n_mels != model.config.n_mels:
         raise DataError(f"feature dim {n_mels} does not match model n_mels {model.config.n_mels}")
-    if n_frames < 4:
-        raise DataError(f"need at least 4 frames to convert, got {n_frames}")
+    if n_frames < MIN_FRAMES:
+        raise DataError(f"need at least {MIN_FRAMES} frames to convert, got {n_frames}")
 
 
 def _decode_as(values: np.ndarray, target, model: VcModel, lengths=None) -> np.ndarray:

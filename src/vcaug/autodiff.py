@@ -36,10 +36,13 @@ full-length batch and an unbatched input record no mask op.
 Storage defaults to float32; sum/mean reductions accumulate in float64
 before casting back.  `check_gradients` is the correctness oracle: it
 compares every recorded gradient against central finite differences.
-Gradient reversal is not differentiable in the ordinary sense, so
-`grad_reverse` takes an optional anchor: anchored, its forward is the
-smooth anchor - weight * (x - anchor), which matches the identity forward
-where x equals the anchor and has exactly the reversal's backward.
+A stop-gradient operand is read through `detach`, which is `t.values`
+everywhere but inside the oracle: there the checked function's first call
+records every detached value and each finite-difference call reads the
+recorded ones back.  That freezes the non-smooth choices made on them (the
+bottleneck's nearest-entry search), and the replayed `straight_through`
+and `grad_reverse` forward smooth functions with exactly their backward,
+so the oracle measures the estimators' gradients.
 """
 
 from __future__ import annotations
@@ -61,8 +64,6 @@ class ShapeError(ValueError):
 
     def __init__(self, op: str, *shapes):
         super().__init__(f"{op}: incompatible shapes {' vs '.join(str(tuple(s)) for s in shapes)}")
-        self.op = op
-        self.shapes = tuple(tuple(s) for s in shapes)
 
 
 class NonFiniteError(FloatingPointError):
@@ -147,6 +148,34 @@ class Tape:
 
 def _active_tape() -> Tape | None:
     return getattr(_STATE, "tape", None)
+
+
+def detach(t: Tensor) -> np.ndarray:
+    """`t`'s values as a constant: backward sends nothing back through them.
+
+    Outside `check_gradients` this is `t.values`.  In the checked function's
+    first call it also keeps a copy (finite differences perturb parameters
+    in place); in each finite-difference call it returns the value kept by
+    the same call in order instead, so every stop-gradient sits at the check
+    point.  Records no op.
+    """
+    frozen = getattr(_STATE, "frozen", None)
+    if frozen is None:
+        return t.values
+    if _STATE.cursor is None:
+        frozen.append(t.values.copy())
+        return t.values
+    i = _STATE.cursor
+    if i == len(frozen) or frozen[i].shape != t.shape:
+        raise RuntimeError("check_gradients: fn detached other values than in its first call; "
+                           "it must be deterministic")
+    _STATE.cursor = i + 1
+    return frozen[i]
+
+
+def _replaying() -> bool:
+    """True inside a finite-difference call of `check_gradients`."""
+    return getattr(_STATE, "cursor", None) is not None
 
 
 def _record(out: Tensor, bwd: Callable[[np.ndarray], None]) -> Tensor:
@@ -738,21 +767,18 @@ def layer_norm(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None
 # estimator, reversal and loss terms
 
 
-def grad_reverse(x: Tensor, weight: float, anchor=None) -> Tensor:
-    """Gradient reversal: backward multiplies the incoming gradient by -weight.
+def grad_reverse(x: Tensor, weight: float) -> Tensor:
+    """Gradient reversal: the identity forward, while backward multiplies the
+    incoming gradient by -weight.
 
-    Without `anchor` the forward is the identity.  With an `anchor` array it
-    is anchor - weight * (x - anchor): the same value where x equals the
-    anchor and the same backward, but an ordinary smooth function, which is
-    what the finite-difference oracle needs.
+    Replayed by `check_gradients`, the forward is x0 - weight * (x - x0),
+    with x0 the value x had at the check point: equal there, with the same
+    backward, but an ordinary smooth function of x.
     """
     if weight < 0:
         raise ValueError(f"grad_reverse weight must be >= 0, got {weight}")
-    if anchor is None:
-        out = Tensor(x.values)
-    else:
-        anchor = np.asarray(anchor, dtype=x.dtype)
-        out = Tensor(anchor - np.asarray(weight, dtype=x.dtype) * (x.values - anchor))
+    x0 = detach(x)
+    out = Tensor(x0 - np.asarray(weight, dtype=x.dtype) * (x.values - x0) if _replaying() else x0)
 
     def bwd(g):
         _accum(x, -weight * g)
@@ -763,11 +789,14 @@ def grad_reverse(x: Tensor, weight: float, anchor=None) -> Tensor:
 def straight_through(z_e: Tensor, z_q: Tensor) -> Tensor:
     """Forward the quantized values; route the gradient to z_e as identity.
 
-    No gradient reaches z_q through this op.
+    No gradient reaches z_q through this op.  Replayed by
+    `check_gradients`, the forward is z_e + (z_q0 - z_e0), both constants
+    taken at the check point, so it is smooth in z_e with the same gradient.
     """
     if z_e.shape != z_q.shape:
         raise ShapeError("straight_through", z_e.shape, z_q.shape)
-    out = Tensor(z_q.values)
+    z_e0, z_q0 = detach(z_e), detach(z_q)
+    out = Tensor(z_e.values + (z_q0 - z_e0) if _replaying() else z_q0)
 
     def bwd(g):
         _accum(z_e, g)
@@ -870,7 +899,6 @@ class GradCheckReport:
     """Max relative error per parameter from a central finite-difference sweep."""
 
     per_param: dict[str, float]
-    eps: float
 
     @property
     def max_rel_err(self) -> float:
@@ -890,44 +918,59 @@ def check_gradients(
 ) -> GradCheckReport:
     """Compare tape gradients of the scalar `fn()` against central differences.
 
-    `fn` must be deterministic and close over `params`.  With
+    `fn` must be deterministic and close over `params`.  Its first, taped
+    call records every value it reads through `detach`; each
+    finite-difference call replays them (see `detach`), and raises
+    `RuntimeError` if it detaches a different sequence.  With
     `sample_per_param` set, only that many randomly chosen elements of each
     parameter are probed (the analytic gradient is still the full one).
     Relative error uses max(|analytic|, |numeric|, rel_floor) as denominator.
     """
     if not 1e-6 <= eps <= 1e-3:
         raise ValueError(f"eps must lie in [1e-6, 1e-3], got {eps}")
-    with Tape() as tape:
-        loss = fn()
-    if not np.isfinite(loss.values).all():
-        raise NonFiniteError("check_gradients: fn() returned a non-finite value")
-    zero_grads(params.values())
-    tape.backward(loss)
-    analytic = {
-        name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.values))
-        for name, p in params.items()
-    }
     if rng is None:
         rng = np.random.default_rng(0)
+    _STATE.frozen, _STATE.cursor = [], None
+    try:
+        with Tape() as tape:
+            loss = fn()
+        if not np.isfinite(loss.values).all():
+            raise NonFiniteError("check_gradients: fn() returned a non-finite value")
+        zero_grads(params.values())
+        tape.backward(loss)
+        analytic = {
+            name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.values))
+            for name, p in params.items()
+        }
 
-    report: dict[str, float] = {}
-    for name, p in params.items():
-        flat = p.values.reshape(-1)
-        ana = analytic[name].reshape(-1)
-        if sample_per_param is not None and flat.size > sample_per_param:
-            idxs = rng.choice(flat.size, size=sample_per_param, replace=False)
-        else:
-            idxs = range(flat.size)
-        worst = 0.0
-        for i in idxs:
-            orig = flat[i]
-            flat[i] = orig + eps
-            f_plus = float(fn().values)
-            flat[i] = orig - eps
-            f_minus = float(fn().values)
-            flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * eps)
-            err = abs(float(ana[i]) - numeric)
-            worst = max(worst, err / max(abs(float(ana[i])), abs(numeric), rel_floor))
-        report[name] = worst
-    return GradCheckReport(per_param=report, eps=eps)
+        def f_at(flat: np.ndarray, i: int, value) -> float:
+            """fn() replayed with flat[i] set to `value`."""
+            flat[i] = value
+            _STATE.cursor = 0
+            out = float(fn().values)
+            if _STATE.cursor != len(_STATE.frozen):
+                raise RuntimeError("check_gradients: fn detached fewer values than in its "
+                                   "first call; it must be deterministic")
+            return out
+
+        report: dict[str, float] = {}
+        for name, p in params.items():
+            flat = p.values.reshape(-1)
+            ana = analytic[name].reshape(-1)
+            if sample_per_param is not None and flat.size > sample_per_param:
+                idxs = rng.choice(flat.size, size=sample_per_param, replace=False)
+            else:
+                idxs = range(flat.size)
+            worst = 0.0
+            for i in idxs:
+                orig = flat[i]
+                try:   # the parameter is restored even when fn raises
+                    numeric = (f_at(flat, i, orig + eps) - f_at(flat, i, orig - eps)) / (2.0 * eps)
+                finally:
+                    flat[i] = orig
+                err = abs(float(ana[i]) - numeric)
+                worst = max(worst, err / max(abs(float(ana[i])), abs(numeric), rel_floor))
+            report[name] = worst
+    finally:
+        _STATE.frozen = _STATE.cursor = None
+    return GradCheckReport(per_param=report)

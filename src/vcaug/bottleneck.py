@@ -16,8 +16,10 @@ summarized as perplexity, the collapse diagnostic tracked during training.
 batch with per-row valid lengths; padded frames are quantized but weigh
 nothing in the losses and are left out of the returned indices.
 
-Pinned to a `FrozenSelection` captured from an earlier unbatched pass, the
-same `quantize` is the smooth surrogate the finite-difference oracle checks.
+Every stop-gradient here (the search's operands and the losses' detached
+sides) is read through `ad.detach`, so inside `check_gradients` the
+selection and those operands stay at the check point and the bottleneck is
+the smooth function whose gradient the estimator defines.
 """
 
 from __future__ import annotations
@@ -97,28 +99,19 @@ def nearest_entries(block: np.ndarray, table: np.ndarray) -> np.ndarray:
     return np.argmin(d, axis=1)
 
 
-@dataclass(frozen=True)
-class FrozenSelection:
-    """Entry assignment and values captured from one unbatched `quantize` pass."""
+def select(z_e: Tensor, codebook: Codebook) -> tuple[Tensor, np.ndarray]:
+    """Gather each frame's nearest codebook entries: ([(B,) T', D] entries,
+    [(B,) T', G] indices).
 
-    indices: np.ndarray   # [T', G]
-    e_sel: np.ndarray     # [T', D] entry values at capture time
-    z_e: np.ndarray       # [T', D] encoder outputs at capture time
-
-
-def select(z_e: Tensor, codebook: Codebook, indices=None) -> tuple[Tensor, np.ndarray]:
-    """Gather each frame's codebook entries: ([(B,) T', D] entries, [(B,) T', G] indices).
-
-    Without `indices` every group takes its nearest entry.  The only
-    recorded ops are one lookup per group and a concat.
+    The search runs in numpy on the detached encodings and tables.  The
+    only recorded ops are one lookup per group and a concat.
     """
     gd = codebook.group_dim
-    if indices is None:
-        flat = z_e.values.reshape(-1, codebook.dim)
-        indices = np.stack([
-            nearest_entries(flat[:, g * gd : (g + 1) * gd], table.values)
-            for g, table in enumerate(codebook.groups)
-        ], axis=-1).reshape(z_e.shape[:-1] + (codebook.n_groups,))
+    flat = ad.detach(z_e).reshape(-1, codebook.dim)
+    indices = np.stack([
+        nearest_entries(flat[:, g * gd : (g + 1) * gd], ad.detach(table))
+        for g, table in enumerate(codebook.groups)
+    ], axis=-1).reshape(z_e.shape[:-1] + (codebook.n_groups,))
     parts = [ad.embedding_lookup(table, indices[..., g])
              for g, table in enumerate(codebook.groups)]
     return ad.concat(parts, axis=z_e.ndim - 1), indices
@@ -132,39 +125,25 @@ def _sq_distance(a: ad.Operand, b: ad.Operand, lengths, scale: float) -> Tensor:
 
 
 def quantize(z_e: Tensor, codebook: Codebook, commitment_weight: float = 0.25,
-             lengths=None, pinned: FrozenSelection | None = None) -> QuantizeResult:
+             lengths=None) -> QuantizeResult:
     """Quantize each frame group-wise and compute both bottleneck losses.
 
     codebook_loss is the squared distance from the detached encoder output
     to its selected entries over all D channels, averaged over frames and
     divided by the number of groups (the per-group mean); commit_loss is
-    the mirrored term times `commitment_weight` and moves only the encoder.
-    For a [B, T', D] batch both are per-row means over the first lengths[b]
+    the mirrored term, from the encoder output to the detached entries,
+    times `commitment_weight`, and moves only the encoder.  For a
+    [B, T', D] batch both are per-row means over the first lengths[b]
     frames, averaged over rows.
-
-    With `pinned` (one [T', D] utterance only) the entries come from the
-    capture instead of the nearest-entry search, the two detached operands
-    are the captured constants, and the straight-through output is
-    z_e + (e_sel - z_e) at capture.  At the capture point values and tape
-    gradients equal the unpinned pass, but the function is smooth, so
-    central differences measure exactly the estimator's gradient.
     """
-    if (z_e.ndim not in (2, 3) or z_e.shape[-1] != codebook.dim
-            or (pinned is not None and z_e.ndim != 2)):
+    if z_e.ndim not in (2, 3) or z_e.shape[-1] != codebook.dim:
         raise ad.ShapeError("quantize", z_e.shape, (codebook.dim,))
-    e, indices = select(z_e, codebook, None if pinned is None else pinned.indices)
-    if pinned is None:
-        z0, e0 = z_e.values, e.values
-        z_q = ad.straight_through(z_e, e)
-    else:
-        z0, e0 = pinned.z_e.astype(z_e.dtype), pinned.e_sel.astype(z_e.dtype)
-        z_q = ad.add(z_e, e0 - z0)
-
+    e, indices = select(z_e, codebook)
     scale = 1.0 / codebook.n_groups
     mask = ad.length_mask(lengths, z_e.shape[-2], bool)
     return QuantizeResult(
-        z_q=z_q,
+        z_q=ad.straight_through(z_e, e),
         indices=indices.reshape(-1, codebook.n_groups) if mask is None else indices[mask],
-        codebook_loss=_sq_distance(z0, e, lengths, scale),
-        commit_loss=_sq_distance(z_e, e0, lengths, scale * commitment_weight),
+        codebook_loss=_sq_distance(ad.detach(z_e), e, lengths, scale),
+        commit_loss=_sq_distance(z_e, ad.detach(e), lengths, scale * commitment_weight),
     )

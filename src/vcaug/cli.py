@@ -1,9 +1,9 @@
 """Command-line front door.
 
 Subcommands: featurize, train, sweep, select, convert, augment, gradcheck,
-inspect.  Exit codes: 0 success, 1 configuration error, 2 data error,
-3 numeric divergence.  All randomness hangs off --seed (or the seed in the
-config file when the flag is absent).
+inspect.  Exit codes: 0 success, 1 configuration error, 2 data error or a
+failed file access, 3 numeric divergence.  All randomness hangs off --seed
+(or the seed in the config file when the flag is absent).
 
 The adversarial-weight comparison on the synthetic corpus is
 `scripts/make_synthetic_corpus.py --out corpus` followed by
@@ -36,15 +36,7 @@ from . import data as vd
 from . import model as vm
 from . import training as tr
 from .config import ConfigError, load_config, parse_pool
-from .signal import (
-    MelfFormatError,
-    SpecAugmentPolicy,
-    WavFormatError,
-    compute_log_mel,
-    read_melf,
-    read_wav,
-    write_melf,
-)
+from .signal import compute_log_mel, read_melf, read_wav, write_melf
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -75,7 +67,7 @@ def cmd_featurize(args) -> int:
         rel = path.relative_to(wav_dir)
         try:
             mel = compute_log_mel(read_wav(path), n_mels=args.n_mels)
-        except (WavFormatError, ValueError) as e:
+        except ValueError as e:
             failures.append((str(rel), str(e)))
             print(f"featurize: skipped {rel}: {e}", file=sys.stderr)
             continue
@@ -186,13 +178,10 @@ def cmd_gradcheck(args) -> int:
     model = vm.VcModel(model_cfg, dtype=np.float64)
     rng = np.random.default_rng(seed)
     mel = rng.normal(size=(12, model_cfg.n_mels))
-    frozen = model.capture_selection(mel)
     weights = cfg.train_config().weights
 
     def loss_fn():
-        recon, qr, logits = model.forward_tensors(
-            mel, 1, adv_weight=cfg.train.adversarial_weight, frozen_selection=frozen
-        )
+        recon, qr, logits = model.forward_tensors(mel, 1, adv_weight=cfg.train.adversarial_weight)
         recon_loss = tr.huber(mel, recon, delta=weights.delta)
         adv_loss = ad.cross_entropy(logits, 1)
         return tr.total_loss(recon_loss, qr.codebook_loss, qr.commit_loss, adv_loss, weights)
@@ -304,8 +293,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (vd.DataError, MelfFormatError, WavFormatError, vm.CheckpointError,
-            FileNotFoundError, ValueError) as e:
+    except (ValueError, OSError) as e:   # every domain error is a ValueError
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except tr.DivergenceError as e:

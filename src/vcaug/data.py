@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .model import MIN_FRAMES
 from .signal import MelSpectrogram, Waveform, compute_log_mel, read_melf, read_wav, write_wav
 
 
@@ -271,7 +272,8 @@ def read_features(path, n_mels: int) -> MelSpectrogram:
 
 def load_corpus(corpus_dir, speaker_map: dict[str, int],
                 n_mels: int = 80) -> list[tuple[MelSpectrogram, int]]:
-    """Read `<dir>/<speaker>/*.{melf,wav}` in sorted order with `read_features`."""
+    """Read `<dir>/<speaker>/*.{melf,wav}` in sorted order with `read_features`;
+    a file too short to encode is a `DataError` here, before any training."""
     corpus_dir = Path(corpus_dir)
     if not corpus_dir.is_dir():
         raise DataError(f"corpus directory not found: {corpus_dir}")
@@ -282,7 +284,10 @@ def load_corpus(corpus_dir, speaker_map: dict[str, int],
         spk_id = speaker_map[spk_dir.name]
         for path in sorted(spk_dir.iterdir()):
             if path.suffix in (".melf", ".wav"):
-                dataset.append((read_features(path, n_mels), spk_id))
+                mel = read_features(path, n_mels)
+                if mel.n_frames < MIN_FRAMES:
+                    raise DataError(f"{path}: {mel.n_frames} frames, encode needs {MIN_FRAMES}")
+                dataset.append((mel, spk_id))
     if not dataset:
         raise DataError(f"{corpus_dir}: no .melf or .wav files found")
     return dataset

@@ -63,6 +63,7 @@ SUBSAMPLE_FACTOR = 4   # the encoder's two stride-2 convs
 CONV_KERNEL = 3        # subsampling and depthwise convs
 FF_MULTIPLIER = 2      # feed-forward hidden width over model_dim
 UPSAMPLE_KERNEL = 4    # each stride-2 transposed conv of the decoder
+MIN_FRAMES = 4         # the shortest input `encode` accepts
 _FORMER_FIELDS = {
     "encoder": {"subsample_factor": SUBSAMPLE_FACTOR, "conv_kernel": CONV_KERNEL,
                 "ff_multiplier": FF_MULTIPLIER},
@@ -351,8 +352,8 @@ class VcModel:
                                     or np.max(lengths) > t):
             raise ad.ShapeError("encode", values.shape, np.shape(lengths))
         shortest = t if lengths is None else int(np.min(lengths))
-        if shortest < 4:
-            raise ValueError(f"need at least 4 frames to encode, got {shortest}")
+        if shortest < MIN_FRAMES:
+            raise ValueError(f"need at least {MIN_FRAMES} frames to encode, got {shortest}")
         # right-pad time to a multiple of 4: a zeros buffer and one slice copy
         normalized = np.zeros(values.shape[:-2] + (t + (-t) % SUBSAMPLE_FACTOR, values.shape[-1]),
                               dtype=self.dtype)
@@ -418,35 +419,24 @@ class VcModel:
         x = ad.narrow(x, x.ndim - 2, 0, target_len)
         return ad.add(ad.mul(x, self.feature_std), self.feature_mean)
 
-    def forward_tensors(self, mel, speaker_id, adv_weight: float = 0.1,
-                        frozen_selection: bn.FrozenSelection | None = None, lengths=None):
+    def forward_tensors(self, mel, speaker_id, adv_weight: float = 0.1, lengths=None):
         """Differentiable end-to-end pass; returns (recon, quantize result, logits).
 
         One utterance ([T, M], an int speaker) gives recon [T, M] and logits
         [S]; a padded batch ([B, T, M], B speaker ids, per-row `lengths`)
-        gives recon [B, T, M] and logits [B, S] in one graph.
-        `frozen_selection` (from `capture_selection`) pins the quantizer
-        assignment of one utterance and anchors the reversal at its captured
-        pooling, which makes the whole computation smooth for
-        finite-difference verification.
+        gives recon [B, T, M] and logits [B, S] in one graph.  Inside
+        `check_gradients` the quantizer's selection and the reversal are
+        frozen at the check point, so the oracle checks either form as is.
         """
         values = mel.data if isinstance(mel, MelSpectrogram) else np.asarray(mel)
         z_e = self.encode(values, lengths)
         enc_lengths = _encoded_lengths(lengths)
         qr = bn.quantize(z_e, self.codebook, commitment_weight=self.config.commitment_weight,
-                         lengths=enc_lengths, pinned=frozen_selection)
-        anchor = None if frozen_selection is None else frozen_selection.e_sel.mean(axis=0)
-        logits = self.adversary.logits(qr.z_q, adv_weight, enc_lengths, anchor)
+                         lengths=enc_lengths)
+        logits = self.adversary.logits(qr.z_q, adv_weight, enc_lengths)
         cond = self.embed_and_concat(qr.z_q, speaker_id)
         recon = self.decode(cond, target_len=values.shape[-2], lengths=enc_lengths)
         return recon, qr, logits
-
-    def capture_selection(self, mel) -> bn.FrozenSelection:
-        """Snapshot the quantizer assignment for this input at current parameters."""
-        values = mel.data if isinstance(mel, MelSpectrogram) else np.asarray(mel)
-        z_e = self.encode(values)
-        e, indices = bn.select(z_e, self.codebook)
-        return bn.FrozenSelection(indices=indices, e_sel=e.values, z_e=z_e.values)
 
 
 # ---------------------------------------------------------------------------

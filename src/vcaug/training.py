@@ -225,7 +225,6 @@ class TrainConfig:
 @dataclass
 class TrainResult:
     ledger: MetricsLedger
-    checkpoint_paths: list[str]
     final_step: int
 
 
@@ -270,12 +269,10 @@ def train(model: VcModel, dataset: Dataset, cfg: TrainConfig,
 
     optimizer = Adam(model.buffer[model.trainable], lr=cfg.lr)
     ledger = MetricsLedger()
-    checkpoints: list[str] = []
 
     def write_checkpoint(tag: str) -> str:
         path = str(out_dir / f"step{tag}.vcck")
         save_checkpoint(model, path, extra_meta=checkpoint_meta)
-        checkpoints.append(path)
         return path
 
     for i in range(cfg.steps):
@@ -331,7 +328,7 @@ def train(model: VcModel, dataset: Dataset, cfg: TrainConfig,
     if out_dir:
         write_checkpoint("final")
         ledger.write(out_dir / "metrics.ledger")
-    return TrainResult(ledger=ledger, checkpoint_paths=checkpoints, final_step=model.step)
+    return TrainResult(ledger=ledger, final_step=model.step)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,20 @@
 import numpy as np
 import pytest
 
+from vcaug import autodiff as ad
 from vcaug.model import DecoderConfig, EncoderConfig, ModelConfig, VcModel
+
+
+@pytest.fixture(autouse=True)
+def autodiff_state_is_left_clean():
+    """Fail a test that leaves an active tape, or `check_gradients`' frozen
+    values, in the thread's autodiff state (and clear it for the next)."""
+    yield
+    leaked = {k: v for k in ("tape", "frozen", "cursor")
+              if (v := getattr(ad._STATE, k, None)) is not None}
+    for k in leaked:
+        setattr(ad._STATE, k, None)
+    assert not leaked, f"autodiff state left behind: {sorted(leaked)}"
 
 
 def toy_config(seed: int = 0, frozen: bool = False) -> ModelConfig:

@@ -750,6 +750,15 @@ def test_cli_augment_out_inside_corpus_exits_2_without_output(tmp_path, capsys, 
     assert not out.exists()
 
 
+def test_cli_augment_out_on_an_existing_file_exits_2_naming_it(tmp_path, capsys, toy_vc_model):
+    corpus = make_corpus_dir(tmp_path, n=2)
+    out = tmp_path / "taken"
+    out.write_text("not a directory", encoding="utf-8")
+    assert cli.main(augment_argv(tmp_path, toy_vc_model, corpus, out)) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(out) in err
+
+
 def test_cli_augment_lists_malformed_melf_files_and_exits_2(tmp_path, capsys, toy_vc_model):
     corpus = make_corpus_dir(tmp_path, n=2)
     good = (corpus / "utt0.melf").read_bytes()

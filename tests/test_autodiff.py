@@ -78,8 +78,6 @@ def test_grad_reverse_forward_is_bit_identical():
     x = t64(np.random.default_rng(2).normal(size=(4, 3)))
     out = ad.grad_reverse(x, 0.7)
     assert np.array_equal(out.values, x.values)
-    # anchored at its own input the smooth form has the same value
-    assert np.array_equal(ad.grad_reverse(x, 0.7, anchor=x.values.copy()).values, x.values)
 
 
 @pytest.mark.parametrize("weight", [0.0, 0.5, 1.0])
@@ -187,7 +185,6 @@ def _primitive_cases(rng):
     hq = _rng_tensor(rng, (2, 3, 4))
     hk = _rng_tensor(rng, (2, 2, 3, 2))
     hv = _rng_tensor(rng, (2, 2, 2, 3))
-    anchor = rng.normal(size=(4, 3))
     # Huber: |y - y_hat| in [0.2, 0.8] and [1.2, 2.5] on alternate elements, so
     # both branches are probed and every probe stays clear of |d| = delta = 1
     hy_hat = _rng_tensor(rng, (4, 3))
@@ -286,9 +283,10 @@ def _primitive_cases(rng):
             {"logits": row_logits},
             lambda: ad.cross_entropy(row_logits, np.array([1, 3, 0])),
         ),
-        "grad_reverse_anchored": (
-            {"a": a},
-            lambda: spread(ad.grad_reverse(a, 0.7, anchor=anchor)),
+        "grad_reverse": ({"a": a}, lambda: spread(ad.grad_reverse(a, 0.7))),
+        "straight_through": (
+            {"z_e": a, "z_q": b},
+            lambda: spread(ad.straight_through(a, b)),
         ),
         "huber": ({"y_hat": hy_hat}, lambda: spread(ad.huber(hy, hy_hat, 1.0))),
         "huber_both_tensors": (
@@ -528,8 +526,58 @@ def test_bilstm_layer_records_one_node_and_checks_shapes():
 
 def test_stop_gradient_blocks_flow():
     x = t64([1.0, 2.0])
-    (g,) = grads_of(lambda: ad.reduce_sum(ad.mul(x.values, x)), [x])
+    (g,) = grads_of(lambda: ad.reduce_sum(ad.mul(ad.detach(x), x)), [x])
     np.testing.assert_allclose(g, [1.0, 2.0])  # only the live branch contributes
+
+
+def test_detach_outside_the_oracle_is_the_values_and_records_nothing():
+    x = t64([1.0, 2.0])
+    with Tape() as tape:
+        assert ad.detach(x) is x.values
+    assert len(tape) == 0
+
+
+def test_check_gradients_replays_the_detached_values():
+    # f(x) = sum(x * x0): the replays read x0 at the check point, so the
+    # numeric gradient is x0 (not 2 x0) and matches the tape's
+    x = t64([1.0, -2.0, 0.5])
+    report = ad.check_gradients(lambda: ad.reduce_sum(ad.mul(x, ad.detach(x))), {"x": x})
+    assert report.max_rel_err < 1e-9
+    np.testing.assert_array_equal(x.values, [1.0, -2.0, 0.5])
+
+
+@pytest.mark.parametrize("extra", [1, -1])
+def test_check_gradients_rejects_a_replay_that_detaches_differently(extra):
+    x = t64([1.0, 2.0])
+    calls = []
+
+    def fn():
+        calls.append(None)
+        n = 2 + (extra if len(calls) > 1 else 0)   # replays detach one more or one fewer
+        return ad.reduce_sum(ad.mul(x, sum(ad.detach(x) for _ in range(n))))
+
+    with pytest.raises(RuntimeError, match="check_gradients"):
+        ad.check_gradients(fn, {"x": x})
+
+
+@pytest.mark.parametrize("failing_call", [1, 2, 4])
+def test_an_error_in_the_checked_function_leaves_no_oracle_state(failing_call):
+    # call 1 records, the later ones replay
+    x = t64([1.0, 2.0])
+    calls = []
+
+    def fn():
+        calls.append(None)
+        if len(calls) == failing_call:
+            raise KeyError("boom")
+        return ad.reduce_sum(ad.mul(x, ad.detach(x)))
+
+    with pytest.raises(KeyError):
+        ad.check_gradients(fn, {"x": x})
+    np.testing.assert_array_equal(x.values, [1.0, 2.0])
+    assert ad._STATE.frozen is None and ad._STATE.cursor is None
+    assert getattr(ad._STATE, "tape", None) is None
+    assert ad.detach(x) is x.values
 
 
 def test_tape_determinism():

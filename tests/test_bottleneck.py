@@ -162,13 +162,12 @@ def test_fd_verifies_straight_through_and_loss_gradients():
         np.testing.assert_allclose(table.grad, expected, rtol=1e-5, atol=1e-7)
 
 
-def test_pinned_quantize_rejects_batched_input():
+def test_quantize_rejects_wrong_shapes():
     cb = make_codebook()
-    z0 = np.random.default_rng(6).normal(size=(4, 4))
-    qr = bn.quantize(Tensor(z0), cb)
-    sel = bn.FrozenSelection(indices=qr.indices, e_sel=qr.z_q.values, z_e=z0)
-    with pytest.raises(ad.ShapeError, match="quantize"):
-        bn.quantize(Tensor(np.stack([z0, z0])), cb, pinned=sel)
+    rng = np.random.default_rng(6)
+    for shape in ((4, 3), (4,), (1, 2, 4, 4)):
+        with pytest.raises(ad.ShapeError, match="quantize"):
+            bn.quantize(Tensor(rng.normal(size=shape)), cb)
 
 
 def test_perplexity_uniform_usage():
@@ -222,29 +221,19 @@ def test_init_from_outputs_uses_batch_rows():
             assert any(np.allclose(entry, row) for row in block)
 
 
-def per_group_quantize(z_e, codebook, commitment_weight, lengths=None, pinned=None):
-    """Reference: one narrow, lookup, straight-through part and pair of loss
-    chains per group, summed and scaled at the end."""
+def per_group_quantize(z_e, codebook, commitment_weight, lengths=None):
+    """Reference: one narrow, search, lookup, straight-through part and pair
+    of loss chains per group, summed and scaled at the end."""
     gd, last = codebook.group_dim, z_e.ndim - 1
     parts, idx_cols, cb_terms, cm_terms = [], [], [], []
     for g, table in enumerate(codebook.groups):
-        lo = g * gd
-        zg = ad.narrow(z_e, last, lo, gd)
-        if pinned is None:
-            idx = bn.nearest_entries(zg.values.reshape(-1, gd), table.values)
-            idx = idx.reshape(zg.shape[:-1])
-        else:
-            idx = pinned.indices[:, g]
+        zg = ad.narrow(z_e, last, g * gd, gd)
+        idx = bn.nearest_entries(ad.detach(zg).reshape(-1, gd), ad.detach(table))
+        idx = idx.reshape(zg.shape[:-1])
         idx_cols.append(idx)
         e_sel = ad.embedding_lookup(table, idx)
-        if pinned is None:
-            zg0, e0 = zg.values, e_sel.values
-            parts.append(ad.straight_through(zg, e_sel))
-        else:
-            zg0 = Tensor(pinned.z_e[:, lo : lo + gd])
-            e0 = Tensor(pinned.e_sel[:, lo : lo + gd])
-            parts.append(ad.add(zg, Tensor(e0.values - zg0.values)))
-        for a, b, terms in ((zg0, e_sel, cb_terms), (zg, e0, cm_terms)):
+        parts.append(ad.straight_through(zg, e_sel))
+        for a, b, terms in ((ad.detach(zg), e_sel, cb_terms), (zg, ad.detach(e_sel), cm_terms)):
             diff = ad.sub(a, b)
             terms.append(ad.row_mean(ad.reduce_sum(ad.mul(diff, diff), axis=last), lengths))
 
@@ -252,7 +241,7 @@ def per_group_quantize(z_e, codebook, commitment_weight, lengths=None, pinned=No
         total = terms[0]
         for t in terms[1:]:
             total = ad.add(total, t)
-        return ad.mul(total, Tensor(np.asarray(scale)))
+        return ad.mul(total, np.asarray(scale))
 
     indices = np.stack(idx_cols, axis=-1)
     mask = ad.length_mask(lengths, z_e.shape[-2], bool)
@@ -265,41 +254,69 @@ def per_group_quantize(z_e, codebook, commitment_weight, lengths=None, pinned=No
     )
 
 
-def quantize_through_encoder(model, quantize_fn, values, lengths, pinned):
-    """Encode, quantize and backpropagate a mix of z_q and both losses."""
+def live_quantize(z_e, codebook, commitment_weight, lengths=None):
+    return bn.quantize(z_e, codebook, commitment_weight=commitment_weight, lengths=lengths)
+
+
+def mixed_loss(qr):
+    """A mix of z_q and both losses that every output feeds."""
+    probe = np.random.default_rng(9).normal(size=qr.z_q.shape)
+    return ad.add(ad.reduce_sum(ad.mul(qr.z_q, probe)),
+                  ad.add(ad.mul(qr.codebook_loss, np.asarray(0.7)),
+                         ad.mul(qr.commit_loss, np.asarray(1.9))))
+
+
+def quantize_through_encoder(model, quantize_fn, values, lengths):
+    """Encode, quantize and backpropagate `mixed_loss`."""
     with Tape() as tape:
         z_e = model.encode(values, lengths)
-        qr = quantize_fn(z_e, model.codebook, 0.3, vm._encoded_lengths(lengths), pinned)
-        probe = Tensor(np.random.default_rng(9).normal(size=qr.z_q.shape))
-        loss = ad.add(ad.reduce_sum(ad.mul(qr.z_q, probe)),
-                      ad.add(ad.mul(qr.codebook_loss, Tensor(np.asarray(0.7))),
-                             ad.mul(qr.commit_loss, Tensor(np.asarray(1.9)))))
+        qr = quantize_fn(z_e, model.codebook, 0.3, vm._encoded_lengths(lengths))
+        loss = mixed_loss(qr)
     ad.zero_grads(model.params.values())
     tape.backward(loss)
     grads = {k: p.grad.copy() for k, p in model.params.items() if p.grad is not None}
     return qr, grads
 
 
-@pytest.mark.parametrize("case", ["unbatched", "pinned", "padded"])
-def test_whole_vector_quantize_matches_per_group_composition(case):
-    model = vm.VcModel(toy_config(seed=4), dtype=np.float64)
-    mels = [toy_mel(t=t, seed=30 + i) for i, t in enumerate((12, 7, 5, 9))]
-    values, lengths, pinned = mels[0], None, None
-    if case == "pinned":
-        pinned = model.capture_selection(values)
-    elif case == "padded":
-        values, lengths = vm.pad_batch(mels)
-
-    def live(z_e, codebook, cw, enc_lengths, pin):
-        return bn.quantize(z_e, codebook, commitment_weight=cw, lengths=enc_lengths, pinned=pin)
-
-    qr, grads = quantize_through_encoder(model, live, values, lengths, pinned)
-    ref, ref_grads = quantize_through_encoder(model, per_group_quantize, values, lengths, pinned)
+def assert_same_quantize(qr, ref):
     np.testing.assert_array_equal(qr.z_q.values, ref.z_q.values)
     np.testing.assert_array_equal(qr.indices, ref.indices)
     for name in ("codebook_loss", "commit_loss"):
         a, b = getattr(qr, name).item(), getattr(ref, name).item()
         assert b > 0 and abs(a - b) <= 1e-12 * b, name
+
+
+@pytest.mark.parametrize("case", ["unbatched", "pinned", "padded"])
+def test_whole_vector_quantize_matches_per_group_composition(case):
+    model = vm.VcModel(toy_config(seed=4), dtype=np.float64)
+    mels = [toy_mel(t=t, seed=30 + i) for i, t in enumerate((12, 7, 5, 9))]
+    values, lengths = mels[0], None
+    if case == "padded":
+        values, lengths = vm.pad_batch(mels)
+    if case == "pinned":
+        # in check_gradients' replays the selection and every detached
+        # operand stay pinned at the check point while the parameters move;
+        # both forms must replay the same function
+        pairs = []
+
+        def fn():
+            z_e = model.encode(values)
+            qr = live_quantize(z_e, model.codebook, 0.3)
+            pairs.append((qr, per_group_quantize(z_e, model.codebook, 0.3)))
+            return mixed_loss(qr)
+
+        params = {k: model.params[k] for k in ("vq.group0.codebook", "vq.group1.codebook",
+                                                "enc.block0.ff.w2")}
+        report = ad.check_gradients(fn, params, eps=1e-5, sample_per_param=3)
+        assert report.ok(1e-4), report.per_param
+        assert len(pairs) == 1 + 2 * 3 * len(params)
+        for qr, ref in pairs:
+            assert_same_quantize(qr, ref)
+        return
+
+    qr, grads = quantize_through_encoder(model, live_quantize, values, lengths)
+    ref, ref_grads = quantize_through_encoder(model, per_group_quantize, values, lengths)
+    assert_same_quantize(qr, ref)
     assert grads.keys() == ref_grads.keys()
     assert any(k.startswith("vq.") for k in grads) and any(k.startswith("enc.") for k in grads)
     for name, g in grads.items():

@@ -230,17 +230,44 @@ def test_read_features_names_the_file_whose_dimension_differs(tmp_path):
     assert vd.read_features(wav, 8).n_mels == 8
 
 
-def test_cli_train_on_a_corpus_with_another_feature_dim_names_the_file(tmp_path, capsys):
+def toy_train_config(tmp_path):
+    """toy.cfg reading a two-speaker wav corpus under `tmp_path`."""
     vd.write_corpus_tree(tmp_path / "corpus", n_speakers=2, utts_per_speaker=1, duration_s=0.3)
-    wide = tmp_path / "corpus" / "spk0" / "wide.melf"
-    write_melf(wide, MelSpectrogram(data=np.zeros((20, 40), dtype=np.float32)))
     config = tmp_path / "toy.cfg"
     config.write_text((CONFIGS / "toy.cfg").read_text(encoding="utf-8")
                       + "\n[data]\ncorpus = corpus\nspeaker_map = corpus/speakers.tsv\n",
                       encoding="utf-8")
+    return config
+
+
+def test_cli_train_on_a_corpus_with_another_feature_dim_names_the_file(tmp_path, capsys):
+    config = toy_train_config(tmp_path)
+    wide = tmp_path / "corpus" / "spk0" / "wide.melf"
+    write_melf(wide, MelSpectrogram(data=np.zeros((20, 40), dtype=np.float32)))
     code = cli.main(["train", "--config", str(config), "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_DATA
     assert f"data error: {wide}: feature dim 40" in capsys.readouterr().err
+
+
+def test_cli_train_rejects_a_file_too_short_to_encode_before_training(tmp_path, capsys):
+    config = toy_train_config(tmp_path)
+    short = tmp_path / "corpus" / "spk1" / "z_short.melf"
+    write_melf(short, MelSpectrogram(data=np.zeros((3, 8), dtype=np.float32)))
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", str(config), "--out", str(out)]) == cli.EXIT_DATA
+    assert f"data error: {short}: 3 frames" in capsys.readouterr().err
+    assert not out.exists()
+    write_melf(short, MelSpectrogram(data=np.zeros((4, 8), dtype=np.float32)))
+    assert len(vd.load_corpus(tmp_path / "corpus", {"spk0": 0, "spk1": 1}, n_mels=8)) == 3
+
+
+def test_cli_train_out_on_an_existing_file_exits_2_naming_it(tmp_path, capsys):
+    config = toy_train_config(tmp_path)
+    out = tmp_path / "taken"
+    out.write_text("not a directory", encoding="utf-8")
+    assert cli.main(["train", "--config", str(config), "--out", str(out)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(out) in err
 
 
 def test_load_corpus_empty(tmp_path):

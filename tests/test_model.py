@@ -244,15 +244,15 @@ def test_forward_speaker_changes_recon_not_indices():
     assert not np.array_equal(out_a.values, out_b.values)
 
 
-def toy_loss_fn(model, mel, frozen_selection=None, adv_weight=0.1):
-    from vcaug import training as tr
+def toy_loss_fn(model, mel, speaker=1, lengths=None, adv_weight=0.1):
+    """The training objective over `forward_tensors`: one utterance, or a
+    padded batch with per-row `lengths` and speakers."""
 
     def loss_fn():
-        recon, qr, logits = model.forward_tensors(
-            mel, 1, adv_weight=adv_weight, frozen_selection=frozen_selection
-        )
-        recon_loss = tr.huber(Tensor(mel.astype(model.dtype)), recon, delta=1.0)
-        adv_loss = ad.cross_entropy(logits, 1)
+        recon, qr, logits = model.forward_tensors(mel, speaker, adv_weight=adv_weight,
+                                                  lengths=lengths)
+        recon_loss = tr.huber(mel.astype(model.dtype), recon, delta=1.0, lengths=lengths)
+        adv_loss = ad.cross_entropy(logits, speaker)
         return tr.total_loss(recon_loss, qr.codebook_loss, qr.commit_loss, adv_loss,
                              tr.LossWeights())
 
@@ -260,44 +260,58 @@ def toy_loss_fn(model, mel, frozen_selection=None, adv_weight=0.1):
 
 
 def test_end_to_end_gradcheck_toy_config():
-    # FD runs on the frozen-selection surrogate: smooth, and its gradient is
-    # exactly the estimator gradient the tape computes for the real graph
+    # inside check_gradients the selection and the reversal are frozen at the
+    # check point, so FD measures exactly the estimator gradient of the tape
     model = vm.VcModel(toy_config(seed=3), dtype=np.float64)
     mel = toy_mel(t=12, m=8, seed=8)
-    frozen = model.capture_selection(mel)
     report = ad.check_gradients(
-        toy_loss_fn(model, mel, frozen), model.params,
+        toy_loss_fn(model, mel), model.params,
         eps=1e-5, sample_per_param=4, rng=np.random.default_rng(0),
     )
     assert report.ok(1e-4), report.per_param
 
 
-def test_frozen_surrogate_matches_real_graph():
-    # same loss values and same tape gradients at the capture point
-    model = vm.VcModel(toy_config(seed=4), dtype=np.float64)
-    mel = toy_mel(t=12, m=8, seed=9)
-    frozen = model.capture_selection(mel)
+def test_end_to_end_gradcheck_padded_batch():
+    # rows of different lengths in one graph; lengths are multiples of 4 so
+    # that no zero pad frame sits exactly on a relu kink
+    model = vm.VcModel(toy_config(seed=3), dtype=np.float64)
+    values, lengths = vm.pad_batch([toy_mel(t=t, m=8, seed=20 + i)
+                                    for i, t in enumerate((20, 8, 12))])
+    report = ad.check_gradients(
+        toy_loss_fn(model, values, np.array([0, 2, 1]), lengths), model.params,
+        eps=1e-5, sample_per_param=6, rng=np.random.default_rng(0),
+    )
+    assert report.ok(1e-4), report.per_param
 
-    grads = {}
-    losses = {}
-    for kind, sel in (("real", None), ("frozen", frozen)):
+
+def test_frozen_surrogate_matches_real_graph():
+    # check_gradients perturbs only a tensor the loss never reads, so each
+    # replay runs at the check point: frozen, it must reproduce the recorded
+    # pass's loss and tape gradients
+    model = vm.VcModel(toy_config(seed=4), dtype=np.float64)
+    values, lengths = vm.pad_batch([toy_mel(t=t, m=8, seed=9 + i) for i, t in enumerate((12, 8))])
+    loss_fn = toy_loss_fn(model, values, np.array([1, 2]), lengths)
+    passes = []
+
+    def taped_loss():
         with Tape() as tape:
-            loss = toy_loss_fn(model, mel, sel)()
+            loss = loss_fn()
         ad.zero_grads(model.params.values())
         tape.backward(loss)
-        losses[kind] = loss.item()
-        grads[kind] = {
-            k: (None if p.grad is None else p.grad.copy())
-            for k, p in model.params.items()
-        }
+        passes.append((loss.item(), {k: p.grad.copy() for k, p in model.params.items()
+                                     if p.grad is not None}))
+        return loss
 
-    assert losses["real"] == pytest.approx(losses["frozen"], rel=1e-12)
-    for name in grads["real"]:
-        a, b = grads["real"][name], grads["frozen"][name]
-        if a is None or b is None:
-            assert (a is None or np.allclose(a, 0)) and (b is None or np.allclose(b, 0)), name
-        else:
-            np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12, err_msg=name)
+    ad.check_gradients(taped_loss, {"unread": Tensor(np.zeros(1))}, eps=1e-5)
+    (loss, grads), replays = passes[0], passes[1:]
+    assert len(replays) == 2
+    assert any(k.startswith("vq.") for k in grads) and any(k.startswith("adv.") for k in grads)
+    for replay_loss, replay_grads in replays:
+        assert abs(replay_loss - loss) <= 1e-12 * abs(loss)
+        assert replay_grads.keys() == grads.keys()
+        for name, g in grads.items():
+            scale = max(np.abs(g).max(), 1e-300)
+            assert np.abs(replay_grads[name] - g).max() <= 1e-12 * scale, name
 
 
 BATCH_LENGTHS = (12, 7, 5, 9)
