@@ -46,8 +46,8 @@ EXIT_DIVERGENCE = 3
 
 def _build_model(cfg, n_speakers: int) -> vm.VcModel:
     model = vm.VcModel(cfg.model_config(n_speakers))
-    if cfg.model.donor_checkpoint:
-        vm.load_encoder_from(model, cfg.resolve(cfg.model.donor_checkpoint))
+    if cfg.donor_checkpoint:
+        vm.load_encoder_from(model, cfg.resolve(cfg.donor_checkpoint))
     return model
 
 
@@ -114,7 +114,6 @@ def cmd_sweep(args) -> int:
     except ValueError as e:
         raise ConfigError(f"--weights: {e}") from None
     speaker_map = _speaker_map(cfg)
-    cfg.model_config(len(speaker_map))   # [model] is checked before the corpus is read
     corpus = vd.load_corpus(cfg.resolve(cfg.data.corpus), speaker_map, n_mels=cfg.model.n_mels)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -188,7 +187,7 @@ def cmd_gradcheck(args) -> int:
 
     report = ad.check_gradients(
         loss_fn, model.params, eps=1e-5,
-        sample_per_param=args.samples, rng=np.random.default_rng(seed),
+        sample_per_param=args.samples or None, rng=np.random.default_rng(seed),
     )
     worst = max(report.per_param, key=report.per_param.get)
     print(f"gradcheck: max relative error {report.max_rel_err:.3e} ({worst})")
@@ -212,6 +211,14 @@ def cmd_inspect(args) -> int:
         arr = named[name]
         print(f"  {name}\t{'x'.join(str(d) for d in arr.shape)}")
     return EXIT_OK
+
+
+def _non_negative_int(text: str) -> int:
+    """A non-negative integer option value."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference check of the full loss")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--samples", type=int, default=4,
+    p.add_argument("--samples", type=_non_negative_int, default=4,
                    help="elements probed per tensor (0 = every element)")
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.set_defaults(handler=cmd_gradcheck)
@@ -286,8 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "samples", None) == 0:
-        args.samples = None
     try:
         return args.handler(args)
     except ConfigError as e:

@@ -1,45 +1,32 @@
 """Run configuration: INI-style sections with strict key checking.
 
 Sections: [model] (architecture), [train] (loop and loss weights), [data]
-(corpus locations), [augment] (masking policy and target pool).  Unknown
-sections or keys are rejected, referenced paths are checked at load time,
-and the canonical text form has a stable hash that is recorded into
-checkpoints.  A file that cannot be read, or whose values the model or
-training configs reject, raises `ConfigError`.
+(corpus locations), [augment] (masking policy and target pool).  Each
+section parses into one frozen dataclass whose fields are its keys, with
+the same names and defaults; the defaults give the keys' types.  [model]
+parses into `ModelConfig` itself, with the two exceptions `RunConfig.keys`
+states.  Unknown sections or keys are rejected, referenced paths are
+checked at load time, and the canonical text form has a stable hash that is
+recorded into checkpoints.  A file that cannot be read, or whose [model]
+values `ModelConfig` rejects, raises `ConfigError` from `load_config`; the
+[train] and [augment] values are checked when `train_config` and
+`augment_policy` build from them.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .model import DecoderConfig, EncoderConfig, ModelConfig
+from .model import ModelConfig
 from .signal import SpecAugmentPolicy
 from .training import LossWeights, TrainConfig
 
 
 class ConfigError(ValueError):
     """Bad configuration file; the message names the offending key or path."""
-
-
-@dataclass(frozen=True)
-class ModelSection:
-    n_mels: int = 80
-    speaker_dim: int = 256
-    encoder_blocks: int = 2
-    model_dim: int = 64
-    n_heads: int = 2
-    frozen: bool = False
-    donor_checkpoint: str = ""
-    lstm_layers: int = 2
-    lstm_dim: int = 64
-    vq_groups: int = 2
-    vq_entries: int = 128
-    commitment_weight: float = 0.25
-    adv_hidden: int = 128
-    init_seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -72,11 +59,28 @@ class AugmentSection:
 
 @dataclass(frozen=True)
 class RunConfig:
-    model: ModelSection = field(default_factory=ModelSection)
+    model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainSection = field(default_factory=TrainSection)
     data: DataSection = field(default_factory=DataSection)
     augment: AugmentSection = field(default_factory=AugmentSection)
+    donor_checkpoint: str = ""   # a [model] key: see `keys`
     base_dir: str = field(default=".", compare=False)
+
+    def keys(self, section: str) -> dict:
+        """Each key of `section` and its value here.
+
+        A section's keys are the fields of its dataclass, but for two in
+        [model]: `n_speakers` is not a key, since the speaker map gives it;
+        and `donor_checkpoint` is a key held here, not on `ModelConfig`,
+        since a path is not architecture and a model's config snapshot
+        should not record it.
+        """
+        part = getattr(self, section)
+        keys = {f.name: getattr(part, f.name) for f in fields(part)}
+        if section == "model":
+            del keys["n_speakers"]
+            keys["donor_checkpoint"] = self.donor_checkpoint
+        return keys
 
     def resolve(self, path_str: str) -> Path:
         """Paths in the file are relative to the config file's directory."""
@@ -84,27 +88,7 @@ class RunConfig:
         return p if p.is_absolute() else Path(self.base_dir) / p
 
     def model_config(self, n_speakers: int) -> ModelConfig:
-        m = self.model
-        try:
-            return ModelConfig(
-                n_mels=m.n_mels,
-                n_speakers=n_speakers,
-                speaker_dim=m.speaker_dim,
-                encoder=EncoderConfig(
-                    n_blocks=m.encoder_blocks,
-                    model_dim=m.model_dim,
-                    n_heads=m.n_heads,
-                    frozen=m.frozen,
-                ),
-                decoder=DecoderConfig(n_lstm_layers=m.lstm_layers, lstm_dim=m.lstm_dim),
-                vq_groups=m.vq_groups,
-                vq_entries=m.vq_entries,
-                commitment_weight=m.commitment_weight,
-                adv_hidden=m.adv_hidden,
-                seed=m.init_seed,
-            )
-        except ValueError as e:
-            raise ConfigError(f"[model] {e}") from None
+        return replace(self.model, n_speakers=n_speakers)
 
     def train_config(self, seed: int | None = None, out_dir: str | None = None) -> TrainConfig:
         t = self.train
@@ -137,17 +121,13 @@ class RunConfig:
 
     def canonical_text(self) -> str:
         """Stable serialization: sorted sections and keys, repr-style values."""
-        sections = {"model": self.model, "train": self.train,
-                    "data": self.data, "augment": self.augment}
         lines = []
-        for name in sorted(sections):
+        for name in sorted(_SECTION_TYPES):
             lines.append(f"[{name}]")
-            section = sections[name]
-            for f in sorted(fields(section), key=lambda f: f.name):
-                value = getattr(section, f.name)
+            for key, value in sorted(self.keys(name).items()):
                 if isinstance(value, bool):
                     value = "true" if value else "false"
-                lines.append(f"{f.name} = {value}")
+                lines.append(f"{key} = {value}")
         return "\n".join(lines) + "\n"
 
     def sha256(self) -> str:
@@ -155,7 +135,7 @@ class RunConfig:
 
 
 _SECTION_TYPES = {
-    "model": ModelSection,
+    "model": ModelConfig,
     "train": TrainSection,
     "data": DataSection,
     "augment": AugmentSection,
@@ -185,27 +165,26 @@ def parse_config_text(text: str, base_dir: str = ".", validate_paths: bool = Fal
     except configparser.Error as e:
         raise ConfigError(f"malformed config: {e}") from None
 
-    built = {}
-    for section_name in parser.sections():
-        if section_name not in _SECTION_TYPES:
-            raise ConfigError(f"unknown section [{section_name}]")
-        cls = _SECTION_TYPES[section_name]
-        known = {f.name: f.type for f in fields(cls)}
-        type_map = {f.name: type(getattr(cls(), f.name)) for f in fields(cls)}
+    defaults = RunConfig()
+    sections, run_keys = {}, {}
+    for name in parser.sections():
+        if name not in _SECTION_TYPES:
+            raise ConfigError(f"unknown section [{name}]")
+        known = defaults.keys(name)
         values = {}
-        for key, raw in parser.items(section_name):
+        for key, raw in parser.items(name):
             if key not in known:
-                raise ConfigError(f"unknown key {key!r} in section [{section_name}]")
-            values[key] = _coerce(section_name, key, raw, type_map[key])
-        built[section_name] = cls(**values)
+                raise ConfigError(f"unknown key {key!r} in section [{name}]")
+            values[key] = _coerce(name, key, raw, type(known[key]))
+        cls = _SECTION_TYPES[name]
+        own = {f.name for f in fields(cls)}
+        run_keys.update({key: values.pop(key) for key in list(values) if key not in own})
+        try:
+            sections[name] = cls(**values)
+        except ValueError as e:
+            raise ConfigError(f"[{name}] {e}") from None
 
-    cfg = RunConfig(
-        model=built.get("model", ModelSection()),
-        train=built.get("train", TrainSection()),
-        data=built.get("data", DataSection()),
-        augment=built.get("augment", AugmentSection()),
-        base_dir=base_dir,
-    )
+    cfg = RunConfig(**sections, **run_keys, base_dir=base_dir)
     if validate_paths:
         _check_paths(cfg)
     return cfg
@@ -215,7 +194,7 @@ def _check_paths(cfg: RunConfig) -> None:
     for name, value in (
         ("data.corpus", cfg.data.corpus),
         ("data.speaker_map", cfg.data.speaker_map),
-        ("model.donor_checkpoint", cfg.model.donor_checkpoint),
+        ("model.donor_checkpoint", cfg.donor_checkpoint),
     ):
         if value and not cfg.resolve(value).exists():
             raise ConfigError(f"{name}: path does not exist: {cfg.resolve(value)}")

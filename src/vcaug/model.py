@@ -40,7 +40,7 @@ import math
 import numbers
 import os
 import struct
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Iterator
 
 import numpy as np
@@ -49,25 +49,31 @@ from . import adversary as adv
 from . import autodiff as ad
 from . import bottleneck as bn
 from .autodiff import Tensor
-from .signal import MelSpectrogram
+from .signal import MelSpectrogram, write_then_replace
 
 CHECKPOINT_MAGIC = b"VCCK"
 CHECKPOINT_VERSION = 1
 
 LN_EPS = 1e-5
 
-# Fixed architecture sizes.  Config snapshots from checkpoints written when
-# these were config fields carry them as keys; `ModelConfig.from_dict`
-# accepts such a key at exactly this value.
+# Fixed architecture sizes.
 SUBSAMPLE_FACTOR = 4   # the encoder's two stride-2 convs
 CONV_KERNEL = 3        # subsampling and depthwise convs
 FF_MULTIPLIER = 2      # feed-forward hidden width over model_dim
 UPSAMPLE_KERNEL = 4    # each stride-2 transposed conv of the decoder
 MIN_FRAMES = 4         # the shortest input `encode` accepts
-_FORMER_FIELDS = {
-    "encoder": {"subsample_factor": SUBSAMPLE_FACTOR, "conv_kernel": CONV_KERNEL,
-                "ff_multiplier": FF_MULTIPLIER},
-    "decoder": {"upsample_kernel": UPSAMPLE_KERNEL},
+
+# Config snapshots in checkpoints written before `ModelConfig` was flat nest
+# the encoder and decoder fields under "encoder" and "decoder" and call
+# `init_seed` "seed".  Per nested key: a str is the field it became; an int
+# is a size that was a field before it became a constant above, accepted
+# only at exactly that value.
+_NESTED_SNAPSHOT = {
+    "encoder": {"n_blocks": "encoder_blocks", "model_dim": "model_dim", "n_heads": "n_heads",
+                "frozen": "frozen", "subsample_factor": SUBSAMPLE_FACTOR,
+                "conv_kernel": CONV_KERNEL, "ff_multiplier": FF_MULTIPLIER},
+    "decoder": {"n_lstm_layers": "lstm_layers", "lstm_dim": "lstm_dim",
+                "upsample_kernel": UPSAMPLE_KERNEL},
 }
 
 
@@ -88,44 +94,35 @@ def _require_positive(cfg, *names: str) -> None:
 
 
 @dataclass(frozen=True)
-class EncoderConfig:
-    n_blocks: int = 2
-    model_dim: int = 64
-    n_heads: int = 2
-    frozen: bool = False
-
-    def __post_init__(self):
-        _require_positive(self, "n_blocks", "model_dim", "n_heads")
-        if self.model_dim % self.n_heads != 0:
-            raise ValueError(f"model_dim {self.model_dim} not divisible by {self.n_heads} heads")
-
-
-@dataclass(frozen=True)
-class DecoderConfig:
-    n_lstm_layers: int = 2
-    lstm_dim: int = 64
-
-    def __post_init__(self):
-        _require_positive(self, "n_lstm_layers", "lstm_dim")
-
-
-@dataclass(frozen=True)
 class ModelConfig:
+    """The architecture.  Every field but `n_speakers` is the `[model]` key
+    of the same name and default (see `config.py`); `n_speakers` is the size
+    of the corpus's speaker map."""
+
     n_mels: int = 80
     n_speakers: int = 6
     speaker_dim: int = 256
-    encoder: EncoderConfig = field(default_factory=EncoderConfig)
-    decoder: DecoderConfig = field(default_factory=DecoderConfig)
+    encoder_blocks: int = 2
+    model_dim: int = 64
+    n_heads: int = 2
+    frozen: bool = False
+    lstm_layers: int = 2
+    lstm_dim: int = 64
     vq_groups: int = 2
     vq_entries: int = 128
     commitment_weight: float = 0.25
     adv_hidden: int = 128
-    seed: int = 0
+    init_seed: int = 0
 
     def __post_init__(self):
-        _require_positive(self, "n_mels", "n_speakers", "speaker_dim", "vq_groups",
+        _require_positive(self, "n_mels", "n_speakers", "speaker_dim", "encoder_blocks",
+                          "model_dim", "n_heads", "lstm_layers", "lstm_dim", "vq_groups",
                           "vq_entries", "adv_hidden")
-        if self.encoder.model_dim % self.vq_groups != 0:
+        if not isinstance(self.init_seed, numbers.Integral) or self.init_seed < 0:
+            raise ValueError(f"init_seed must be a non-negative integer, got {self.init_seed!r}")
+        if self.model_dim % self.n_heads != 0:
+            raise ValueError(f"model_dim {self.model_dim} not divisible by {self.n_heads} heads")
+        if self.model_dim % self.vq_groups != 0:
             raise ValueError("model_dim must divide evenly into codebook groups")
         if not 0 <= self.commitment_weight < math.inf:   # NaN fails too
             raise ValueError(
@@ -136,15 +133,21 @@ class ModelConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":
+        """The config of a checkpoint's snapshot, flat or nested; every field is required."""
         d = dict(d)
-        for section, former in _FORMER_FIELDS.items():
-            d[section] = dict(d[section])
-            for key, value in former.items():
-                given = d[section].pop(key, value)
-                if type(given) is not int or given != value:
-                    raise ValueError(f"{section}.{key} is fixed at {value}, got {given!r}")
-        d["encoder"] = EncoderConfig(**d["encoder"])
-        d["decoder"] = DecoderConfig(**d["decoder"])
+        if "encoder" in d:
+            d["init_seed"] = d.pop("seed")
+            for section, table in _NESTED_SNAPSHOT.items():
+                for key, value in dict(d.pop(section)).items():
+                    if key not in table:
+                        raise ValueError(f"unknown key {section}.{key}")
+                    if isinstance(table[key], str):
+                        d[table[key]] = value
+                    elif type(value) is not int or value != table[key]:
+                        raise ValueError(f"{section}.{key} is fixed at {table[key]}, got {value!r}")
+        missing = [f.name for f in fields(ModelConfig) if f.name not in d]
+        if missing:
+            raise ValueError(f"missing keys {missing}")
         return ModelConfig(**d)
 
 
@@ -186,7 +189,7 @@ class VcModel:
     """
 
     def __init__(self, config: ModelConfig, dtype=np.float32, draw: bool = True):
-        """Parameters drawn from `config.seed`, zero feature mean and unit std.
+        """Parameters drawn from `config.init_seed`, zero feature mean and unit std.
 
         With `draw=False` no parameter is drawn and the buffer is left
         uninitialized, for a loader to fill in place through
@@ -216,7 +219,7 @@ class VcModel:
                 view[...] = inits[name]()
         encoder = sum(math.prod(shape) for name, shape in self._shapes.items()
                       if name.startswith("enc."))
-        self.trainable = slice(encoder if config.encoder.frozen else 0, self.buffer.size)
+        self.trainable = slice(encoder if config.frozen else 0, self.buffer.size)
         self.feature_mean = np.zeros(config.n_mels, dtype)
         self.feature_std = np.ones(config.n_mels, dtype)
 
@@ -234,7 +237,7 @@ class VcModel:
 
     def _add(self, name: str, shape, fan_in: int, gain: float = 1.0) -> Tensor:
         return self._param(name, shape, lambda: ad.uniform_init(
-            shape, fan_in, name, self.config.seed, self.dtype, gain=gain))
+            shape, fan_in, name, self.config.init_seed, self.dtype, gain=gain))
 
     def _add_zeros(self, name: str, shape) -> Tensor:
         return self._param(name, shape, lambda: np.zeros(shape, dtype=self.dtype))
@@ -244,8 +247,7 @@ class VcModel:
 
     def _build(self) -> None:
         cfg = self.config
-        enc = cfg.encoder
-        dim = enc.model_dim
+        dim = cfg.model_dim
         k = CONV_KERNEL
 
         # the encoder first: frozen, it is the buffer's leading slice
@@ -253,7 +255,7 @@ class VcModel:
         self._add_zeros("enc.sub1.b", (dim,))
         self._add("enc.sub2.w", (k, dim, dim), k * dim)
         self._add_zeros("enc.sub2.b", (dim,))
-        for i in range(enc.n_blocks):
+        for i in range(cfg.encoder_blocks):
             p = f"enc.block{i}"
             for ln in ("ln1", "ln2", "ln3"):
                 self._add_ones(f"{p}.{ln}.g", (dim,))
@@ -273,32 +275,32 @@ class VcModel:
 
         self.codebook = bn.Codebook(
             dim, n_groups=cfg.vq_groups, n_entries=cfg.vq_entries,
-            seed=cfg.seed, dtype=self.dtype, param=self._param,
+            seed=cfg.init_seed, dtype=self.dtype, param=self._param,
         )
 
         self._add("spk.embedding", (cfg.n_speakers, cfg.speaker_dim), cfg.speaker_dim)
 
         self.adversary = adv.AdversaryHead(
-            dim, cfg.n_speakers, hidden_dim=cfg.adv_hidden, seed=cfg.seed, dtype=self.dtype,
+            dim, cfg.n_speakers, hidden_dim=cfg.adv_hidden, seed=cfg.init_seed, dtype=self.dtype,
             param=self._param,
         )
 
-        dec = cfg.decoder
         g = DECODER_INIT_GAIN
+        h = cfg.lstm_dim
         in_dim = dim + cfg.speaker_dim
-        for layer in range(dec.n_lstm_layers):
+        for layer in range(cfg.lstm_layers):
             for direction in ("fwd", "bwd"):
                 p = f"dec.lstm{layer}.{direction}"
-                self._add(f"{p}.wx", (in_dim, 4 * dec.lstm_dim), in_dim, gain=g)
-                self._add(f"{p}.wh", (dec.lstm_dim, 4 * dec.lstm_dim), dec.lstm_dim, gain=g)
-                self._add_zeros(f"{p}.b", (4 * dec.lstm_dim,))
-            in_dim = 2 * dec.lstm_dim
+                self._add(f"{p}.wx", (in_dim, 4 * h), in_dim, gain=g)
+                self._add(f"{p}.wh", (h, 4 * h), h, gain=g)
+                self._add_zeros(f"{p}.b", (4 * h,))
+            in_dim = 2 * h
         ku = UPSAMPLE_KERNEL
-        self._add("dec.up1.w", (ku, in_dim, dec.lstm_dim), ku * in_dim, gain=g)
-        self._add_zeros("dec.up1.b", (dec.lstm_dim,))
-        self._add("dec.up2.w", (ku, dec.lstm_dim, dec.lstm_dim), ku * dec.lstm_dim, gain=g)
-        self._add_zeros("dec.up2.b", (dec.lstm_dim,))
-        self._add("dec.proj.w", (dec.lstm_dim, cfg.n_mels), dec.lstm_dim, gain=g)
+        self._add("dec.up1.w", (ku, in_dim, h), ku * in_dim, gain=g)
+        self._add_zeros("dec.up1.b", (h,))
+        self._add("dec.up2.w", (ku, h, h), ku * h, gain=g)
+        self._add_zeros("dec.up2.b", (h,))
+        self._add("dec.proj.w", (h, cfg.n_mels), h, gain=g)
         self._add_zeros("dec.proj.b", (cfg.n_mels,))
 
     def set_feature_stats(self, mean: np.ndarray, std: np.ndarray) -> None:
@@ -313,9 +315,9 @@ class VcModel:
     def _attention(self, x: Tensor, prefix: str, lengths=None) -> Tensor:
         """Multi-head self-attention with the heads on a batch axis: one QKᵀ,
         one softmax and one ·V over [..., heads, T, head_dim]."""
-        enc = self.config.encoder
-        scale = np.asarray(1.0 / np.sqrt(enc.model_dim // enc.n_heads), dtype=self.dtype)
-        q, k, v = (ad.split_heads(ad.matmul(x, self.params[f"{prefix}.{w}"]), enc.n_heads)
+        cfg = self.config
+        scale = np.asarray(1.0 / np.sqrt(cfg.model_dim // cfg.n_heads), dtype=self.dtype)
+        q, k, v = (ad.split_heads(ad.matmul(x, self.params[f"{prefix}.{w}"]), cfg.n_heads)
                    for w in ("wq", "wk", "wv"))
         scores = ad.mul(ad.matmul(q, ad.transpose(k)), scale)
         mask = ad.length_mask(lengths, x.shape[-2], self.dtype)
@@ -367,7 +369,7 @@ class VcModel:
         x = ad.relu(ad.add(ad.conv1d(x, self.params["enc.sub2.w"], stride=2, padding=1),
                            self.params["enc.sub2.b"]))
         enc_lengths = _encoded_lengths(lengths)
-        for i in range(self.config.encoder.n_blocks):
+        for i in range(self.config.encoder_blocks):
             x = self._encoder_block(x, i, enc_lengths)
         return ad.layer_norm(x, eps=LN_EPS)
 
@@ -405,7 +407,7 @@ class VcModel:
             raise ValueError(f"target_len {target_len} exceeds 4*T' = {4 * t_in}")
         if target_len < 1:
             raise ValueError("target_len must be positive")
-        for layer in range(self.config.decoder.n_lstm_layers):
+        for layer in range(self.config.lstm_layers):
             fwd, bwd = ([self.params[f"dec.lstm{layer}.{d}.{w}"] for w in ("wx", "wh", "b")]
                         for d in ("fwd", "bwd"))
             x = ad.bilstm_layer(x, fwd, bwd, lengths, cond=row if layer == 0 else None)
@@ -476,7 +478,7 @@ def save_checkpoint(model: VcModel, path, extra_meta: dict | None = None) -> Non
         "extra": extra_meta or {},
     }
     meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as f:
+    with write_then_replace(path) as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<IQI", CHECKPOINT_VERSION, model.step, len(meta_bytes)))
         f.write(meta_bytes)
@@ -631,16 +633,15 @@ def load_checkpoint(path, dtype=np.float32) -> VcModel:
 def load_encoder_from(model: VcModel, donor_path) -> None:
     """Import the encoder subtree from a donor checkpoint (frozen-encoder workflow).
 
-    The donor's encoder-relevant config must match; everything outside
+    The donor's config must match on the keys that fix the encoder's
+    tensor shapes and what it computes; everything outside
     "enc.*" keeps its fresh initialization.  The donor's tensors are
     written into the model's arrays in place.
     """
     meta, _, named = read_checkpoint_raw(donor_path)
     donor_cfg = _config_from_meta(meta, donor_path)
-    ours = model.config
-    mismatched = ["n_mels"] if donor_cfg.n_mels != ours.n_mels else []
-    mismatched += [f"encoder.{f.name}" for f in fields(EncoderConfig) if f.name != "frozen"
-                   and getattr(donor_cfg.encoder, f.name) != getattr(ours.encoder, f.name)]
+    mismatched = [key for key in ("n_mels", "encoder_blocks", "model_dim", "n_heads")
+                  if getattr(donor_cfg, key) != getattr(model.config, key)]
     if mismatched:
         raise CheckpointError(
             f"{donor_path}: encoder config mismatch on keys: {', '.join(mismatched)}"

@@ -8,6 +8,7 @@ that does not fill a whole frame is dropped).
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import io
 import os
@@ -291,6 +292,27 @@ def write_wav(path, wave_out: Waveform) -> None:
         f.setsampwidth(2)
         f.setframerate(wave_out.sample_rate_hz)
         f.writeframes(pcm.tobytes())
+
+
+@contextlib.contextmanager
+def write_then_replace(path):
+    """A binary file for `path`'s new contents, renamed over `path` when the
+    block ends.
+
+    The file is a temporary one in `path`'s directory, and `os.replace`
+    swaps it in whole, so a kill mid-write leaves the previous `path`
+    intact.  If the block raises, the temporary file is removed and `path`
+    is left as it was.
+    """
+    path = Path(path)
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "wb") as f:
+            yield f
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 def write_melf(path, mel: MelSpectrogram) -> None:

@@ -35,7 +35,7 @@ from .adversary import speaker_accuracy
 from .autodiff import Tensor
 from .data import DataError, read_text
 from .model import VcModel, pad_batch, save_checkpoint
-from .signal import MelSpectrogram
+from .signal import MelSpectrogram, write_then_replace
 
 
 class DivergenceError(RuntimeError):
@@ -174,7 +174,8 @@ class MetricsLedger:
         ]
 
     def write(self, path) -> None:
-        Path(path).write_text("".join(line + "\n" for line in self.lines()), encoding="utf-8")
+        with write_then_replace(path) as f:
+            f.write("".join(line + "\n" for line in self.lines()).encode("utf-8"))
 
     @staticmethod
     def read(path) -> "MetricsLedger":

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vcaug import autodiff as ad
-from vcaug.model import DecoderConfig, EncoderConfig, ModelConfig, VcModel
+from vcaug.model import ModelConfig, VcModel
 
 
 @pytest.fixture(autouse=True)
@@ -23,12 +23,16 @@ def toy_config(seed: int = 0, frozen: bool = False) -> ModelConfig:
         n_mels=8,
         n_speakers=3,
         speaker_dim=8,
-        encoder=EncoderConfig(n_blocks=1, model_dim=8, n_heads=2, frozen=frozen),
-        decoder=DecoderConfig(n_lstm_layers=2, lstm_dim=8),
+        encoder_blocks=1,
+        model_dim=8,
+        n_heads=2,
+        frozen=frozen,
+        lstm_layers=2,
+        lstm_dim=8,
         vq_groups=2,
         vq_entries=8,
         adv_hidden=16,
-        seed=seed,
+        init_seed=seed,
     )
 
 

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vcaug import autodiff as ad
 from vcaug import cli
 from vcaug import data as vd
-from vcaug.config import ConfigError, load_config
+from vcaug.config import ConfigError, load_config, parse_config_text
 
 from conftest import damage
 
@@ -39,6 +40,27 @@ def run_gradcheck(path, capsys):
     return code, capsys.readouterr().err
 
 
+def test_gradcheck_rejects_negative_samples_by_name(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gradcheck", "--config", str(CONFIGS / "toy.cfg"), "--samples", "-1"])
+    assert exc.value.code == 2
+    assert "argument --samples: must be non-negative, got -1" in capsys.readouterr().err
+
+
+def test_gradcheck_zero_samples_probes_every_element(monkeypatch):
+    probed = []
+
+    def check_gradients(fn, params, sample_per_param, **kwargs):
+        probed.append(sample_per_param)
+        return ad.GradCheckReport(per_param={"w": 0.0})
+
+    monkeypatch.setattr(ad, "check_gradients", check_gradients)
+    for samples in ("0", "3"):
+        assert cli.main(["gradcheck", "--config", str(CONFIGS / "toy.cfg"),
+                         "--samples", samples]) == cli.EXIT_OK
+    assert probed == [None, 3]
+
+
 @pytest.mark.parametrize("replace, add, named", [
     ("", "epsilon = 1.0", "'epsilon'"),
     ("", "eta = 1.0", "'eta'"),
@@ -54,19 +76,58 @@ def run_gradcheck(path, capsys):
     ("vq_groups = 0", "", "[model] vq_groups must be a positive integer"),
     ("n_heads = 0", "", "[model] n_heads must be a positive integer"),
     ("model_dim = 0", "", "[model] model_dim must be a positive integer"),
-    ("encoder_blocks = -1", "", "[model] n_blocks must be a positive integer"),
+    ("encoder_blocks = -1", "", "[model] encoder_blocks must be a positive integer"),
+    ("lstm_layers = 0", "", "[model] lstm_layers must be a positive integer"),
     ("lstm_dim = 0", "", "[model] lstm_dim must be a positive integer"),
     ("vq_entries = 0", "", "[model] vq_entries must be a positive integer"),
 ], ids=["removed_epsilon", "removed_eta", "vq_groups", "n_heads", "gamma", "delta",
         "steps", "batch_size", "lr", "checkpoint_every", "adversarial_weight",
         "zero_vq_groups", "zero_n_heads", "zero_model_dim", "negative_encoder_blocks",
-        "zero_lstm_dim", "zero_vq_entries"])
+        "zero_lstm_layers", "zero_lstm_dim", "zero_vq_entries"])
 def test_invalid_config_values_exit_with_config_error(tmp_path, capsys, replace, add, named):
     path = tmp_path / "bad.cfg"
     path.write_text(toy_text(replace, add), encoding="utf-8")
     code, err = run_gradcheck(path, capsys)
     assert code == cli.EXIT_CONFIG
     assert "config error" in err and named in err
+
+
+@pytest.mark.parametrize("replace, named", [
+    ("vq_groups = 3", "[model] model_dim must divide evenly into codebook groups"),
+    ("n_heads = 3", "[model] model_dim 8 not divisible by 3 heads"),
+    ("encoder_blocks = 0", "[model] encoder_blocks must be a positive integer"),
+    ("lstm_layers = 0", "[model] lstm_layers must be a positive integer"),
+    ("init_seed = 1.5", "[model] init_seed: cannot parse '1.5' as int"),
+    ("init_seed = -1", "[model] init_seed must be a non-negative integer, got -1"),
+    ("commitment_weight = nan", "[model] commitment_weight must be finite and non-negative"),
+], ids=["vq_groups", "n_heads", "encoder_blocks", "lstm_layers", "float_init_seed",
+        "negative_init_seed", "commitment_weight"])
+def test_load_config_alone_rejects_a_bad_model_value(tmp_path, replace, named):
+    path = tmp_path / "bad.cfg"
+    path.write_text(toy_text(replace), encoding="utf-8")
+    with pytest.raises(ConfigError) as exc:
+        load_config(path, validate_paths=False)
+    assert named in str(exc.value)
+
+
+def test_n_speakers_is_not_a_model_key(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text(toy_text().replace("[model]\n", "[model]\nn_speakers = 4\n"),
+                    encoding="utf-8")
+    with pytest.raises(ConfigError, match="unknown key 'n_speakers' in section \\[model\\]"):
+        load_config(path, validate_paths=False)
+
+
+def test_donor_checkpoint_is_a_model_key_held_on_the_run_config(tmp_path):
+    (tmp_path / "donor.vcck").write_bytes(b"")
+    path = tmp_path / "donor.cfg"
+    path.write_text(toy_text().replace(
+        "[model]\n", "[model]\nfrozen = true\ndonor_checkpoint = donor.vcck\n"), encoding="utf-8")
+    cfg = load_config(path)
+    assert cfg.donor_checkpoint == "donor.vcck" and cfg.model.frozen
+    assert "donor_checkpoint" not in cfg.model_config(n_speakers=4).to_dict()
+    assert "donor_checkpoint = donor.vcck\n" in cfg.canonical_text()
+    assert parse_config_text(cfg.canonical_text()) == cfg
 
 
 @pytest.mark.parametrize("replace, add, named", [

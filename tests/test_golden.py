@@ -9,7 +9,8 @@ change that claimed to keep the numbers, and must still match after it:
   a frozen encoder;
 - the `content_hash` of that model's checkpoint;
 - every file an emit writes (views and manifest) from a toy-shape model
-  trained for 2 steps.
+  trained for 2 steps;
+- the canonical-text hash of each shipped config.
 
 Pinned with numpy 2.4.6 and OpenBLAS 0.3.31 (scipy-openblas, DYNAMIC_ARCH,
 Haswell kernels), on x86-64.  Float32 GEMM results can differ on another
@@ -29,7 +30,7 @@ import pytest
 from vcaug import augment as aug
 from vcaug import data as vd
 from vcaug import training as tr
-from vcaug.config import load_config
+from vcaug.config import load_config, parse_config_text
 from vcaug.model import VcModel, read_checkpoint_raw, save_checkpoint
 from vcaug.signal import SpecAugmentPolicy
 
@@ -43,13 +44,20 @@ GOLDEN_DESK = {
 }
 GOLDEN_CHECKPOINT = "4988cc72b4ec3753b9a3e8bb7daaa2199a9bc4df7007cd55e26a615816983a97"
 GOLDEN_EMIT = "aa004d63190f78a871e3d904b9adfc5d20600c5dabb0f5ee218ffc0bc0f17b1a"
+# `RunConfig.sha256()` of each shipped config, recorded in train and sweep
+# checkpoints as `run_config_sha256`
+GOLDEN_CONFIG = {
+    "desk": "f91f2e853efa76ba19fad6df6383eb9f98cfb95db9c7984767bd82adac71df22",
+    "paper": "57eccf911aa0be232bead66eb1b7ac4ad5fecc683683df5bfff0dabfa6967c8b",
+    "toy": "7a510300d470760a0b3d7ad712ba859bbbd78d4e1e50c19458d5900ea32ce4c0",
+}
 
 
 def desk_run(frozen: bool) -> tuple[VcModel, tr.TrainResult]:
     """12 desk steps, batch 4, on 4 speakers x 3 one-second utterances."""
     cfg = load_config(DESK, validate_paths=False)
     model_cfg = cfg.model_config(n_speakers=4)
-    model_cfg = replace(model_cfg, encoder=replace(model_cfg.encoder, frozen=frozen))
+    model_cfg = replace(model_cfg, frozen=frozen)
     model = VcModel(model_cfg)
     dataset = vd.synthetic_corpus(4, 3, seed=5, n_mels=model_cfg.n_mels)
     result = tr.train(model, dataset, replace(cfg.train_config(seed=7), steps=12))
@@ -100,3 +108,10 @@ def test_desk_checkpoint_matches_pinned_content_hash(tmp_path):
 
 def test_toy_emit_tree_matches_pinned_digest(tmp_path):
     assert emit_digest(tmp_path) == GOLDEN_EMIT
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIG))
+def test_shipped_config_hash_matches_pinned_digest(name):
+    cfg = load_config(DESK.parent / f"{name}.cfg", validate_paths=False)
+    assert cfg.sha256() == GOLDEN_CONFIG[name]
+    assert parse_config_text(cfg.canonical_text()) == cfg

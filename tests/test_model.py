@@ -29,9 +29,12 @@ def desk_model(seed=0, n_mels=80):
     cfg = vm.ModelConfig(
         n_mels=n_mels,
         n_speakers=4,
-        encoder=vm.EncoderConfig(n_blocks=2, model_dim=64, n_heads=2),
-        decoder=vm.DecoderConfig(n_lstm_layers=2, lstm_dim=32),
-        seed=seed,
+        encoder_blocks=2,
+        model_dim=64,
+        n_heads=2,
+        lstm_layers=2,
+        lstm_dim=32,
+        init_seed=seed,
     )
     return vm.VcModel(cfg)
 
@@ -159,7 +162,7 @@ def _decode_by_concatenation(model, z, ids, target_len, lengths=None):
     emb = ad.embedding_lookup(model.params["spk.embedding"], np.asarray(ids)[..., None])
     tiled = ad.add(Tensor(np.zeros(z.shape[:-1] + (model.config.speaker_dim,), model.dtype)), emb)
     x = ad.concat([z, tiled], axis=z.ndim - 1)
-    for layer in range(model.config.decoder.n_lstm_layers):
+    for layer in range(model.config.lstm_layers):
         fwd, bwd = ([model.params[f"dec.lstm{layer}.{d}.{w}"] for w in ("wx", "wh", "b")]
                     for d in ("fwd", "bwd"))
         x = ad.bilstm_layer(x, fwd, bwd, lengths)
@@ -449,7 +452,7 @@ def _assert_flat(model):
             assert start - p.values.size == encoder, name   # the encoder leads
             encoder = start
     assert start == model.buffer.size
-    assert model.trainable == slice(encoder if model.config.encoder.frozen else 0,
+    assert model.trainable == slice(encoder if model.config.frozen else 0,
                                     model.buffer.size)
     for stats in (model.feature_mean, model.feature_std):
         assert not np.shares_memory(stats, model.buffer)
@@ -595,7 +598,8 @@ def _drop_tensor(table, victim):
 MALFORMED_CHECKPOINTS = {
     "no_content_hash": dict(edit_meta=lambda m: m.pop("content_hash")),
     "no_config": dict(edit_meta=lambda m: m.pop("config")),
-    "bad_config": dict(edit_meta=lambda m: m["config"].pop("encoder")),
+    "bad_config": dict(edit_meta=lambda m: m["config"].pop("model_dim")),
+    "string_init_seed": dict(edit_meta=lambda m: m["config"].update(init_seed="x")),
     "empty_metadata": dict(edit_meta=lambda m: m.clear()),
     # keeps the first record's name and ndim, then half of its first dimension
     "table_cut_in_record_header": dict(
@@ -630,6 +634,28 @@ def test_inspect_intact_checkpoint(tmp_path, capsys):
     vm.save_checkpoint(vm.VcModel(toy_config()), path)
     assert cli.main(["inspect", "--checkpoint", str(path)]) == cli.EXIT_OK
     assert "content_hash" in capsys.readouterr().out
+
+
+def test_a_save_that_fails_partway_leaves_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "model.vcck"
+    vm.save_checkpoint(vm.VcModel(toy_config(seed=1)), path)
+    before = path.read_bytes()
+    parts, calls = vm._tensor_table_parts, []
+
+    def fail_in_the_write(named):
+        # the first call hashes the table, the second writes it
+        calls.append(named)
+        for i, part in enumerate(parts(named)):
+            if len(calls) == 2 and i == 4:
+                raise OSError("no space left on device")
+            yield part
+
+    monkeypatch.setattr(vm, "_tensor_table_parts", fail_in_the_write)
+    with pytest.raises(OSError, match="no space"):
+        vm.save_checkpoint(vm.VcModel(toy_config(seed=2)), path)
+    assert len(calls) == 2
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.vcck"]
 
 
 @pytest.fixture(scope="module")
@@ -758,14 +784,16 @@ def test_encoder_import_config_mismatch_lists_keys(tmp_path):
         vm.ModelConfig(
             n_mels=80,
             n_speakers=4,
-            encoder=vm.EncoderConfig(n_blocks=1, model_dim=32, n_heads=2),
-            decoder=vm.DecoderConfig(n_lstm_layers=2, lstm_dim=32),
+            encoder_blocks=1,
+            model_dim=32,
+            n_heads=2,
+            lstm_layers=2,
+            lstm_dim=32,
         )
     )
     with pytest.raises(vm.CheckpointError) as exc:
         vm.load_encoder_from(other, path)
-    assert "encoder.n_blocks" in str(exc.value)
-    assert "encoder.model_dim" in str(exc.value)
+    assert "keys: encoder_blocks, model_dim" in str(exc.value)
 
 
 def test_config_round_trip():
@@ -778,35 +806,59 @@ FORMER_CONFIG_KEYS = {"encoder": {"subsample_factor": 4, "conv_kernel": 3, "ff_m
                       "decoder": {"upsample_kernel": 4}}
 
 
+def nested_snapshot(cfg: vm.ModelConfig, **changed) -> dict:
+    """`cfg` as checkpoints recorded it before `ModelConfig` was flat: the
+    encoder and decoder fields nested under their former names, `init_seed`
+    as `seed`, and each former fixed size a key at its value (or `changed`)."""
+    d = cfg.to_dict()
+    d["seed"] = d.pop("init_seed")
+    d["encoder"] = {"n_blocks": d.pop("encoder_blocks"),
+                    **{key: d.pop(key) for key in ("model_dim", "n_heads", "frozen")}}
+    d["decoder"] = {"n_lstm_layers": d.pop("lstm_layers"), "lstm_dim": d.pop("lstm_dim")}
+    for section, keys in FORMER_CONFIG_KEYS.items():
+        d[section].update({key: changed.get(key, value) for key, value in keys.items()})
+    return d
+
+
 def test_checkpoint_with_the_former_fixed_config_keys_loads(tmp_path):
-    model = vm.VcModel(toy_config())
-    model.set_feature_stats(np.full(8, -2.0), np.full(8, 1.5))
-    path = tmp_path / "model.vcck"
-    vm.save_checkpoint(model, path)
-
-    def former_keys(**changed):
-        def edit(meta):
-            for section, keys in FORMER_CONFIG_KEYS.items():
-                meta["config"][section].update({k: changed.get(k, v) for k, v in keys.items()})
-        return edit
-
-    _rewrite_checkpoint(path, edit_meta=former_keys())
-    assert vm.read_checkpoint_raw(path)[0]["config"]["decoder"] == {
-        "n_lstm_layers": 2, "lstm_dim": 8, "upsample_kernel": 4}
-    loaded = vm.load_checkpoint(path)
-    assert loaded.config == model.config
-    for name, t in model.params.items():
-        np.testing.assert_array_equal(loaded.params[name].values, t.values)
-    np.testing.assert_array_equal(loaded.feature_std, model.feature_std)
-    vm.load_encoder_from(vm.VcModel(toy_config()), path)
+    # a checkpoint written before the config was flat: trainable and frozen
+    for frozen in (False, True):
+        model = vm.VcModel(toy_config(seed=3, frozen=frozen))
+        model.set_feature_stats(np.full(8, -2.0), np.full(8, 1.5))
+        path = tmp_path / "model.vcck"
+        vm.save_checkpoint(model, path)
+        _rewrite_checkpoint(path, edit_meta=lambda m: m.update(
+            config=nested_snapshot(model.config)))
+        assert vm.read_checkpoint_raw(path)[0]["config"]["decoder"] == {
+            "n_lstm_layers": 2, "lstm_dim": 8, "upsample_kernel": 4}
+        loaded = vm.load_checkpoint(path)
+        assert loaded.config == model.config
+        for name, t in model.params.items():
+            np.testing.assert_array_equal(loaded.params[name].values, t.values)
+        np.testing.assert_array_equal(loaded.feature_std, model.feature_std)
+        target = vm.VcModel(toy_config(seed=4, frozen=frozen))
+        vm.load_encoder_from(target, path)
+        for name, t in model.params.items():
+            if name.startswith("enc."):
+                np.testing.assert_array_equal(target.params[name].values, t.values)
 
     for key, value in [("subsample_factor", 2), ("conv_kernel", 5), ("conv_kernel", 3.0),
                        ("ff_multiplier", 4), ("upsample_kernel", 2)]:
-        _rewrite_checkpoint(path, edit_meta=former_keys(**{key: value}))
+        _rewrite_checkpoint(path, edit_meta=lambda m: m.update(
+            config=nested_snapshot(model.config, **{key: value})))
         with pytest.raises(vm.CheckpointError, match=f"{key} is fixed at"):
             vm.load_checkpoint(path)
         with pytest.raises(vm.CheckpointError, match=f"{key} is fixed at"):
             vm.load_encoder_from(vm.VcModel(toy_config()), path)
+
+    def unknown_key(meta):
+        meta["config"] = nested_snapshot(model.config)
+        meta["config"]["encoder"]["n_layers"] = 1
+    _rewrite_checkpoint(path, edit_meta=unknown_key)
+    with pytest.raises(vm.CheckpointError, match="encoder.n_layers"):
+        vm.load_checkpoint(path)
+    with pytest.raises(vm.CheckpointError, match="encoder.n_layers"):
+        vm.load_encoder_from(vm.VcModel(toy_config()), path)
 
 
 def test_frozen_flag_excludes_encoder_params():

@@ -166,6 +166,24 @@ def test_ledger_round_trip_and_formatting(tmp_path):
     assert back.records[0].recon == pytest.approx(0.123456789, abs=1e-9)
 
 
+def test_a_ledger_write_that_fails_partway_leaves_the_previous_file(tmp_path, monkeypatch):
+    ledger = tr.MetricsLedger()
+    ledger.append(tr.StepMetrics(1, 0.5, 1.0, 0.25, 1.7, 0.5, 17.0))
+    path = tmp_path / "metrics.ledger"
+    ledger.write(path)
+    before = path.read_bytes()
+    ledger.append(tr.StepMetrics(2, 0.1, 1.0, 0.25, 1.7, 1.0, 18.5))
+
+    def lines():
+        raise OSError("interrupted")
+
+    monkeypatch.setattr(ledger, "lines", lines)
+    with pytest.raises(OSError, match="interrupted"):
+        ledger.write(path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.ledger"]
+
+
 @settings(max_examples=300, deadline=None)
 @given(flips=st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(1, 255)), max_size=4),
        cut=st.none() | st.integers(0, 400))
