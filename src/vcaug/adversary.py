@@ -18,19 +18,15 @@ from .autodiff import Tensor
 
 
 class AdversaryHead:
-    """Mean-pool over frames, one hidden relu layer, linear to speaker logits."""
+    """Mean-pool over frames, one hidden relu layer, linear to speaker logits.
 
-    def __init__(self, in_dim: int, n_speakers: int, hidden_dim: int = 128,
-                 seed: int = 0, dtype=np.float32, param=ad.fresh_param):
-        w1, w2 = (in_dim, hidden_dim), (hidden_dim, n_speakers)
-        self.w1 = param("adv.w1", w1, lambda: ad.uniform_init(w1, in_dim, "adv.w1", seed, dtype))
-        self.b1 = param("adv.b1", (hidden_dim,), lambda: np.zeros(hidden_dim, dtype=dtype))
-        self.w2 = param("adv.w2", w2,
-                        lambda: ad.uniform_init(w2, hidden_dim, "adv.w2", seed, dtype))
-        self.b2 = param("adv.b2", (n_speakers,), lambda: np.zeros(n_speakers, dtype=dtype))
+    It holds the four tensors it is given ([D, H], [H], [H, S], [S]);
+    `VcModel` declares and draws them (`adv.*`) and builds the head over
+    its own tensors.
+    """
 
-    def parameters(self) -> dict[str, Tensor]:
-        return {"adv.w1": self.w1, "adv.b1": self.b1, "adv.w2": self.w2, "adv.b2": self.b2}
+    def __init__(self, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor):
+        self.w1, self.b1, self.w2, self.b2 = w1, b1, w2, b2
 
     def logits(self, x: Tensor, reversal_weight: float, lengths=None) -> Tensor:
         """Speaker logits [S] for a [T', D] input, or [B, S] for a padded

@@ -220,16 +220,6 @@ def uniform_init(shape, fan_in: int, name: str, seed: int, dtype, gain: float = 
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
-def fresh_param(name: str, shape, init) -> Tensor:
-    """The default parameter maker: a tensor holding `init()`.
-
-    A maker takes a parameter's name, its shape and a function that draws
-    its initial values; `VcModel` passes one that only declares the
-    parameter, and places and fills its array afterwards.
-    """
-    return Tensor(init())
-
-
 # ---------------------------------------------------------------------------
 # elementwise arithmetic (broadcasting)
 

@@ -41,23 +41,17 @@ class QuantizeResult:
 
 
 class Codebook:
-    """Per-group entry tables."""
+    """Per-group entry tables: `groups[g]` is group g's [n_entries, group_dim] table.
 
-    def __init__(self, dim: int, n_groups: int = 2, n_entries: int = 128,
-                 seed: int = 0, dtype=np.float32, param=ad.fresh_param):
-        if dim % n_groups != 0:
-            raise ValueError(f"dim {dim} not divisible by {n_groups} groups")
-        self.dim = dim
-        self.n_groups = n_groups
-        self.n_entries = n_entries
-        self.group_dim = dim // n_groups
-        rng = np.random.default_rng(seed)
-        shape = (n_entries, self.group_dim)
-        self.groups = [
-            param(f"vq.group{g}.codebook", shape,
-                  lambda: rng.uniform(-1.0, 1.0, size=shape).astype(dtype))
-            for g in range(n_groups)
-        ]
+    It holds the tables it is given; `VcModel` declares and draws them
+    (`vq.group{g}.codebook`) and builds the codebook over its own tensors.
+    """
+
+    def __init__(self, groups: list[Tensor]):
+        self.groups = groups
+        self.n_groups = len(groups)
+        self.n_entries, self.group_dim = groups[0].shape
+        self.dim = self.n_groups * self.group_dim
 
     def init_from_outputs(self, z_e_values: np.ndarray, rng: np.random.Generator) -> None:
         """Reseed entries, in place, from rows of a batch of encoder outputs.

@@ -1,9 +1,9 @@
 """Command-line front door.
 
 Subcommands: featurize, train, sweep, select, convert, augment, gradcheck,
-inspect.  Exit codes: 0 success, 1 configuration error, 2 data error or a
-failed file access, 3 numeric divergence.  All randomness hangs off --seed
-(or the seed in the config file when the flag is absent).
+inspect.  Exit codes: 0 success, 1 configuration or usage error, 2 data
+error or a failed file access, 3 numeric divergence.  All randomness hangs
+off --seed (or the seed in the config file when the flag is absent).
 
 The adversarial-weight comparison on the synthetic corpus is
 `scripts/make_synthetic_corpus.py --out corpus` followed by
@@ -155,6 +155,7 @@ def cmd_convert(args) -> int:
 
 def cmd_augment(args) -> int:
     cfg = load_config(args.config)
+    policy = cfg.augment_policy()
     model = vm.load_checkpoint(args.checkpoint)
     pool = aug.SpeakerPool(ids=parse_pool(cfg.augment.pool, model.config.n_speakers))
     seed = cfg.train.seed if args.seed is None else args.seed
@@ -163,7 +164,7 @@ def cmd_augment(args) -> int:
         corpus_dir = Path(args.corpus)
     if corpus_dir is None:
         raise ConfigError("no corpus: set [data] corpus or pass --corpus")
-    result = aug.emit_dataset(corpus_dir, model, pool, cfg.augment_policy(), args.out, seed)
+    result = aug.emit_dataset(corpus_dir, model, pool, policy, args.out, seed)
     for rel, err in result.failures:
         print(f"augment: failed {rel}: {err}", file=sys.stderr)
     print(f"augment: wrote {result.n_pairs} view pairs, manifest {result.manifest_path}")
@@ -292,7 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:   # argparse has printed the usage error, or the help
+        return EXIT_CONFIG if e.code else EXIT_OK
     try:
         return args.handler(args)
     except ConfigError as e:

@@ -81,6 +81,11 @@ class CheckpointError(ValueError):
     """Malformed, tampered, or incompatible checkpoint file."""
 
 
+def _is_int(value) -> bool:
+    """An integer but not a bool: a snapshot's `true` is no count of 1."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _require_positive(cfg, *names: str) -> None:
     """Raise `ValueError` unless each named field of `cfg` is a positive integer.
 
@@ -89,7 +94,7 @@ def _require_positive(cfg, *names: str) -> None:
     """
     for name in names:
         value = getattr(cfg, name)
-        if not isinstance(value, numbers.Integral) or value < 1:
+        if not _is_int(value) or value < 1:
             raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
@@ -118,8 +123,10 @@ class ModelConfig:
         _require_positive(self, "n_mels", "n_speakers", "speaker_dim", "encoder_blocks",
                           "model_dim", "n_heads", "lstm_layers", "lstm_dim", "vq_groups",
                           "vq_entries", "adv_hidden")
-        if not isinstance(self.init_seed, numbers.Integral) or self.init_seed < 0:
+        if not _is_int(self.init_seed) or self.init_seed < 0:
             raise ValueError(f"init_seed must be a non-negative integer, got {self.init_seed!r}")
+        if not isinstance(self.frozen, bool):
+            raise ValueError(f"frozen must be true or false, got {self.frozen!r}")
         if self.model_dim % self.n_heads != 0:
             raise ValueError(f"model_dim {self.model_dim} not divisible by {self.n_heads} heads")
         if self.model_dim % self.vq_groups != 0:
@@ -178,6 +185,8 @@ def _encoded_lengths(lengths):
 class VcModel:
     """Encoder + grouped codebook + speaker table + adversary head + decoder.
 
+    Every tensor (name, shape and initial draw) is declared in `_build`;
+    `codebook` and `adversary` are built over the model's own tensors.
     Every parameter's `.values` is a view of its own slice of one flat
     array, `buffer`, of the model's dtype, in `params` order (see
     `layout`).  The encoder is declared first, so a frozen encoder is the
@@ -191,32 +200,25 @@ class VcModel:
     def __init__(self, config: ModelConfig, dtype=np.float32, draw: bool = True):
         """Parameters drawn from `config.init_seed`, zero feature mean and unit std.
 
-        With `draw=False` no parameter is drawn and the buffer is left
-        uninitialized, for a loader to fill in place through
+        With `draw=False` no draw that `_build` declares is called and the
+        buffer is left uninitialized, for a loader to fill in place through
         `_named_arrays` (see `load_checkpoint`).
         """
         self.config = config
         self.dtype = dtype
         self.step = 0
-        self.params: dict[str, Tensor] = {}
-        self._shapes: dict[str, tuple[int, ...]] = {}
-        inits: dict[str, Callable[[], np.ndarray]] = {}
-
-        def declare(name: str, shape, init) -> Tensor:
-            self._shapes[name], inits[name] = tuple(shape), init
-            self.params[name] = t = Tensor(np.empty(0, dtype))
-            return t
-
-        self._param = declare
-        try:
-            self._build()
-        finally:
-            del self._param
+        tensors = self._build()
+        self._shapes = {name: shape for name, (shape, _) in tensors.items()}
         self.buffer = np.empty(sum(map(math.prod, self._shapes.values())), dtype)
+        self.params: dict[str, Tensor] = {}
         for name, view in self.layout(self.buffer).items():
-            self.params[name].values = view
             if draw:
-                view[...] = inits[name]()
+                view[...] = tensors[name][1]()
+            self.params[name] = Tensor(view)
+        self.codebook = bn.Codebook([self.params[f"vq.group{g}.codebook"]
+                                     for g in range(config.vq_groups)])
+        self.adversary = adv.AdversaryHead(*(self.params[f"adv.{w}"]
+                                             for w in ("w1", "b1", "w2", "b2")))
         encoder = sum(math.prod(shape) for name, shape in self._shapes.items()
                       if name.startswith("enc."))
         self.trainable = slice(encoder if config.frozen else 0, self.buffer.size)
@@ -235,55 +237,61 @@ class VcModel:
 
     # -- construction -------------------------------------------------------
 
-    def _add(self, name: str, shape, fan_in: int, gain: float = 1.0) -> Tensor:
-        return self._param(name, shape, lambda: ad.uniform_init(
-            shape, fan_in, name, self.config.init_seed, self.dtype, gain=gain))
+    def _build(self) -> dict[str, tuple[tuple[int, ...], Callable[[], np.ndarray]]]:
+        """Every tensor of the model, in buffer order: name -> (shape, draw).
 
-    def _add_zeros(self, name: str, shape) -> Tensor:
-        return self._param(name, shape, lambda: np.zeros(shape, dtype=self.dtype))
-
-    def _add_ones(self, name: str, shape) -> Tensor:
-        return self._param(name, shape, lambda: np.ones(shape, dtype=self.dtype))
-
-    def _build(self) -> None:
-        cfg = self.config
+        The one place a tensor is declared, the codebook's tables and the
+        adversary head's weights included; `__init__` calls each draw at
+        most once, in buffer order.
+        """
+        cfg, dtype = self.config, self.dtype
         dim = cfg.model_dim
         k = CONV_KERNEL
+        tensors = {}
+
+        def add(name: str, shape, fan_in: int, gain: float = 1.0) -> None:
+            tensors[name] = shape, lambda: ad.uniform_init(
+                shape, fan_in, name, cfg.init_seed, dtype, gain=gain)
+
+        def fill(name: str, size: int, value: float) -> None:
+            tensors[name] = (size,), lambda: np.full(size, value, dtype)
 
         # the encoder first: frozen, it is the buffer's leading slice
-        self._add("enc.sub1.w", (k, cfg.n_mels, dim), k * cfg.n_mels)
-        self._add_zeros("enc.sub1.b", (dim,))
-        self._add("enc.sub2.w", (k, dim, dim), k * dim)
-        self._add_zeros("enc.sub2.b", (dim,))
+        add("enc.sub1.w", (k, cfg.n_mels, dim), k * cfg.n_mels)
+        fill("enc.sub1.b", dim, 0.0)
+        add("enc.sub2.w", (k, dim, dim), k * dim)
+        fill("enc.sub2.b", dim, 0.0)
         for i in range(cfg.encoder_blocks):
             p = f"enc.block{i}"
             for ln in ("ln1", "ln2", "ln3"):
-                self._add_ones(f"{p}.{ln}.g", (dim,))
-                self._add_zeros(f"{p}.{ln}.b", (dim,))
+                fill(f"{p}.{ln}.g", dim, 1.0)
+                fill(f"{p}.{ln}.b", dim, 0.0)
             for w in ("wq", "wk", "wv", "wo"):
-                self._add(f"{p}.attn.{w}", (dim, dim), dim)
-            self._add(f"{p}.conv.dw", (k, dim), k)
-            self._add(f"{p}.conv.pw.w", (dim, dim), dim)
-            self._add_zeros(f"{p}.conv.pw.b", (dim,))
+                add(f"{p}.attn.{w}", (dim, dim), dim)
+            add(f"{p}.conv.dw", (k, dim), k)
+            add(f"{p}.conv.pw.w", (dim, dim), dim)
+            fill(f"{p}.conv.pw.b", dim, 0.0)
             hidden = dim * FF_MULTIPLIER
-            self._add(f"{p}.ff.w1", (dim, hidden), dim)
-            self._add_zeros(f"{p}.ff.b1", (hidden,))
-            self._add(f"{p}.ff.w2", (hidden, dim), hidden)
-            self._add_zeros(f"{p}.ff.b2", (dim,))
+            add(f"{p}.ff.w1", (dim, hidden), dim)
+            fill(f"{p}.ff.b1", hidden, 0.0)
+            add(f"{p}.ff.w2", (hidden, dim), hidden)
+            fill(f"{p}.ff.b2", dim, 0.0)
         # the output layer norm carries no affine: a learnable shared gain
         # gives the commitment term a collapse shortcut at small batch sizes
 
-        self.codebook = bn.Codebook(
-            dim, n_groups=cfg.vq_groups, n_entries=cfg.vq_entries,
-            seed=cfg.init_seed, dtype=self.dtype, param=self._param,
-        )
+        # the codebook's tables draw in turn from one stream, group 0 first
+        rng = np.random.default_rng(cfg.init_seed)
+        table = (cfg.vq_entries, dim // cfg.vq_groups)
+        for g in range(cfg.vq_groups):
+            tensors[f"vq.group{g}.codebook"] = table, lambda: rng.uniform(
+                -1.0, 1.0, size=table).astype(dtype)
 
-        self._add("spk.embedding", (cfg.n_speakers, cfg.speaker_dim), cfg.speaker_dim)
+        add("spk.embedding", (cfg.n_speakers, cfg.speaker_dim), cfg.speaker_dim)
 
-        self.adversary = adv.AdversaryHead(
-            dim, cfg.n_speakers, hidden_dim=cfg.adv_hidden, seed=cfg.init_seed, dtype=self.dtype,
-            param=self._param,
-        )
+        add("adv.w1", (dim, cfg.adv_hidden), dim)
+        fill("adv.b1", cfg.adv_hidden, 0.0)
+        add("adv.w2", (cfg.adv_hidden, cfg.n_speakers), cfg.adv_hidden)
+        fill("adv.b2", cfg.n_speakers, 0.0)
 
         g = DECODER_INIT_GAIN
         h = cfg.lstm_dim
@@ -291,17 +299,18 @@ class VcModel:
         for layer in range(cfg.lstm_layers):
             for direction in ("fwd", "bwd"):
                 p = f"dec.lstm{layer}.{direction}"
-                self._add(f"{p}.wx", (in_dim, 4 * h), in_dim, gain=g)
-                self._add(f"{p}.wh", (h, 4 * h), h, gain=g)
-                self._add_zeros(f"{p}.b", (4 * h,))
+                add(f"{p}.wx", (in_dim, 4 * h), in_dim, gain=g)
+                add(f"{p}.wh", (h, 4 * h), h, gain=g)
+                fill(f"{p}.b", 4 * h, 0.0)
             in_dim = 2 * h
         ku = UPSAMPLE_KERNEL
-        self._add("dec.up1.w", (ku, in_dim, h), ku * in_dim, gain=g)
-        self._add_zeros("dec.up1.b", (h,))
-        self._add("dec.up2.w", (ku, h, h), ku * h, gain=g)
-        self._add_zeros("dec.up2.b", (h,))
-        self._add("dec.proj.w", (h, cfg.n_mels), h, gain=g)
-        self._add_zeros("dec.proj.b", (cfg.n_mels,))
+        add("dec.up1.w", (ku, in_dim, h), ku * in_dim, gain=g)
+        fill("dec.up1.b", h, 0.0)
+        add("dec.up2.w", (ku, h, h), ku * h, gain=g)
+        fill("dec.up2.b", h, 0.0)
+        add("dec.proj.w", (h, cfg.n_mels), h, gain=g)
+        fill("dec.proj.b", cfg.n_mels, 0.0)
+        return tensors
 
     def set_feature_stats(self, mean: np.ndarray, std: np.ndarray) -> None:
         self.feature_mean = np.asarray(mean, dtype=self.dtype)

@@ -104,6 +104,8 @@ class SpecAugmentPolicy:
         for name in ("n_freq_masks", "max_freq_width", "n_time_masks", "max_time_width"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
+        if not np.isfinite(self.mask_value):
+            raise ValueError(f"mask_value must be finite, got {self.mask_value}")
 
 
 def hz_to_mel(hz):

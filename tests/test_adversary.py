@@ -7,7 +7,17 @@ from vcaug.autodiff import Tape, Tensor
 
 
 def make_head(in_dim=4, n_speakers=4, hidden=8):
-    return adv.AdversaryHead(in_dim, n_speakers, hidden_dim=hidden, seed=1, dtype=np.float64)
+    """float64 weights drawn as `VcModel` draws them (seed 1), zero biases."""
+    return adv.AdversaryHead(
+        Tensor(ad.uniform_init((in_dim, hidden), in_dim, "adv.w1", 1, np.float64)),
+        Tensor(np.zeros(hidden)),
+        Tensor(ad.uniform_init((hidden, n_speakers), hidden, "adv.w2", 1, np.float64)),
+        Tensor(np.zeros(n_speakers)),
+    )
+
+
+def head_tensors(head):
+    return {"w1": head.w1, "b1": head.b1, "w2": head.w2, "b2": head.b2}
 
 
 def test_uniform_logits_loss_is_log_s():
@@ -49,7 +59,7 @@ def grad_wrt_input(head, x_values, weight):
     x = Tensor(x_values.copy())
     with Tape() as tape:
         loss = ad.cross_entropy(head.logits(x, weight), 1)
-    ad.zero_grads([x] + list(head.parameters().values()))
+    ad.zero_grads([x] + list(head_tensors(head).values()))
     tape.backward(loss)
     return np.zeros_like(x_values) if x.grad is None else x.grad.copy()
 
@@ -104,9 +114,9 @@ def test_head_parameters_get_unreversed_gradients():
     for weight in (0.0, 1.0):
         with Tape() as tape:
             loss = ad.cross_entropy(head.logits(x, weight), 1)
-        ad.zero_grads(head.parameters().values())
+        ad.zero_grads(head_tensors(head).values())
         tape.backward(loss)
-        grads[weight] = {k: v.grad.copy() for k, v in head.parameters().items()}
+        grads[weight] = {k: v.grad.copy() for k, v in head_tensors(head).items()}
     for k in grads[0.0]:
         np.testing.assert_array_equal(grads[0.0][k], grads[1.0][k])
     assert any(np.abs(g).sum() > 0 for g in grads[0.0].values())

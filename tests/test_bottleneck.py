@@ -12,7 +12,10 @@ from conftest import toy_config, toy_mel
 
 
 def make_codebook(dim=4, n_groups=2, n_entries=8, seed=0):
-    return bn.Codebook(dim=dim, n_groups=n_groups, n_entries=n_entries, seed=seed, dtype=np.float64)
+    """float64 tables drawn in turn from one stream, as `VcModel` draws them."""
+    rng = np.random.default_rng(seed)
+    return bn.Codebook([Tensor(rng.uniform(-1.0, 1.0, size=(n_entries, dim // n_groups)))
+                        for _ in range(n_groups)])
 
 
 def test_exact_match_rows_give_zero_losses():

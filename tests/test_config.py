@@ -41,10 +41,17 @@ def run_gradcheck(path, capsys):
 
 
 def test_gradcheck_rejects_negative_samples_by_name(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["gradcheck", "--config", str(CONFIGS / "toy.cfg"), "--samples", "-1"])
-    assert exc.value.code == 2
+    # a usage error is a configuration error (1), not a data error (2)
+    code = cli.main(["gradcheck", "--config", str(CONFIGS / "toy.cfg"), "--samples", "-1"])
+    assert code == cli.EXIT_CONFIG
     assert "argument --samples: must be non-negative, got -1" in capsys.readouterr().err
+
+
+def test_help_exits_0_and_an_unknown_option_exits_1(capsys):
+    assert cli.main(["--help"]) == cli.EXIT_OK
+    assert "usage: vcaug" in capsys.readouterr().out
+    assert cli.main(["inspect", "--checkpoint", "x", "--bogus"]) == cli.EXIT_CONFIG
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
 
 
 def test_gradcheck_zero_samples_probes_every_element(monkeypatch):
@@ -153,6 +160,20 @@ def test_train_rejects_non_finite_or_out_of_range_floats(tmp_path, capsys, repla
     assert code == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error" in err and named in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_augment_rejects_a_non_finite_mask_value_before_reading_the_checkpoint(tmp_path, capsys,
+                                                                               value):
+    # the checkpoint does not exist: reading it first would exit 2
+    path = tmp_path / "bad.cfg"
+    path.write_text(toy_text() + f"\n[augment]\nmask_value = {value}\n", encoding="utf-8")
+    code = cli.main(["augment", "--config", str(path), "--checkpoint", str(tmp_path / "no.vcck"),
+                     "--corpus", str(tmp_path), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert f"config error: [augment] mask_value must be finite, got {value}" in \
+        capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -10,18 +10,23 @@ change that claimed to keep the numbers, and must still match after it:
 - the `content_hash` of that model's checkpoint;
 - every file an emit writes (views and manifest) from a toy-shape model
   trained for 2 steps;
-- the canonical-text hash of each shipped config.
+- the canonical-text hash of each shipped config;
+- `model.buffer` bytes of a freshly built desk and toy model, which pin
+  every initial draw (step 0 reseeds the codebook from data, so the
+  trained digests do not see the codebook's own draw).
 
 Pinned with numpy 2.4.6 and OpenBLAS 0.3.31 (scipy-openblas, DYNAMIC_ARCH,
 Haswell kernels), on x86-64.  Float32 GEMM results can differ on another
 BLAS, numpy or CPU kernel, so a mismatch there is not by itself a bug.
 After a deliberate numeric change (or on a new reference platform),
-re-pin: run the parent commit's code with this file, print the digests the
-helpers below compute, and paste them here in the commit that changes the
-numbers, saying why in CHANGES.md.
+re-pin: `PYTHONPATH=src python tests/test_golden.py` prints every pinned
+value, computed by the helpers the tests use, in the form it is declared
+below; paste the output here in the commit that changes the numbers,
+saying why in CHANGES.md.
 """
 
 import hashlib
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -50,6 +55,11 @@ GOLDEN_CONFIG = {
     "desk": "f91f2e853efa76ba19fad6df6383eb9f98cfb95db9c7984767bd82adac71df22",
     "paper": "57eccf911aa0be232bead66eb1b7ac4ad5fecc683683df5bfff0dabfa6967c8b",
     "toy": "7a510300d470760a0b3d7ad712ba859bbbd78d4e1e50c19458d5900ea32ce4c0",
+}
+# `fresh_digest` of each shipped config with 4 speakers
+GOLDEN_FRESH = {
+    "desk": "8ccbec2b0c40d4c63ba289601306302420b6820c4f48204980e9a09f970f62db",
+    "toy": "73bfcbe46ca3998fca4111df78525e5f862f5748ca786bdcd9e85c24e46c8569",
 }
 
 
@@ -95,15 +105,30 @@ def emit_digest(tmp_path: Path) -> str:
     return tree_digest(tmp_path / "views")
 
 
+def checkpoint_digest(tmp_path: Path) -> str:
+    """The `content_hash` of the trainable desk run's checkpoint."""
+    model, _ = desk_run(frozen=False)
+    save_checkpoint(model, tmp_path / "desk.vcck")
+    return read_checkpoint_raw(tmp_path / "desk.vcck")[0]["content_hash"]
+
+
+def config_digest(name: str) -> str:
+    return load_config(DESK.parent / f"{name}.cfg", validate_paths=False).sha256()
+
+
+def fresh_digest(name: str) -> str:
+    """sha256 of a freshly built model's buffer: every tensor's initial draw."""
+    cfg = load_config(DESK.parent / f"{name}.cfg", validate_paths=False)
+    return hashlib.sha256(VcModel(cfg.model_config(n_speakers=4)).buffer.tobytes()).hexdigest()
+
+
 @pytest.mark.parametrize("frozen", [False, True], ids=["trainable", "frozen"])
 def test_desk_training_matches_pinned_digest(frozen):
     assert desk_digest(*desk_run(frozen)) == GOLDEN_DESK[frozen]
 
 
 def test_desk_checkpoint_matches_pinned_content_hash(tmp_path):
-    model, _ = desk_run(frozen=False)
-    save_checkpoint(model, tmp_path / "desk.vcck")
-    assert read_checkpoint_raw(tmp_path / "desk.vcck")[0]["content_hash"] == GOLDEN_CHECKPOINT
+    assert checkpoint_digest(tmp_path) == GOLDEN_CHECKPOINT
 
 
 def test_toy_emit_tree_matches_pinned_digest(tmp_path):
@@ -112,6 +137,39 @@ def test_toy_emit_tree_matches_pinned_digest(tmp_path):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIG))
 def test_shipped_config_hash_matches_pinned_digest(name):
+    assert config_digest(name) == GOLDEN_CONFIG[name]
     cfg = load_config(DESK.parent / f"{name}.cfg", validate_paths=False)
-    assert cfg.sha256() == GOLDEN_CONFIG[name]
     assert parse_config_text(cfg.canonical_text()) == cfg
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_FRESH))
+def test_fresh_model_buffer_matches_pinned_digest(name):
+    assert fresh_digest(name) == GOLDEN_FRESH[name]
+
+
+def current_pins(tmp_path: Path) -> dict:
+    """Every pin above, under its name, as the code computes it now."""
+    return {
+        "GOLDEN_DESK": {frozen: desk_digest(*desk_run(frozen)) for frozen in GOLDEN_DESK},
+        "GOLDEN_CHECKPOINT": checkpoint_digest(tmp_path),
+        "GOLDEN_EMIT": emit_digest(tmp_path),
+        "GOLDEN_CONFIG": {name: config_digest(name) for name in GOLDEN_CONFIG},
+        "GOLDEN_FRESH": {name: fresh_digest(name) for name in GOLDEN_FRESH},
+    }
+
+
+def pin_text(name: str, value) -> str:
+    """A pin as this file declares it."""
+    def text(v) -> str:
+        return f'"{v}"' if isinstance(v, str) else repr(v)
+
+    if isinstance(value, str):
+        return f"{name} = {text(value)}"
+    rows = "".join(f"    {text(key)}: {text(digest)},\n" for key, digest in value.items())
+    return f"{name} = {{\n{rows}}}"
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, value in current_pins(Path(tmp)).items():
+            print(pin_text(name, value))

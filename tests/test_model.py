@@ -438,6 +438,17 @@ def test_load_checkpoint_draws_nothing_and_adopts_the_read_arrays(tmp_path, monk
     assert loaded.adversary.w2 is loaded.params["adv.w2"]
 
 
+@pytest.mark.parametrize("draw", [True, False])
+def test_codebook_and_adversary_hold_the_models_own_tensors(draw):
+    model = vm.VcModel(toy_config(seed=2), draw=draw)
+    cb = model.codebook
+    assert (cb.n_groups, cb.n_entries, cb.group_dim, cb.dim) == (2, 8, 4, 8)
+    for g, table in enumerate(cb.groups):
+        assert table is model.params[f"vq.group{g}.codebook"]
+    for w in ("w1", "b1", "w2", "b2"):
+        assert getattr(model.adversary, w) is model.params[f"adv.{w}"]
+
+
 def _assert_flat(model):
     """Each parameter is a contiguous view of its own slice of `model.buffer`,
     in `params` order, covering it; the feature statistics are apart; and
@@ -618,6 +629,21 @@ def test_malformed_checkpoint_raises_checkpoint_error(tmp_path, case):
         vm.load_checkpoint(path)
     with pytest.raises(vm.CheckpointError):
         vm.load_encoder_from(vm.VcModel(toy_config()), path)
+
+
+@pytest.mark.parametrize("key, value", [("frozen", "no"), ("frozen", 0), ("vq_groups", True),
+                                        ("n_heads", True), ("init_seed", False)],
+                         ids=["string_frozen", "int_frozen", "bool_vq_groups", "bool_n_heads",
+                              "bool_init_seed"])
+def test_checkpoint_config_field_of_the_wrong_type_raises_checkpoint_error(tmp_path, key, value):
+    # `"frozen": "no"` is truthy and a bool passes for an integer: neither may load
+    with pytest.raises(ValueError, match=key):
+        vm.ModelConfig.from_dict({**toy_config().to_dict(), key: value})
+    path = tmp_path / "model.vcck"
+    vm.save_checkpoint(vm.VcModel(toy_config()), path)
+    _rewrite_checkpoint(path, edit_meta=lambda m: m["config"].update({key: value}))
+    with pytest.raises(vm.CheckpointError, match=f"invalid model config.*{key}"):
+        vm.load_checkpoint(path)
 
 
 @pytest.mark.parametrize("case", ["no_content_hash", "no_config", "table_cut_in_record_header"])
