@@ -10,7 +10,9 @@ put attention heads on a batch axis so that `matmul` (which accepts any
 equal leading axes) serves every head at once; `bilstm_layer`, which runs
 both directions of an LSTM layer in one time loop and takes an input that
 is constant over time (a condition row per sequence) as a per-sequence
-gate bias; and the two loss terms, `huber` and `cross_entropy`.
+gate bias, and whose backward writes the pre-activation gradient over the
+saved gates, reading each step's forget gate before it overwrites it; and
+the two loss terms, `huber` and `cross_entropy`.
 `bilstm_layer` takes the i, f, o gates' sigmoid as 1/2 + tanh(z/2)/2, so
 all four gates cost one tanh per step; in float32 this rounds differently
 from 1/(1 + exp(-z)), by about an ulp.  Ops executed while a `Tape` is
@@ -488,7 +490,7 @@ def conv1d_transpose(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) ->
         g_full = np.zeros(lead + (full_len, cout), dtype=g.dtype)
         g_full[..., padding : full_len - padding, :] = g
         gx = np.zeros_like(x2)
-        gw = np.zeros_like(w.values)
+        gw = np.empty_like(w.values)
         for j in range(k):
             seg = g_full[..., j : j + span : stride, :].reshape(-1, cout)
             gx += seg @ w.values[j].T
@@ -592,11 +594,12 @@ def bilstm_layer(x: Tensor, fwd_weights: Sequence[Tensor], bwd_weights: Sequence
     Backward saves the activated gates, c and tanh(c) (with no active
     tape, only the current step's c and tanh(c) are kept).  Backpropagation
     through time fills the pre-activation gradient dZ of both directions,
-    one step at a time; then dwh is one batched [2, H, rows] @ [2, rows, 4H]
-    GEMM, and each direction's dwx[:I] = xT dZ, its part of dx = dZ wx[:I]T
-    and its db = sum dZ (float64) take one operation each.  The condition
-    row's gradient and dwx[I:] come from dZ summed over each sequence's
-    frames.
+    one step at a time, over the saved gates' own storage: each step reads
+    its forget gate before it overwrites that slot with dZ.  Then dwh is one
+    batched [2, H, rows] @ [2, rows, 4H] GEMM, and each direction's
+    dwx[:I] = xT dZ, its part of dx = dZ wx[:I]T and its db = sum dZ
+    (float64) take one operation each.  The condition row's gradient and
+    dwx[I:] come from dZ summed over each sequence's frames.
     """
     (wxf, whf, bf), (wxb, whb, bb) = fwd_weights, bwd_weights
     hidden = whf.shape[0] if whf.ndim else 0
@@ -677,8 +680,10 @@ def bilstm_layer(x: Tensor, fwd_weights: Sequence[Tensor], bwd_weights: Sequence
         dc_dh = o * (1.0 - tcs * tcs)
         g_steps = g.reshape(rows, t, 2, hidden).transpose(1, 2, 0, 3).copy()
         flip(g_steps[:, 1].transpose(1, 0, 2))
-        dz = np.empty(cs.shape[:-1] + (4, hidden), dtype=dtype)
-        dz_flat = dz.reshape(cs.shape[:-1] + (h4,))
+        # dZ is written over the gates, whose other reads are all above:
+        # step s reads f[s] before it overwrites that slot
+        dz_flat = gates
+        dz = gates.reshape(gates.shape[:-1] + (4, hidden))
         dz_c, dz_o = dz[..., :3, :], dz[..., 3, :]
         wh_t = np.stack([whf.values.T, whb.values.T])
         dh_next = np.zeros_like(h)
@@ -687,23 +692,24 @@ def bilstm_layer(x: Tensor, fwd_weights: Sequence[Tensor], bwd_weights: Sequence
             dh = g_steps[s] + dh_next
             dc = dh * dc_dh[s]
             dc += dc_next
+            dc_next = dc * f[s]
             np.multiply(per_dc[s], dc[..., None, :], out=dz_c[s])
             np.multiply(per_dh[s], dh, out=dz_o[s])
-            dc_next = dc * f[s]
             dh_next = np.matmul(dz_flat[s], wh_t)
         # [2, H, steps*B] @ [2, steps*B, 4H], rows in step order
         dwh = np.matmul(h_prev.transpose(1, 3, 0, 2).reshape(2, hidden, -1),
                         dz_flat.transpose(1, 0, 2, 3).reshape(2, -1, h4))
         _accum(whf, dwh[0])
         _accum(whb, dwh[1])
+        del dwh   # freed before the dwx GEMMs, it lowers peak memory
         dz_frames = to_frames(dz_flat).reshape(-1, 2, h4)
         # each sequence's dZ summed over its frames: what its condition row sees
         dz_rows = None if cond is None else dz_frames.reshape(rows, t, 2, h4).sum(axis=1)
         dx = np.zeros_like(x2)
         dcond = None if cond is None else np.zeros_like(cond2)
+        dwx = np.empty_like(wxf.values)   # one scratch: `_accum` copies or adds it
         for d, (wx, b) in enumerate(((wxf, bf), (wxb, bb))):
             _accum(b, dz_frames[:, d].sum(axis=0, dtype=np.float64))
-            dwx = np.empty_like(wx.values)
             np.matmul(x2.T, dz_frames[:, d], out=dwx[:in_dim])
             dx += dz_frames[:, d] @ wx.values[:in_dim].T
             if cond is not None:

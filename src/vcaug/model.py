@@ -369,7 +369,8 @@ class VcModel:
         normalized = np.zeros(values.shape[:-2] + (t + (-t) % SUBSAMPLE_FACTOR, values.shape[-1]),
                               dtype=self.dtype)
         valid = normalized[..., :t, :]
-        np.divide(values.astype(self.dtype) - self.feature_mean, self.feature_std, out=valid)
+        np.divide(values.astype(self.dtype, copy=False) - self.feature_mean, self.feature_std,
+                  out=valid)
         mask = ad.length_mask(lengths, t, self.dtype)
         if mask is not None:
             valid *= mask[..., None]

@@ -247,12 +247,14 @@ def train(model: VcModel, dataset: Dataset, cfg: TrainConfig,
     A non-finite loss or gradient halts training before the update, after
     writing the parameters of the last completed step.
 
-    Gradients share the buffer's layout: each step binds every parameter's
-    `.grad` to its view of one fresh zero array, so backward adds each
-    gradient into its slot, the divergence guard is one dot product over
-    the `trainable` slice, and Adam updates that slice in one pass.  The
-    array is released after the update (and before `DivergenceError` is
-    raised): nothing reads it after that.
+    Gradients share the buffer's layout in one array per call, laid out by
+    the first step (so a call with no steps allocates none) and zeroed
+    before each backward.  Each step binds every parameter's `.grad` to its
+    view, so backward adds each gradient into its slot, the divergence
+    guard is one dot product over the `trainable` slice, and Adam updates
+    that slice in one pass.  The bindings are released after the update
+    (and before `DivergenceError` is raised), so no parameter holds a
+    gradient between steps or after the call.
     """
     if not dataset:
         raise ValueError("dataset is empty")
@@ -276,6 +278,7 @@ def train(model: VcModel, dataset: Dataset, cfg: TrainConfig,
         save_checkpoint(model, path, extra_meta=checkpoint_meta)
         return path
 
+    grads = views = None
     for i in range(cfg.steps):
         step = model.step + 1
         picks = [dataset[int(rng.integers(len(dataset)))] for _ in range(cfg.batch_size)]
@@ -286,18 +289,20 @@ def train(model: VcModel, dataset: Dataset, cfg: TrainConfig,
             recon, qr, logits = model.forward_tensors(
                 values, speakers, adv_weight=cfg.adversarial_weight, lengths=lengths
             )
-            recon_loss = huber(values.astype(model.dtype), recon,
+            recon_loss = huber(values.astype(model.dtype, copy=False), recon,
                                delta=cfg.weights.delta, lengths=lengths)
             adv_loss = ad.cross_entropy(logits, speakers)
             loss = total_loss(recon_loss, qr.codebook_loss, qr.commit_loss, adv_loss,
                               cfg.weights)
-        # a fresh array each step, released after the update: `np.zeros`
-        # maps its pages only as backward writes them, where one kept and
-        # refilled would hold every page while backward still holds its
-        # activations.  A frozen encoder's gradients land in the leading
-        # slice, which nothing reads.
-        grads = np.zeros(model.buffer.size, model.dtype)
-        for name, view in model.layout(grads).items():
+        # one array kept for the whole call and refilled with zeros: a fresh
+        # one per step would map its pages anew, each one faulted twice,
+        # since backward's first touch of a slot is a `+=`.  A frozen
+        # encoder's gradients land in the leading slice, which nothing reads.
+        if grads is None:
+            grads = np.empty(model.buffer.size, model.dtype)
+            views = model.layout(grads)
+        grads.fill(0)
+        for name, view in views.items():
             model.params[name].grad = view
         tape.backward(loss)
         g = grads[model.trainable]
@@ -305,7 +310,6 @@ def train(model: VcModel, dataset: Dataset, cfg: TrainConfig,
         if finite:
             optimizer.step(g)
         ad.zero_grads(model.params.values())
-        del grads, g
         if not finite:
             # the live parameters are still those of the last completed step
             path = write_checkpoint(f"{model.step:06d}-lastgood") if out_dir and i else None

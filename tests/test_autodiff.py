@@ -524,6 +524,24 @@ def test_bilstm_layer_records_one_node_and_checks_shapes():
             ad.bilstm_layer(x, cfwd, cbwd, cond=_rng_tensor(rng, bad))
 
 
+@pytest.mark.parametrize("shape, lengths", [((3, 5, 4), [5, 2, 3]), ((1, 4), None)])
+def test_bilstm_layer_backward_leaves_what_the_caller_holds_unchanged(shape, lengths):
+    # backward writes dZ over the gates it saved, never over its output or inputs
+    rng = np.random.default_rng(17)
+    x = _rng_tensor(rng, shape)
+    cond = _rng_tensor(rng, shape[:-2] + (2,))
+    fwd, bwd = _lstm_weights(rng, 6, 3)
+    with Tape() as tape:
+        out = ad.bilstm_layer(x, fwd, bwd, lengths=lengths, cond=cond)
+        loss = ad.reduce_sum(ad.mul(out, _rng_tensor(rng, out.shape)))
+    held = [a.values.copy() for a in (out, x, cond, *fwd, *bwd)]
+    tape.backward(loss)
+    for before, a in zip(held, (out, x, cond, *fwd, *bwd)):
+        np.testing.assert_array_equal(a.values, before)
+    np.testing.assert_array_equal(
+        out.values, ad.bilstm_layer(x, fwd, bwd, lengths=lengths, cond=cond).values)
+
+
 def test_stop_gradient_blocks_flow():
     x = t64([1.0, 2.0])
     (g,) = grads_of(lambda: ad.reduce_sum(ad.mul(ad.detach(x), x)), [x])

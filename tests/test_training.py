@@ -151,6 +151,10 @@ def test_train_with_zero_steps_allocates_no_optimizer_state(monkeypatch):
     assert laid_out == [] and stepped == []
     tr.train(model, toy_corpus(), toy_train_cfg(steps=1))
     assert laid_out == [model.buffer.size] and stepped == [None]
+    # one gradient array serves every step of a call, refilled with zeros
+    laid_out.clear()
+    tr.train(model, toy_corpus(), toy_train_cfg(steps=3))
+    assert laid_out == [model.buffer.size]
 
 
 def test_ledger_round_trip_and_formatting(tmp_path):
