@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -88,11 +89,11 @@ def _speaker_map(cfg) -> dict[str, int]:
 def cmd_train(args) -> int:
     # every config check runs before the corpus is read and featurized
     cfg = load_config(args.config)
-    train_cfg = cfg.train_config(seed=args.seed, out_dir=args.out)
     speaker_map = _speaker_map(cfg)
     model = _build_model(cfg, len(speaker_map))
     corpus = vd.load_corpus(cfg.resolve(cfg.data.corpus), speaker_map, n_mels=cfg.model.n_mels)
-    result = tr.train(model, corpus, train_cfg, checkpoint_meta=_checkpoint_meta(cfg))
+    result = tr.train(model, corpus, cfg.train_config(seed=args.seed), out_dir=args.out,
+                      checkpoint_meta=_checkpoint_meta(cfg))
     if result.ledger.records:
         means = result.ledger.final_window_means()
         print(
@@ -155,16 +156,15 @@ def cmd_convert(args) -> int:
 
 def cmd_augment(args) -> int:
     cfg = load_config(args.config)
-    policy = cfg.augment_policy()
     model = vm.load_checkpoint(args.checkpoint)
-    pool = aug.SpeakerPool(ids=parse_pool(cfg.augment.pool, model.config.n_speakers))
+    pool = aug.SpeakerPool(ids=parse_pool(cfg.pool, model.config.n_speakers))
     seed = cfg.train.seed if args.seed is None else args.seed
     corpus_dir = cfg.resolve(cfg.data.corpus) if cfg.data.corpus else None
     if args.corpus:
         corpus_dir = Path(args.corpus)
     if corpus_dir is None:
         raise ConfigError("no corpus: set [data] corpus or pass --corpus")
-    result = aug.emit_dataset(corpus_dir, model, pool, policy, args.out, seed)
+    result = aug.emit_dataset(corpus_dir, model, pool, cfg.augment, args.out, seed)
     for rel, err in result.failures:
         print(f"augment: failed {rel}: {err}", file=sys.stderr)
     print(f"augment: wrote {result.n_pairs} view pairs, manifest {result.manifest_path}")
@@ -178,7 +178,7 @@ def cmd_gradcheck(args) -> int:
     model = vm.VcModel(model_cfg, dtype=np.float64)
     rng = np.random.default_rng(seed)
     mel = rng.normal(size=(12, model_cfg.n_mels))
-    weights = cfg.train_config().weights
+    weights = cfg.train.weights
 
     def loss_fn():
         recon, qr, logits = model.forward_tensors(mel, 1, adv_weight=cfg.train.adversarial_weight)
@@ -214,12 +214,22 @@ def cmd_inspect(args) -> int:
     return EXIT_OK
 
 
-def _non_negative_int(text: str) -> int:
-    """A non-negative integer option value."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
+def _checked(kind, rule: str, ok):
+    """An option type: `kind(text)`, a usage error naming `rule` unless `ok` holds."""
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+    parse.__name__ = kind.__name__   # argparse's "invalid float value" for unparsable text
+    return parse
+
+
+_non_negative_int = _checked(int, "non-negative", lambda v: v >= 0)
+_positive_int = _checked(int, "at least 1", lambda v: v >= 1)
+_fraction = _checked(float, "in (0, 1]", lambda v: 0 < v <= 1)   # NaN fails each float rule
+_non_negative_float = _checked(float, "finite and non-negative", lambda v: 0 <= v < math.inf)
+_positive_float = _checked(float, "finite and positive", lambda v: 0 < v < math.inf)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -232,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("featurize", help="batch log-mel extraction for a wav tree")
     p.add_argument("--wav-dir", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--n-mels", type=int, default=80)
+    p.add_argument("--n-mels", type=_positive_int, default=80)
     p.set_defaults(handler=cmd_featurize)
 
     p = sub.add_parser("train", help="run the training loop")
@@ -251,15 +261,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--weights", default="0.0,0.1,0.5,1.0")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--acc-max", type=float, default=0.2)
-    p.add_argument("--ppl-min", type=float, default=None)
+    p.add_argument("--acc-max", type=_non_negative_float, default=0.2)
+    p.add_argument("--ppl-min", type=_non_negative_float, default=None)
     p.set_defaults(handler=cmd_sweep)
 
     p = sub.add_parser("select", help="apply the selection rule to ledger files")
     p.add_argument("ledgers", nargs="+")
-    p.add_argument("--acc-max", type=float, default=0.2)
-    p.add_argument("--ppl-min", type=float, default=64.0)
-    p.add_argument("--window", type=float, default=0.1)
+    p.add_argument("--acc-max", type=_non_negative_float, default=0.2)
+    p.add_argument("--ppl-min", type=_non_negative_float, default=64.0)
+    p.add_argument("--window", type=_fraction, default=0.1)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=cmd_select)
 
@@ -283,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--samples", type=_non_negative_int, default=4,
                    help="elements probed per tensor (0 = every element)")
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--tolerance", type=_positive_float, default=1e-4)
     p.set_defaults(handler=cmd_gradcheck)
 
     p = sub.add_parser("inspect", help="dump checkpoint metadata")

@@ -4,20 +4,20 @@ Sections: [model] (architecture), [train] (loop and loss weights), [data]
 (corpus locations), [augment] (masking policy and target pool).  Each
 section parses into one frozen dataclass whose fields are its keys, with
 the same names and defaults; the defaults give the keys' types.  [model]
-parses into `ModelConfig` itself, with the two exceptions `RunConfig.keys`
-states.  Unknown sections or keys are rejected, referenced paths are
-checked at load time, and the canonical text form has a stable hash that is
-recorded into checkpoints.  A file that cannot be read, or whose [model]
-values `ModelConfig` rejects, raises `ConfigError` from `load_config`; the
-[train] and [augment] values are checked when `train_config` and
-`augment_policy` build from them.
+parses into `ModelConfig`, [train] into `TrainConfig` and [augment] into
+`SpecAugmentPolicy`, the types their readers take, with the exceptions
+`RunConfig.keys` states.  Unknown sections or keys are rejected, referenced
+paths are checked at load time, and the canonical text form has a stable
+hash that is recorded into checkpoints.  A file that cannot be read, or a
+value its section's dataclass rejects, raises `ConfigError` from
+`load_config`, naming the key.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .model import ModelConfig
@@ -30,56 +30,42 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class TrainSection:
-    steps: int = 2000
-    lr: float = 1e-4
-    seed: int = 0
-    batch_size: int = 1
-    adversarial_weight: float = 0.1
-    gamma: float = 1.0
-    delta: float = 1.0
-    checkpoint_every: int = 0
-
-
-@dataclass(frozen=True)
 class DataSection:
     corpus: str = ""
     speaker_map: str = ""
 
 
 @dataclass(frozen=True)
-class AugmentSection:
-    n_freq_masks: int = 2
-    max_freq_width: int = 10
-    n_time_masks: int = 2
-    max_time_width: int = 10
-    mask_value: float = 0.0
-    pool: str = "all"   # "all" or comma-separated speaker ids
-
-
-@dataclass(frozen=True)
 class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
-    train: TrainSection = field(default_factory=TrainSection)
+    train: TrainConfig = field(default_factory=TrainConfig)
     data: DataSection = field(default_factory=DataSection)
-    augment: AugmentSection = field(default_factory=AugmentSection)
+    augment: SpecAugmentPolicy = field(default_factory=SpecAugmentPolicy)
     donor_checkpoint: str = ""   # a [model] key: see `keys`
+    pool: str = "all"            # an [augment] key, "all" or speaker ids: see `keys`
     base_dir: str = field(default=".", compare=False)
 
     def keys(self, section: str) -> dict:
         """Each key of `section` and its value here.
 
-        A section's keys are the fields of its dataclass, but for two in
-        [model]: `n_speakers` is not a key, since the speaker map gives it;
-        and `donor_checkpoint` is a key held here, not on `ModelConfig`,
-        since a path is not architecture and a model's config snapshot
-        should not record it.
+        A section's keys are the fields of its dataclass, with these
+        exceptions.  In [model], `n_speakers` is not a key, since the
+        speaker map gives it; and `donor_checkpoint` is a key held here, not
+        on `ModelConfig`, since a path is not architecture and a model's
+        config snapshot should not record it.  In [train], `weights` is not
+        a key but its fields `gamma` and `delta` are, since the loss reads
+        them from one `LossWeights`.  In [augment], `pool` is a key held
+        here, not on `SpecAugmentPolicy`, since it picks targets rather than
+        masks.
         """
         part = getattr(self, section)
         keys = {f.name: getattr(part, f.name) for f in fields(part)}
         if section == "model":
             del keys["n_speakers"]
-            keys["donor_checkpoint"] = self.donor_checkpoint
+        if section == "train":
+            keys.update(asdict(keys.pop("weights")))
+        if section in _RUN_KEYS:
+            keys[_RUN_KEYS[section]] = getattr(self, _RUN_KEYS[section])
         return keys
 
     def resolve(self, path_str: str) -> Path:
@@ -90,34 +76,12 @@ class RunConfig:
     def model_config(self, n_speakers: int) -> ModelConfig:
         return replace(self.model, n_speakers=n_speakers)
 
-    def train_config(self, seed: int | None = None, out_dir: str | None = None) -> TrainConfig:
-        t = self.train
-        try:
-            return TrainConfig(
-                steps=t.steps,
-                lr=t.lr,
-                seed=t.seed if seed is None else seed,
-                adversarial_weight=t.adversarial_weight,
-                weights=LossWeights(gamma=t.gamma, delta=t.delta),
-                batch_size=t.batch_size,
-                checkpoint_every=t.checkpoint_every,
-                out_dir=out_dir,
-            )
-        except ValueError as e:
-            raise ConfigError(f"[train] {e}") from None
+    def train_config(self, seed: int | None = None) -> TrainConfig:
+        """[train], with `seed` in place of its seed when given."""
+        return self.train if seed is None else replace(self.train, seed=seed)
 
     def augment_policy(self) -> SpecAugmentPolicy:
-        a = self.augment
-        try:
-            return SpecAugmentPolicy(
-                n_freq_masks=a.n_freq_masks,
-                max_freq_width=a.max_freq_width,
-                n_time_masks=a.n_time_masks,
-                max_time_width=a.max_time_width,
-                mask_value=a.mask_value,
-            )
-        except ValueError as e:
-            raise ConfigError(f"[augment] {e}") from None
+        return self.augment
 
     def canonical_text(self) -> str:
         """Stable serialization: sorted sections and keys, repr-style values."""
@@ -134,11 +98,14 @@ class RunConfig:
         return hashlib.sha256(self.canonical_text().encode("utf-8")).hexdigest()
 
 
+# the keys held on `RunConfig`, not on their section's dataclass: see `RunConfig.keys`
+_RUN_KEYS = {"model": "donor_checkpoint", "augment": "pool"}
+
 _SECTION_TYPES = {
     "model": ModelConfig,
-    "train": TrainSection,
+    "train": TrainConfig,
     "data": DataSection,
-    "augment": AugmentSection,
+    "augment": SpecAugmentPolicy,
 }
 
 
@@ -176,11 +143,14 @@ def parse_config_text(text: str, base_dir: str = ".", validate_paths: bool = Fal
             if key not in known:
                 raise ConfigError(f"unknown key {key!r} in section [{name}]")
             values[key] = _coerce(name, key, raw, type(known[key]))
-        cls = _SECTION_TYPES[name]
-        own = {f.name for f in fields(cls)}
-        run_keys.update({key: values.pop(key) for key in list(values) if key not in own})
+        run_key = _RUN_KEYS.get(name)
+        if run_key in values:
+            run_keys[run_key] = values.pop(run_key)
         try:
-            sections[name] = cls(**values)
+            if name == "train":
+                values["weights"] = LossWeights(**{f.name: values.pop(f.name)
+                                                  for f in fields(LossWeights) if f.name in values})
+            sections[name] = _SECTION_TYPES[name](**values)
         except ValueError as e:
             raise ConfigError(f"[{name}] {e}") from None
 

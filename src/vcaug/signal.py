@@ -1,9 +1,9 @@
 """Waveform I/O, the log-mel frontend, and time/frequency masking.
 
 The frontend is fixed to the conventions used throughout this package:
-Hann window, HTK-style mel scale over 125-7600 Hz, natural log with a
-1e-10 floor, and no tail padding (the trailing remainder of a waveform
-that does not fill a whole frame is dropped).
+25-ms Hann window every 10 ms, HTK-style mel scale over 125-7600 Hz,
+natural log with a 1e-10 floor, and no tail padding (the trailing
+remainder of a waveform that does not fill a whole frame is dropped).
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ import numpy as np
 LOG_FLOOR = 1e-10
 MEL_FMIN_HZ = 125.0
 MEL_FMAX_HZ = 7600.0
+FRAME_SIZE_MS = 25.0
+FRAME_SHIFT_MS = 10.0
 
 # Frames per windowed-FFT block in `compute_log_mel`.  At 16 kHz and 25 ms
 # a block's temporaries are 100-130 KiB each (32 x 400 windowed samples,
@@ -92,12 +94,17 @@ class MelSpectrogram:
 
 @dataclass(frozen=True)
 class SpecAugmentPolicy:
-    """Mask counts and maximum widths; zero-mask policies are the identity."""
+    """Mask counts and maximum widths; zero-mask policies are the identity.
 
-    n_freq_masks: int = 0
-    max_freq_width: int = 0
-    n_time_masks: int = 0
-    max_time_width: int = 0
+    Every field is the `[augment]` key of the same name and default (see
+    `config.py`): two frequency and two time masks of up to 10 bins or
+    frames each, as a config without an `[augment]` section masks.
+    """
+
+    n_freq_masks: int = 2
+    max_freq_width: int = 10
+    n_time_masks: int = 2
+    max_time_width: int = 10
     mask_value: float = 0.0
 
     def __post_init__(self):
@@ -117,17 +124,12 @@ def mel_to_hz(mel):
     return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(
-    sample_rate_hz: int,
-    n_fft: int,
-    n_mels: int,
-    fmin_hz: float = MEL_FMIN_HZ,
-    fmax_hz: float = MEL_FMAX_HZ,
-) -> np.ndarray:
-    """Triangular filters (peak 1.0) on mel-spaced centers, [n_mels, n_fft//2+1]."""
+def mel_filterbank(sample_rate_hz: int, n_fft: int, n_mels: int) -> np.ndarray:
+    """Triangular filters (peak 1.0) on mel-spaced centers over
+    `MEL_FMIN_HZ`-`MEL_FMAX_HZ`, [n_mels, n_fft//2+1]."""
     n_bins = n_fft // 2 + 1
     fft_freqs = np.arange(n_bins) * sample_rate_hz / n_fft
-    edges_hz = mel_to_hz(np.linspace(hz_to_mel(fmin_hz), hz_to_mel(fmax_hz), n_mels + 2))
+    edges_hz = mel_to_hz(np.linspace(hz_to_mel(MEL_FMIN_HZ), hz_to_mel(MEL_FMAX_HZ), n_mels + 2))
     weights = np.zeros((n_mels, n_bins))
     for i in range(n_mels):
         lo, center, hi = edges_hz[i], edges_hz[i + 1], edges_hz[i + 2]
@@ -139,17 +141,16 @@ def mel_filterbank(
 
 @functools.lru_cache(maxsize=8)
 def _cached_filterbank(sample_rate_hz: int, n_fft: int, n_mels: int) -> np.ndarray:
-    """`mel_filterbank` at the default band edges, built once per shape; read-only."""
+    """`mel_filterbank`, built once per shape; read-only."""
     fbank = mel_filterbank(sample_rate_hz, n_fft, n_mels)
     fbank.flags.writeable = False
     return fbank
 
 
-def frame_geometry(sample_rate_hz: int, frame_size_ms: float = 25.0,
-                   frame_shift_ms: float = 10.0) -> tuple[int, int]:
-    """(window, hop) in samples for `compute_log_mel`'s frame size and shift."""
-    return (int(round(sample_rate_hz * frame_size_ms / 1000.0)),
-            int(round(sample_rate_hz * frame_shift_ms / 1000.0)))
+def frame_geometry(sample_rate_hz: int) -> tuple[int, int]:
+    """(window, hop) in samples of `FRAME_SIZE_MS` and `FRAME_SHIFT_MS`."""
+    return (int(round(sample_rate_hz * FRAME_SIZE_MS / 1000.0)),
+            int(round(sample_rate_hz * FRAME_SHIFT_MS / 1000.0)))
 
 
 def frame_count(n_samples: int, window: int, hop: int) -> int:
@@ -159,12 +160,7 @@ def frame_count(n_samples: int, window: int, hop: int) -> int:
     return 1 + (n_samples - window) // hop
 
 
-def compute_log_mel(
-    wave_in: Waveform,
-    n_mels: int = 80,
-    frame_size_ms: float = 25.0,
-    frame_shift_ms: float = 10.0,
-) -> MelSpectrogram:
+def compute_log_mel(wave_in: Waveform, n_mels: int = 80) -> MelSpectrogram:
     """Frame, Hann-window, and project a waveform onto log mel magnitudes.
 
     The frames are strided views of the samples.  Window, `rfft`, magnitude
@@ -173,7 +169,7 @@ def compute_log_mel(
     then run in place.  Every frame gets the same arithmetic as a one-shot
     [T, window] pass, and the result is bit-identical to it.
     """
-    window, hop = frame_geometry(wave_in.sample_rate_hz, frame_size_ms, frame_shift_ms)
+    window, hop = frame_geometry(wave_in.sample_rate_hz)
     n = len(wave_in.samples)
     t = frame_count(n, window, hop)
 

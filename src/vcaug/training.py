@@ -23,7 +23,7 @@ lowest reconstruction loss.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -147,7 +147,8 @@ class StepMetrics:
     perplexity: float
 
 
-LEDGER_FIELDS = ("recon", "codebook", "commit", "adv", "speaker_acc", "perplexity")
+# the ledger's metric columns, after the step
+LEDGER_FIELDS = tuple(f.name for f in fields(StepMetrics) if f.name != "step")
 
 
 class MetricsLedger:
@@ -159,8 +160,7 @@ class MetricsLedger:
     def append(self, m: StepMetrics) -> None:
         if self.records and m.step <= self.records[-1].step:
             raise ValueError(f"steps must increase: {m.step} after {self.records[-1].step}")
-        values = [m.recon, m.codebook, m.commit, m.adv, m.speaker_acc, m.perplexity]
-        if not all(np.isfinite(v) for v in values):
+        if not all(np.isfinite(getattr(m, f)) for f in LEDGER_FIELDS):
             raise ValueError(f"non-finite metric at step {m.step}")
         self.records.append(m)
 
@@ -187,7 +187,8 @@ class MetricsLedger:
             try:
                 if len(parts) != 1 + len(LEDGER_FIELDS):
                     raise ValueError(f"{len(parts)} fields, expected {1 + len(LEDGER_FIELDS)}")
-                ledger.append(StepMetrics(int(parts[0]), *[float(x) for x in parts[1:]]))
+                ledger.append(StepMetrics(step=int(parts[0]), **{
+                    f: float(x) for f, x in zip(LEDGER_FIELDS, parts[1:])}))
             except ValueError as e:
                 raise DataError(f"{path}:{lineno}: malformed ledger line {line!r} ({e})") from None
         return ledger
@@ -203,6 +204,10 @@ class MetricsLedger:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """The loop's settings.  Every field is the `[train]` key of the same
+    name and default (see `config.py`), but `weights`, whose fields are the
+    keys `gamma` and `delta`."""
+
     steps: int = 2000
     lr: float = 1e-4
     seed: int = 0
@@ -210,7 +215,6 @@ class TrainConfig:
     weights: LossWeights = field(default_factory=LossWeights)
     batch_size: int = 1               # utterances per step, one padded graph
     checkpoint_every: int = 0         # 0 = final checkpoint only
-    out_dir: str | None = None
 
     def __post_init__(self):
         for name, least in (("steps", 0), ("batch_size", 1), ("checkpoint_every", 0),
@@ -239,8 +243,12 @@ def feature_stats(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
 
 
 def train(model: VcModel, dataset: Dataset, cfg: TrainConfig,
-          checkpoint_meta: dict | None = None) -> TrainResult:
+          out_dir: str | Path | None = None, checkpoint_meta: dict | None = None) -> TrainResult:
     """Run the Adam loop; deterministic given the seed.
+
+    With an `out_dir` (created if missing) the run writes a checkpoint every
+    `cfg.checkpoint_every` steps and at the end, with `checkpoint_meta` in
+    each, then the ledger as `metrics.ledger`; without one it writes nothing.
 
     The same features serve as input and reconstruction target.  At step 0
     the feature statistics and the codebook are initialized from the data.
@@ -259,7 +267,7 @@ def train(model: VcModel, dataset: Dataset, cfg: TrainConfig,
     if not dataset:
         raise ValueError("dataset is empty")
     rng = np.random.default_rng(cfg.seed)
-    out_dir = Path(cfg.out_dir) if cfg.out_dir else None
+    out_dir = Path(out_dir) if out_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -446,7 +454,7 @@ def sweep_adversarial_weight(
 
 
 def sweep_configs(weights: Sequence[float], cfg: TrainConfig) -> dict[str, TrainConfig]:
-    """One in-memory `TrainConfig` per reversal weight, keyed by its label.
+    """One `TrainConfig` per reversal weight, keyed by its label.
 
     Raises `ValueError` for fewer than two weights, a weight the config rejects,
     or two weights with the same label (their ledgers would overwrite each other).
@@ -458,7 +466,7 @@ def sweep_configs(weights: Sequence[float], cfg: TrainConfig) -> dict[str, Train
         label = format_weight(w)
         if label in configs:
             raise ValueError(f"weight {w!r} repeats the label {label!r}")
-        configs[label] = replace(cfg, adversarial_weight=w, out_dir=None)
+        configs[label] = replace(cfg, adversarial_weight=w)
     return configs
 
 

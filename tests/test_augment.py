@@ -36,6 +36,9 @@ from conftest import toy_config
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
+# the identity: no masks, so no draws (the default policy masks 2 x 10 bins and frames)
+NO_MASKS = SpecAugmentPolicy(n_freq_masks=0, max_freq_width=0, n_time_masks=0, max_time_width=0)
+
 
 @pytest.fixture(scope="module")
 def toy_vc_model():
@@ -114,7 +117,7 @@ def view_pair(mel, model, pool, policy, seed):
 def test_make_view_pair_no_masks_keeps_original(toy_vc_model):
     mel = toy_mel_spec(t=10, seed=3)
     pair = view_pair(mel, toy_vc_model, aug.SpeakerPool(ids=(0, 1, 2)),
-                     SpecAugmentPolicy(), seed=5)
+                     NO_MASKS, seed=5)
     assert np.array_equal(pair.original.data, mel.data)
     assert pair.converted.data.shape == mel.data.shape
     assert pair.target_speaker_id in (0, 1, 2)
@@ -169,7 +172,7 @@ def test_emit_dataset_counts_and_manifest(tmp_path, toy_vc_model):
     corpus = make_corpus_dir(tmp_path, n=10)
     out = tmp_path / "views"
     result = aug.emit_dataset(corpus, toy_vc_model, aug.SpeakerPool(ids=(0, 1)),
-                              SpecAugmentPolicy(), out, seed=0)
+                              NO_MASKS, out, seed=0)
     assert result.n_pairs == 10
     assert not result.failures
     melfs = sorted(out.glob("*.melf"))
@@ -187,7 +190,7 @@ def test_emit_dataset_counts_and_manifest(tmp_path, toy_vc_model):
 def test_emit_dataset_rerun_byte_identical(tmp_path, toy_vc_model):
     corpus = make_corpus_dir(tmp_path, n=3)
     out1, out2 = tmp_path / "v1", tmp_path / "v2"
-    policy = SpecAugmentPolicy(n_freq_masks=1, max_freq_width=2)
+    policy = SpecAugmentPolicy(n_freq_masks=1, max_freq_width=2, n_time_masks=0)
     pool = aug.SpeakerPool(ids=(0, 1, 2))
     aug.emit_dataset(corpus, toy_vc_model, pool, policy, out1, seed=7)
     aug.emit_dataset(corpus, toy_vc_model, pool, policy, out2, seed=7)
@@ -202,7 +205,7 @@ def test_emit_dataset_empty_corpus(tmp_path, toy_vc_model):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     result = aug.emit_dataset(corpus, toy_vc_model, aug.SpeakerPool(ids=(0,)),
-                              SpecAugmentPolicy(), tmp_path / "views", seed=0)
+                              NO_MASKS, tmp_path / "views", seed=0)
     assert result.n_pairs == 0
     assert result.manifest_path.read_text() == ""
 
@@ -211,7 +214,7 @@ def test_emit_dataset_bad_file_listed_and_continues(tmp_path, toy_vc_model):
     corpus = make_corpus_dir(tmp_path, n=2)
     (corpus / "broken.melf").write_bytes(b"JUNKDATA")
     result = aug.emit_dataset(corpus, toy_vc_model, aug.SpeakerPool(ids=(0,)),
-                              SpecAugmentPolicy(), tmp_path / "views", seed=0)
+                              NO_MASKS, tmp_path / "views", seed=0)
     assert result.n_pairs == 2
     assert len(result.failures) == 1
     assert result.failures[0][0] == "broken.melf"
@@ -259,7 +262,7 @@ def test_conversion_runs_no_bottleneck_loss(tmp_path, monkeypatch, toy_vc_model)
     monkeypatch.setattr(bn, "quantize", training_only)
     np.testing.assert_array_equal(aug.convert(mel, 2, toy_vc_model).data, expected)
     result = aug.emit_dataset(make_corpus_dir(tmp_path, n=3), toy_vc_model,
-                              aug.SpeakerPool(ids=(0, 1)), SpecAugmentPolicy(),
+                              aug.SpeakerPool(ids=(0, 1)), NO_MASKS,
                               tmp_path / "views", seed=0)
     assert result.n_pairs == 3 and not result.failures
 
@@ -326,7 +329,7 @@ def test_emit_dataset_bad_files_inside_a_batch_fail_alone(tmp_path, monkeypatch,
     write_melf(corpus / "utt2_short.melf", toy_mel_spec(t=3, seed=9))
     sizes = count_batches(monkeypatch)
     result = aug.emit_dataset(corpus, toy_vc_model, aug.SpeakerPool(ids=(0, 1)),
-                              SpecAugmentPolicy(), tmp_path / "views", seed=0)
+                              NO_MASKS, tmp_path / "views", seed=0)
     assert sizes == [4]
     assert [rel for rel, _ in result.failures] == ["utt1_dim.melf", "utt2_short.melf"]
     assert "feature dim 5" in result.failures[0][1]
@@ -344,7 +347,7 @@ def test_emit_dataset_failed_batch_records_every_file(tmp_path, monkeypatch, toy
 
     monkeypatch.setattr(aug, "_convert_batch", broken)
     result = aug.emit_dataset(corpus, toy_vc_model, aug.SpeakerPool(ids=(0,)),
-                              SpecAugmentPolicy(), tmp_path / "views", seed=0)
+                              NO_MASKS, tmp_path / "views", seed=0)
     assert result.n_pairs == 0
     assert [rel for rel, _ in result.failures] == [f"utt{i}.melf" for i in range(3)]
     assert all("overflow in decode" in err for _, err in result.failures)
@@ -362,7 +365,7 @@ def test_emit_dataset_rejects_colliding_output_names(tmp_path, toy_vc_model):
     write_melf(corpus / "c.melf", toy_mel_spec(seed=4))
     out = tmp_path / "views"
     result = aug.emit_dataset(corpus, toy_vc_model, aug.SpeakerPool(ids=(0, 1)),
-                              SpecAugmentPolicy(), out, seed=0)
+                              NO_MASKS, out, seed=0)
     assert dict(result.failures).keys() == {"a/b.melf", "a__b.melf", "x/y.melf", "x/y.wav"}
     failures = dict(result.failures)
     assert "a__b.melf" in failures["a/b.melf"] and "a/b.melf" in failures["a__b.melf"]
@@ -546,7 +549,7 @@ def test_emit_dataset_payload_failures_found_by_the_reader(tmp_path, monkeypatch
     monkeypatch.setattr(aug, "EMIT_BATCH_FRAMES", 48)
     cpus(monkeypatch, n_cpus)
     result = aug.emit_dataset(corpus, toy_vc_model, aug.SpeakerPool(ids=(0, 1)),
-                              SpecAugmentPolicy(), tmp_path / "views", seed=0)
+                              NO_MASKS, tmp_path / "views", seed=0)
     failures = dict(result.failures)
     assert list(failures) == ["m_inf.melf", "w_cut.wav"]
     assert failures["m_inf.melf"].endswith("m_inf.melf: non-finite value at offset 52")
@@ -579,7 +582,7 @@ def test_emit_dataset_leaves_no_child_process(tmp_path, monkeypatch, toy_vc_mode
     corpus = mixed_length_corpus(tmp_path, [12, 30, 20, 9, 16, 24])
     monkeypatch.setattr(aug, "EMIT_BATCH_FRAMES", 32)
     cpus(monkeypatch, 2)
-    args = (toy_vc_model, aug.SpeakerPool(ids=(0, 1)), SpecAugmentPolicy())
+    args = (toy_vc_model, aug.SpeakerPool(ids=(0, 1)), NO_MASKS)
     result = aug.emit_dataset(corpus, *args, tmp_path / "ok", seed=0)
     assert result.n_pairs == 6 and not result.failures
     assert multiprocessing.active_children() == []
@@ -618,7 +621,8 @@ def test_one_process_emit_never_imports_multiprocessing(tmp_path, toy_vc_model):
         "assert 'multiprocessing' not in sys.modules, 'imported by the package'\n"
         f"m = model.load_checkpoint({str(checkpoint)!r})\n"
         f"r = augment.emit_dataset({str(corpus)!r}, m, augment.SpeakerPool.all_of(m),\n"
-        f"                         signal.SpecAugmentPolicy(), {str(tmp_path / 'views')!r}, 0)\n"
+        f"                         signal.SpecAugmentPolicy(0, 0, 0, 0),\n"
+        f"                         {str(tmp_path / 'views')!r}, 0)\n"
         "assert r.n_pairs == 3 and not r.failures\n"
         "assert 'multiprocessing' not in sys.modules, 'imported by a one-batch emit'\n"
     )
@@ -693,7 +697,7 @@ def test_emit_dataset_missing_corpus_creates_no_output(tmp_path, toy_vc_model):
     out = tmp_path / "views" / "nested"
     with pytest.raises(vd.DataError, match="corpus directory not found"):
         aug.emit_dataset(tmp_path / "missing", toy_vc_model, aug.SpeakerPool(ids=(0,)),
-                         SpecAugmentPolicy(), out, seed=0)
+                         NO_MASKS, out, seed=0)
     assert not (tmp_path / "views").exists()
 
 
@@ -703,14 +707,14 @@ def test_emit_dataset_refuses_out_dir_inside_corpus(tmp_path, toy_vc_model, out_
     before = sorted(corpus.rglob("*"))
     with pytest.raises(vd.DataError, match="inside the corpus"):
         aug.emit_dataset(corpus, toy_vc_model, aug.SpeakerPool(ids=(0,)),
-                         SpecAugmentPolicy(), tmp_path / out_rel, seed=0)
+                         NO_MASKS, tmp_path / out_rel, seed=0)
     assert sorted(corpus.rglob("*")) == before
 
 
 def test_emit_dataset_sibling_sharing_the_corpus_name_prefix_is_allowed(tmp_path, toy_vc_model):
     corpus = make_corpus_dir(tmp_path, n=3)
     result = aug.emit_dataset(corpus, toy_vc_model, aug.SpeakerPool(ids=(0,)),
-                              SpecAugmentPolicy(), tmp_path / "corpus_views", seed=0)
+                              NO_MASKS, tmp_path / "corpus_views", seed=0)
     assert result.n_pairs == 3 and not result.failures
 
 

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from vcaug import autodiff as ad
 from vcaug import cli
 from vcaug import data as vd
-from vcaug.config import ConfigError, load_config, parse_config_text
+from vcaug.config import ConfigError, RunConfig, load_config, parse_config_text
+from vcaug.signal import SpecAugmentPolicy
+from vcaug.training import TrainConfig
 
 from conftest import damage
 
@@ -18,11 +20,24 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 def test_shipped_configs_load(name):
     cfg = load_config(CONFIGS / f"{name}.cfg", validate_paths=False)
     cfg.model_config(n_speakers=4)
-    cfg.train_config()
+    assert parse_config_text(cfg.canonical_text()) == cfg
+
+
+def test_sections_parse_into_the_types_their_readers_take():
+    cfg = RunConfig()
+    assert cfg.train == cfg.train_config() == TrainConfig()
+    assert cfg.augment == cfg.augment_policy() == SpecAugmentPolicy()
+    assert cfg.keys("train") == {"steps": 2000, "lr": 1e-4, "seed": 0, "batch_size": 1,
+                                 "adversarial_weight": 0.1, "gamma": 1.0, "delta": 1.0,
+                                 "checkpoint_every": 0}
+    assert cfg.keys("augment") == {"n_freq_masks": 2, "max_freq_width": 10, "n_time_masks": 2,
+                                   "max_time_width": 10, "mask_value": 0.0, "pool": "all"}
+    assert cfg.train_config(seed=5) == TrainConfig(seed=5)
 
 
 def toy_text(replace: str = "", add: str = "") -> str:
-    """configs/toy.cfg with one `key = value` line replaced, or a line added to [train]."""
+    """configs/toy.cfg with one `key = value` line replaced, or a line added to
+    [train] (or, when `add` starts with a section header, that section appended)."""
     text = (CONFIGS / "toy.cfg").read_text(encoding="utf-8")
     if replace:
         key = replace.split("=")[0].strip()
@@ -30,7 +45,9 @@ def toy_text(replace: str = "", add: str = "") -> str:
                  for line in text.splitlines()]
         assert lines != text.splitlines(), key
         text = "\n".join(lines) + "\n"
-    if add:
+    if add.startswith("["):
+        text += f"\n{add}\n"
+    elif add:
         text = text.replace("[train]\n", f"[train]\n{add}\n")
     return text
 
@@ -45,6 +62,26 @@ def test_gradcheck_rejects_negative_samples_by_name(capsys):
     code = cli.main(["gradcheck", "--config", str(CONFIGS / "toy.cfg"), "--samples", "-1"])
     assert code == cli.EXIT_CONFIG
     assert "argument --samples: must be non-negative, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    *[("select", "--window", v) for v in ("nan", "0", "-1", "1.5")],
+    *[(command, flag, v) for command in ("select", "sweep")
+      for flag in ("--acc-max", "--ppl-min") for v in ("nan", "inf", "-0.5")],
+    *[("gradcheck", "--tolerance", v) for v in ("nan", "inf", "0", "-1e-4")],
+    *[("featurize", "--n-mels", v) for v in ("0", "-3")],
+])
+def test_numeric_options_reject_bad_values_by_name(tmp_path, capsys, command, flag, value):
+    # a usage error (1), raised before any file is read or written
+    required = {
+        "select": [str(tmp_path / "a.ledger")],
+        "sweep": ["--config", str(CONFIGS / "toy.cfg"), "--out", str(tmp_path / "out")],
+        "gradcheck": ["--config", str(CONFIGS / "toy.cfg")],
+        "featurize": ["--wav-dir", str(tmp_path), "--out", str(tmp_path / "out")],
+    }[command]
+    assert cli.main([command, *required, f"{flag}={value}"]) == cli.EXIT_CONFIG
+    assert f"argument {flag}: must be " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_help_exits_0_and_an_unknown_option_exits_1(capsys):
@@ -99,19 +136,25 @@ def test_invalid_config_values_exit_with_config_error(tmp_path, capsys, replace,
     assert "config error" in err and named in err
 
 
-@pytest.mark.parametrize("replace, named", [
-    ("vq_groups = 3", "[model] model_dim must divide evenly into codebook groups"),
-    ("n_heads = 3", "[model] model_dim 8 not divisible by 3 heads"),
-    ("encoder_blocks = 0", "[model] encoder_blocks must be a positive integer"),
-    ("lstm_layers = 0", "[model] lstm_layers must be a positive integer"),
-    ("init_seed = 1.5", "[model] init_seed: cannot parse '1.5' as int"),
-    ("init_seed = -1", "[model] init_seed must be a non-negative integer, got -1"),
-    ("commitment_weight = nan", "[model] commitment_weight must be finite and non-negative"),
+@pytest.mark.parametrize("replace, add, named", [
+    ("vq_groups = 3", "", "[model] model_dim must divide evenly into codebook groups"),
+    ("n_heads = 3", "", "[model] model_dim 8 not divisible by 3 heads"),
+    ("encoder_blocks = 0", "", "[model] encoder_blocks must be a positive integer"),
+    ("lstm_layers = 0", "", "[model] lstm_layers must be a positive integer"),
+    ("init_seed = 1.5", "", "[model] init_seed: cannot parse '1.5' as int"),
+    ("init_seed = -1", "", "[model] init_seed must be a non-negative integer, got -1"),
+    ("commitment_weight = nan", "", "[model] commitment_weight must be finite and non-negative"),
+    ("steps = -3", "", "[train] steps must be at least 0, got -3"),
+    ("", "batch_size = 0", "[train] batch_size must be at least 1, got 0"),
+    ("", "gamma = nan", "[train] gamma must be finite and non-negative, got nan"),
+    ("", "[augment]\nn_time_masks = -1", "[augment] n_time_masks must be non-negative"),
+    ("", "[augment]\nmask_value = inf", "[augment] mask_value must be finite, got inf"),
 ], ids=["vq_groups", "n_heads", "encoder_blocks", "lstm_layers", "float_init_seed",
-        "negative_init_seed", "commitment_weight"])
-def test_load_config_alone_rejects_a_bad_model_value(tmp_path, replace, named):
+        "negative_init_seed", "commitment_weight", "train_steps", "train_batch_size",
+        "train_gamma", "augment_n_time_masks", "augment_mask_value"])
+def test_load_config_alone_rejects_a_bad_model_value(tmp_path, replace, add, named):
     path = tmp_path / "bad.cfg"
-    path.write_text(toy_text(replace), encoding="utf-8")
+    path.write_text(toy_text(replace, add), encoding="utf-8")
     with pytest.raises(ConfigError) as exc:
         load_config(path, validate_paths=False)
     assert named in str(exc.value)
@@ -233,4 +276,4 @@ def test_negative_mask_count_is_a_config_error(tmp_path):
     path.write_text((CONFIGS / "desk.cfg").read_text(encoding="utf-8").replace(
         "n_time_masks = 2", "n_time_masks = -1"), encoding="utf-8")
     with pytest.raises(ConfigError, match=r"\[augment\] n_time_masks must be non-negative"):
-        load_config(path, validate_paths=False).augment_policy()
+        load_config(path, validate_paths=False)

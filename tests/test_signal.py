@@ -81,11 +81,11 @@ def test_log_mel_filterbank_cached_read_only_and_unchanged():
                                   expected.astype(np.float32))
 
 
-def one_shot_log_mel(wave, n_mels=80, frame_size_ms=25.0, frame_shift_ms=10.0):
+def one_shot_log_mel(wave, n_mels=80):
     """The frontend as a single [T, window] pass: a gather-index array, a
-    gathered copy and a windowed copy of every frame at once."""
-    window = int(round(wave.sample_rate_hz * frame_size_ms / 1000.0))
-    hop = int(round(wave.sample_rate_hz * frame_shift_ms / 1000.0))
+    gathered copy and a windowed copy of every 25-ms frame every 10 ms at once."""
+    window = int(round(wave.sample_rate_hz * 25.0 / 1000.0))
+    hop = int(round(wave.sample_rate_hz * 10.0 / 1000.0))
     t = sig.frame_count(len(wave.samples), window, hop)
     n_fft = 1
     while n_fft < window:
@@ -98,20 +98,22 @@ def one_shot_log_mel(wave, n_mels=80, frame_size_ms=25.0, frame_shift_ms=10.0):
     return np.log(np.maximum(mag @ fbank.T, sig.LOG_FLOOR)).astype(np.float32)
 
 
-@pytest.mark.parametrize("n_samples, frame_size_ms, frame_shift_ms", [
-    *[(400 + (t - 1) * 160, 25.0, 10.0) for t in (1, 31, 32, 33, 64, 65)],
-    (64000, 25.0, 10.0),       # a 4-s file: 398 frames, 13 blocks
-    (64000 + 77, 32.0, 12.5),  # 512-sample window, 200-sample hop, ragged tail
-    (9000, 20.0, 5.0),         # 320-sample window, 80-sample hop
-])
-def test_log_mel_blocks_bit_identical_to_one_shot_pass(n_samples, frame_size_ms,
-                                                       frame_shift_ms):
+# 400-sample windows every 160 samples at 16 kHz; each id names the
+# sample count and the frame size and shift in ms
+@pytest.mark.parametrize("n_samples", [
+    pytest.param(n, id=f"{n}-{sig.FRAME_SIZE_MS}-{sig.FRAME_SHIFT_MS}") for n in [
+        *[400 + (t - 1) * 160 for t in (1, 31, 32, 33, 64, 65)],
+        64000,        # a 4-s file: 398 frames, 13 blocks
+        64000 + 77,   # ragged tail
+        9000,         # 54 frames and a 120-sample tail
+    ]])
+def test_log_mel_blocks_bit_identical_to_one_shot_pass(n_samples):
     rng = np.random.default_rng(n_samples)
     t = np.arange(n_samples) / 16000
     wave = sig.Waveform(samples=0.4 * np.sin(2 * np.pi * 310.0 * t)
                         + 0.1 * rng.uniform(-1, 1, n_samples), sample_rate_hz=16000)
-    mel = sig.compute_log_mel(wave, frame_size_ms=frame_size_ms, frame_shift_ms=frame_shift_ms)
-    expected = one_shot_log_mel(wave, frame_size_ms=frame_size_ms, frame_shift_ms=frame_shift_ms)
+    mel = sig.compute_log_mel(wave)
+    expected = one_shot_log_mel(wave)
     assert mel.data.dtype == np.float32 and mel.data.shape == expected.shape
     assert np.array_equal(mel.data, expected)
 
@@ -123,7 +125,7 @@ def rand_mel(rng, t=40, m=80):
 def test_spec_augment_zero_masks_is_identity():
     rng = np.random.default_rng(0)
     mel = rand_mel(rng)
-    out = sig.spec_augment(mel, sig.SpecAugmentPolicy(), np.random.default_rng(1))
+    out = sig.spec_augment(mel, sig.SpecAugmentPolicy(0, 0, 0, 0), np.random.default_rng(1))
     assert np.array_equal(out.data, mel.data)
     assert out.data is not mel.data
 
@@ -131,7 +133,7 @@ def test_spec_augment_zero_masks_is_identity():
 def test_spec_augment_single_freq_mask_band():
     rng = np.random.default_rng(2)
     mel = rand_mel(rng)
-    policy = sig.SpecAugmentPolicy(n_freq_masks=1, max_freq_width=8)
+    policy = sig.SpecAugmentPolicy(n_freq_masks=1, max_freq_width=8, n_time_masks=0)
     out = sig.spec_augment(mel, policy, np.random.default_rng(3))
     changed = np.any(out.data != mel.data, axis=0)
     cols = np.flatnonzero(changed)
@@ -146,7 +148,7 @@ def test_spec_augment_single_freq_mask_band():
 def test_spec_augment_full_time_mask_allowed():
     rng = np.random.default_rng(4)
     mel = rand_mel(rng, t=12)
-    policy = sig.SpecAugmentPolicy(n_time_masks=1, max_time_width=12)
+    policy = sig.SpecAugmentPolicy(n_freq_masks=0, n_time_masks=1, max_time_width=12)
     out = sig.spec_augment(mel, policy, np.random.default_rng(5))
     changed_rows = np.any(out.data != mel.data, axis=1)
     rows = np.flatnonzero(changed_rows)

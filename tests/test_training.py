@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -264,7 +265,7 @@ def test_train_seed_determinism():
 
 def test_train_writes_checkpoints_and_ledger(tmp_path):
     model = VcModel(toy_config(seed=2))
-    result = tr.train(model, toy_corpus(), toy_train_cfg(steps=4, out_dir=str(tmp_path)))
+    result = tr.train(model, toy_corpus(), toy_train_cfg(steps=4), out_dir=tmp_path)
     assert (tmp_path / "stepfinal.vcck").exists()
     assert (tmp_path / "metrics.ledger").exists()
     assert result.final_step == 4
@@ -273,7 +274,7 @@ def test_train_writes_checkpoints_and_ledger(tmp_path):
 
 def test_train_zero_steps_writes_initial_state(tmp_path):
     model = VcModel(toy_config(seed=3))
-    result = tr.train(model, toy_corpus(), toy_train_cfg(steps=0, out_dir=str(tmp_path)))
+    result = tr.train(model, toy_corpus(), toy_train_cfg(steps=0), out_dir=tmp_path)
     assert (tmp_path / "stepfinal.vcck").exists()
     assert len(result.ledger) == 0
     assert (tmp_path / "metrics.ledger").read_text() == ""
@@ -293,14 +294,13 @@ def test_train_divergence_tripwire(tmp_path):
     model = VcModel(toy_config(seed=5))
     model.params["dec.proj.w"].values[:] = np.float32(1e30)  # provoke overflow
     with np.errstate(all="ignore"), pytest.raises(tr.DivergenceError):
-        tr.train(model, toy_corpus(), toy_train_cfg(steps=10, out_dir=str(tmp_path)))
+        tr.train(model, toy_corpus(), toy_train_cfg(steps=10), out_dir=tmp_path)
 
 
 @pytest.mark.parametrize("frozen", [False, True], ids=["trainable", "frozen_encoder"])
 def test_train_releases_every_parameter_gradient(tmp_path, frozen):
     model = VcModel(toy_config(seed=6, frozen=frozen))
-    tr.train(model, toy_corpus(), toy_train_cfg(steps=2, checkpoint_every=1,
-                                                out_dir=str(tmp_path)))
+    tr.train(model, toy_corpus(), toy_train_cfg(steps=2, checkpoint_every=1), out_dir=tmp_path)
     assert [name for name, p in model.params.items() if p.grad is not None] == []
 
 
@@ -386,10 +386,10 @@ class PoisonedAfter(list):
 
 
 def test_divergence_checkpoint_holds_last_completed_step(tmp_path):
-    cfg = toy_train_cfg(steps=5, batch_size=2, out_dir=str(tmp_path))
+    cfg = toy_train_cfg(steps=5, batch_size=2)
     model = VcModel(toy_config(seed=9))
     with np.errstate(all="ignore"), pytest.raises(tr.DivergenceError) as err:
-        tr.train(model, PoisonedAfter(toy_corpus(), clean=4), cfg)
+        tr.train(model, PoisonedAfter(toy_corpus(), clean=4), cfg, out_dir=tmp_path)
     assert err.value.step == 3
     assert err.value.checkpoint_path.endswith("step000002-lastgood.vcck")
     saved = load_checkpoint(err.value.checkpoint_path)
@@ -488,10 +488,12 @@ def test_sweep_rejects_bad_weights_before_training(tmp_path, monkeypatch, capsys
 
 
 def test_sweep_configs_one_checked_config_per_label():
-    configs = tr.sweep_configs([0.0, 0.5], toy_train_cfg(out_dir="somewhere"))
+    base = toy_train_cfg()
+    configs = tr.sweep_configs([0.0, 0.5], base)
     assert list(configs) == ["0", "0.5"]
     assert [c.adversarial_weight for c in configs.values()] == [0.0, 0.5]
-    assert all(c.out_dir is None for c in configs.values())
+    assert all(replace(c, adversarial_weight=base.adversarial_weight) == base
+               for c in configs.values())
 
 
 def test_sweep_runs_and_reports():
