@@ -18,6 +18,8 @@ def main(argv=None):
         parser.error(f"--speakers must be at least 1, got {args.speakers}")
     if args.utterances < 1:
         parser.error(f"--utterances must be at least 1, got {args.utterances}")
+    if args.seed < 0:
+        parser.error(f"--seed must be non-negative, got {args.seed}")
     if not args.duration >= CROSSFADE_S:
         parser.error(f"--duration must be at least one {CROSSFADE_S * 1000:g}-ms crossfade, "
                      f"got {args.duration:g} s")

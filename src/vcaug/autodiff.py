@@ -723,15 +723,17 @@ def bilstm_layer(x: Tensor, fwd_weights: Sequence[Tensor], bwd_weights: Sequence
     return _record(out, bwd)
 
 
-def layer_norm(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None,
-               eps: float = 1e-5) -> Tensor:
+LN_EPS = 1e-5
+
+
+def layer_norm(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None) -> Tensor:
     """Normalize the last axis to zero mean and unit variance, then an optional
     gain and bias ([D] each); one op.
 
-    y = (x - mean) / sqrt(var + eps) * gain + bias, with the mean and the
+    y = (x - mean) / sqrt(var + LN_EPS) * gain + bias, with the mean and the
     variance accumulated in float64 and cast back.  With x_hat the
     normalized input and g' = dy * gain, backward is
-    dx = (g' - mean(g') - x_hat * mean(g' * x_hat)) / sqrt(var + eps),
+    dx = (g' - mean(g') - x_hat * mean(g' * x_hat)) / sqrt(var + LN_EPS),
     dgain = sum(dy * x_hat) and dbias = sum(dy) over every leading row.
     """
     if x.ndim == 0 or any(p is not None and p.shape != x.shape[-1:] for p in (gain, bias)):
@@ -739,7 +741,7 @@ def layer_norm(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None
     xv = x.values
     x_hat = xv - xv.mean(axis=-1, keepdims=True, dtype=np.float64).astype(xv.dtype)
     var = (x_hat * x_hat).mean(axis=-1, keepdims=True, dtype=np.float64).astype(xv.dtype)
-    inv = (var + np.asarray(eps, dtype=xv.dtype)) ** -0.5
+    inv = (var + np.asarray(LN_EPS, dtype=xv.dtype)) ** -0.5
     x_hat *= inv
     y = x_hat if gain is None else x_hat * gain.values
     if bias is not None:
@@ -904,11 +906,13 @@ class GradCheckReport:
         return self.max_rel_err < tol
 
 
+FD_STEP = 1e-5      # central-difference half step
+FD_REL_FLOOR = 1e-4  # least relative-error denominator
+
+
 def check_gradients(
     fn: Callable[[], Tensor],
     params: dict[str, Tensor],
-    eps: float = 1e-5,
-    rel_floor: float = 1e-4,
     sample_per_param: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> GradCheckReport:
@@ -920,10 +924,9 @@ def check_gradients(
     `RuntimeError` if it detaches a different sequence.  With
     `sample_per_param` set, only that many randomly chosen elements of each
     parameter are probed (the analytic gradient is still the full one).
-    Relative error uses max(|analytic|, |numeric|, rel_floor) as denominator.
+    The differences step `FD_STEP` each way, and relative error uses
+    max(|analytic|, |numeric|, FD_REL_FLOOR) as denominator.
     """
-    if not 1e-6 <= eps <= 1e-3:
-        raise ValueError(f"eps must lie in [1e-6, 1e-3], got {eps}")
     if rng is None:
         rng = np.random.default_rng(0)
     _STATE.frozen, _STATE.cursor = [], None
@@ -961,11 +964,12 @@ def check_gradients(
             for i in idxs:
                 orig = flat[i]
                 try:   # the parameter is restored even when fn raises
-                    numeric = (f_at(flat, i, orig + eps) - f_at(flat, i, orig - eps)) / (2.0 * eps)
+                    numeric = ((f_at(flat, i, orig + FD_STEP) - f_at(flat, i, orig - FD_STEP))
+                               / (2.0 * FD_STEP))
                 finally:
                     flat[i] = orig
                 err = abs(float(ana[i]) - numeric)
-                worst = max(worst, err / max(abs(float(ana[i])), abs(numeric), rel_floor))
+                worst = max(worst, err / max(abs(float(ana[i])), abs(numeric), FD_REL_FLOOR))
             report[name] = worst
     finally:
         _STATE.frozen = _STATE.cursor = None

@@ -187,7 +187,7 @@ def cmd_gradcheck(args) -> int:
         return tr.total_loss(recon_loss, qr.codebook_loss, qr.commit_loss, adv_loss, weights)
 
     report = ad.check_gradients(
-        loss_fn, model.params, eps=1e-5,
+        loss_fn, model.params,
         sample_per_param=args.samples or None, rng=np.random.default_rng(seed),
     )
     worst = max(report.per_param, key=report.per_param.get)
@@ -248,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="run the training loop")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_non_negative_int, default=None)
     p.set_defaults(handler=cmd_train)
 
     p = sub.add_parser(
@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--weights", default="0.0,0.1,0.5,1.0")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_non_negative_int, default=None)
     p.add_argument("--acc-max", type=_non_negative_float, default=0.2)
     p.add_argument("--ppl-min", type=_non_negative_float, default=None)
     p.set_defaults(handler=cmd_sweep)
@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("ledgers", nargs="+")
     p.add_argument("--acc-max", type=_non_negative_float, default=0.2)
     p.add_argument("--ppl-min", type=_non_negative_float, default=64.0)
-    p.add_argument("--window", type=_fraction, default=0.1)
+    p.add_argument("--window", type=_fraction, default=tr.FINAL_WINDOW)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=cmd_select)
 
@@ -285,12 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--corpus", default=None, help="override [data] corpus")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_non_negative_int, default=None)
     p.set_defaults(handler=cmd_augment)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the full loss")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_non_negative_int, default=None)
     p.add_argument("--samples", type=_non_negative_int, default=4,
                    help="elements probed per tensor (0 = every element)")
     p.add_argument("--tolerance", type=_positive_float, default=1e-4)

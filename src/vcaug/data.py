@@ -66,11 +66,15 @@ class Phone:
     level_db: float
 
 
-def phone_alphabet(n_phones: int = 20, seed: int = 17) -> list[Phone]:
+N_PHONES = 20     # the size of the shared alphabet
+PHONE_SEED = 17   # its draw is fixed, so every corpus shares one alphabet
+
+
+def phone_alphabet() -> list[Phone]:
     """Shared content shapes, confined to the band above the speaker cues."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(PHONE_SEED)
     phones = []
-    for _ in range(n_phones):
+    for _ in range(N_PHONES):
         p1 = float(rng.uniform(900.0, 3000.0))
         p2 = float(rng.uniform(3000.0, 6800.0))
         w1 = float(rng.uniform(150.0, 400.0))
@@ -87,6 +91,7 @@ def _phone_gain(phone: Phone, freqs_hz: np.ndarray) -> np.ndarray:
     return 10.0 ** (gain_db / 20.0)
 
 
+SAMPLE_RATE_HZ = 16000   # every synthetic waveform's rate
 CROSSFADE_S = 0.008   # moving-average length that blends neighbouring phones
 
 
@@ -94,10 +99,10 @@ def synth_utterance(
     profile: SpeakerProfile,
     rng: np.random.Generator,
     duration_s: float = 1.0,
-    sample_rate_hz: int = 16000,
     alphabet: list[Phone] | None = None,
 ) -> Waveform:
-    """One utterance: a random phone sequence rendered with the speaker envelope.
+    """One utterance at `SAMPLE_RATE_HZ`: a random phone sequence rendered with
+    the speaker envelope.
 
     The signal is `rhythm(t) * sum_k amps_k * content_k(t) * sin(k*theta + phi_k)`
     with `theta = 2*pi*f0*t`, where `content_k` holds each phone's harmonic
@@ -120,8 +125,8 @@ def synth_utterance(
     """
     if alphabet is None:
         alphabet = phone_alphabet()
-    n = int(round(duration_s * sample_rate_hz))
-    fade = max(1, int(CROSSFADE_S * sample_rate_hz))
+    n = int(round(duration_s * SAMPLE_RATE_HZ))
+    fade = max(1, int(CROSSFADE_S * SAMPLE_RATE_HZ))
     if n < fade:
         raise ValueError(f"utterance of {n} samples is shorter than one "
                          f"{fade}-sample crossfade")
@@ -132,14 +137,14 @@ def synth_utterance(
     # segment the utterance into phone-length spans (roughly 80-160 ms)
     bounds = [0]
     while bounds[-1] < n:
-        span = int(rng.uniform(0.08, 0.16) * sample_rate_hz)
+        span = int(rng.uniform(0.08, 0.16) * SAMPLE_RATE_HZ)
         bounds.append(min(bounds[-1] + span, n))
     phone_ids = rng.integers(0, len(alphabet), size=len(bounds) - 1)
     rhythm_hz = rng.uniform(2.0, 6.0)
     rhythm_phase = rng.uniform(0.0, 2 * np.pi)
     phases = rng.uniform(0.0, 2 * np.pi, size=n_harmonics)
 
-    t = np.arange(n) / sample_rate_hz
+    t = np.arange(n) / SAMPLE_RATE_HZ
     z = np.exp(2j * np.pi * profile.f0_hz * t)
     coeffs = speaker_amps * np.exp(1j * phases)
     lead = (fade - 1) // 2
@@ -160,18 +165,17 @@ def synth_utterance(
     peak = np.abs(x).max()
     if peak > 0:
         x = 0.3 * x / peak
-    return Waveform(samples=x, sample_rate_hz=sample_rate_hz)
+    return Waveform(samples=x, sample_rate_hz=SAMPLE_RATE_HZ)
 
 
-def _corpus_waves(n_speakers: int, utts_per_speaker: int, seed: int, duration_s: float,
-                  sample_rate_hz: int):
+def _corpus_waves(n_speakers: int, utts_per_speaker: int, seed: int, duration_s: float):
     """Yield `(speaker, index, waveform)` for the fixed-seed corpus, speaker by speaker."""
     profiles = speaker_profiles(n_speakers, seed)
     alphabet = phone_alphabet()
     rng = np.random.default_rng([seed, 1])
     for spk, profile in enumerate(profiles):
         for u in range(utts_per_speaker):
-            yield spk, u, synth_utterance(profile, rng, duration_s, sample_rate_hz, alphabet)
+            yield spk, u, synth_utterance(profile, rng, duration_s, alphabet)
 
 
 def synthetic_corpus(
@@ -179,11 +183,10 @@ def synthetic_corpus(
     utts_per_speaker: int = 10,
     seed: int = 0,
     duration_s: float = 1.0,
-    sample_rate_hz: int = 16000,
     n_mels: int = 80,
 ) -> list[tuple[MelSpectrogram, int]]:
     """Featurized fixed-seed corpus as (mel, speaker_id) pairs."""
-    waves = _corpus_waves(n_speakers, utts_per_speaker, seed, duration_s, sample_rate_hz)
+    waves = _corpus_waves(n_speakers, utts_per_speaker, seed, duration_s)
     return [(compute_log_mel(wave, n_mels=n_mels), spk) for spk, _, wave in waves]
 
 
@@ -244,14 +247,12 @@ def write_corpus_tree(
     utts_per_speaker: int = 10,
     seed: int = 0,
     duration_s: float = 1.0,
-    sample_rate_hz: int = 16000,
 ) -> Path:
     """Materialize a synthetic corpus: `<dir>/<speaker>/uNN.wav` + speakers.tsv."""
     corpus_dir = Path(corpus_dir)
     corpus_dir.mkdir(parents=True, exist_ok=True)
     names = [f"spk{idx}" for idx in range(n_speakers)]
-    for spk, u, wave in _corpus_waves(n_speakers, utts_per_speaker, seed, duration_s,
-                                      sample_rate_hz):
+    for spk, u, wave in _corpus_waves(n_speakers, utts_per_speaker, seed, duration_s):
         (corpus_dir / names[spk]).mkdir(exist_ok=True)
         write_wav(corpus_dir / names[spk] / f"u{u:02d}.wav", wave)
     map_path = corpus_dir / "speakers.tsv"

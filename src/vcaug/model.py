@@ -54,28 +54,12 @@ from .signal import MelSpectrogram, write_then_replace
 CHECKPOINT_MAGIC = b"VCCK"
 CHECKPOINT_VERSION = 1
 
-LN_EPS = 1e-5
-
 # Fixed architecture sizes.
 SUBSAMPLE_FACTOR = 4   # the encoder's two stride-2 convs
 CONV_KERNEL = 3        # subsampling and depthwise convs
 FF_MULTIPLIER = 2      # feed-forward hidden width over model_dim
 UPSAMPLE_KERNEL = 4    # each stride-2 transposed conv of the decoder
 MIN_FRAMES = 4         # the shortest input `encode` accepts
-
-# Config snapshots in checkpoints written before `ModelConfig` was flat nest
-# the encoder and decoder fields under "encoder" and "decoder" and call
-# `init_seed` "seed".  Per nested key: a str is the field it became; an int
-# is a size that was a field before it became a constant above, accepted
-# only at exactly that value.
-_NESTED_SNAPSHOT = {
-    "encoder": {"n_blocks": "encoder_blocks", "model_dim": "model_dim", "n_heads": "n_heads",
-                "frozen": "frozen", "subsample_factor": SUBSAMPLE_FACTOR,
-                "conv_kernel": CONV_KERNEL, "ff_multiplier": FF_MULTIPLIER},
-    "decoder": {"n_lstm_layers": "lstm_layers", "lstm_dim": "lstm_dim",
-                "upsample_kernel": UPSAMPLE_KERNEL},
-}
-
 
 class CheckpointError(ValueError):
     """Malformed, tampered, or incompatible checkpoint file."""
@@ -140,18 +124,7 @@ class ModelConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":
-        """The config of a checkpoint's snapshot, flat or nested; every field is required."""
-        d = dict(d)
-        if "encoder" in d:
-            d["init_seed"] = d.pop("seed")
-            for section, table in _NESTED_SNAPSHOT.items():
-                for key, value in dict(d.pop(section)).items():
-                    if key not in table:
-                        raise ValueError(f"unknown key {section}.{key}")
-                    if isinstance(table[key], str):
-                        d[table[key]] = value
-                    elif type(value) is not int or value != table[key]:
-                        raise ValueError(f"{section}.{key} is fixed at {table[key]}, got {value!r}")
+        """The config of a checkpoint's snapshot, one key per field; every field is required."""
         missing = [f.name for f in fields(ModelConfig) if f.name not in d]
         if missing:
             raise ValueError(f"missing keys {missing}")
@@ -319,7 +292,7 @@ class VcModel:
     # -- forward pieces -----------------------------------------------------
 
     def _ln(self, x: Tensor, name: str) -> Tensor:
-        return ad.layer_norm(x, self.params[f"{name}.g"], self.params[f"{name}.b"], eps=LN_EPS)
+        return ad.layer_norm(x, self.params[f"{name}.g"], self.params[f"{name}.b"])
 
     def _attention(self, x: Tensor, prefix: str, lengths=None) -> Tensor:
         """Multi-head self-attention with the heads on a batch axis: one QKᵀ,
@@ -381,7 +354,7 @@ class VcModel:
         enc_lengths = _encoded_lengths(lengths)
         for i in range(self.config.encoder_blocks):
             x = self._encoder_block(x, i, enc_lengths)
-        return ad.layer_norm(x, eps=LN_EPS)
+        return ad.layer_norm(x)
 
     def embed_and_concat(self, bottleneck_out: Tensor, speaker_id) -> tuple[Tensor, Tensor]:
         """The decoder's input: the content frames and the speaker row.
@@ -484,7 +457,6 @@ def save_checkpoint(model: VcModel, path, extra_meta: dict | None = None) -> Non
     meta = {
         "config": model.config.to_dict(),
         "content_hash": content_hash.hexdigest(),
-        "n_tensors": len(model.params) + 2,
         "extra": extra_meta or {},
     }
     meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -502,8 +474,8 @@ def read_checkpoint_raw(path, slots=None) -> tuple[dict, int, dict[str, np.ndarr
     The file is read once: each tensor goes straight into its own f32
     array, and the table is hashed as it is read.  `slots`, given, is
     called with the metadata before the table is read and returns
-    name -> array; a tensor whose name and shape match one of those arrays
-    is read into it instead (through a f32 copy when its dtype differs).
+    name -> f32 array; a tensor whose name and shape match one of those
+    arrays is read into it instead.
     Every way the file can be malformed raises `CheckpointError`; a table
     that fails both to parse and to match its hash is reported as a hash
     mismatch.
@@ -583,14 +555,11 @@ def _read_tensor_table(f, size: int, digest, dest=None) -> dict[str, np.ndarray]
         slot = (dest or {}).get(name)
         if slot is None or slot.shape != shape:
             slot = np.empty(shape, "<f4")
-        arr = slot if slot.dtype == "<f4" else np.empty(shape, "<f4")
-        payload = memoryview(arr.reshape(-1)).cast("B")
+        payload = memoryview(slot.reshape(-1)).cast("B")
         if f.readinto(payload) != n_bytes:
             raise ValueError(f"tensor {name} is cut short")
         digest.update(payload)
         left -= n_bytes
-        if arr is not slot:
-            slot[...] = arr
         named[name] = slot
     return named
 
@@ -616,7 +585,7 @@ def _checked_arrays(named: dict[str, np.ndarray], expected: dict[str, np.ndarray
     return {name: named[name] for name in expected}
 
 
-def load_checkpoint(path, dtype=np.float32) -> VcModel:
+def load_checkpoint(path) -> VcModel:
     """Rebuild a model from its snapshot; forward outputs reproduce bit-exactly.
 
     The model is built undrawn from the config in the metadata, and each
@@ -629,7 +598,7 @@ def load_checkpoint(path, dtype=np.float32) -> VcModel:
     def slots(meta: dict) -> dict[str, np.ndarray]:
         nonlocal model
         try:
-            model = VcModel(_config_from_meta(meta, path), dtype=dtype, draw=False)
+            model = VcModel(_config_from_meta(meta, path), draw=False)
         except MemoryError:
             raise CheckpointError(f"{path}: config too large to allocate") from None
         return _named_arrays(model)

@@ -26,14 +26,15 @@ FRAME_SIZE_MS = 25.0
 FRAME_SHIFT_MS = 10.0
 
 # Frames per windowed-FFT block in `compute_log_mel`.  At 16 kHz and 25 ms
-# a block's temporaries are 100-130 KiB each (32 x 400 windowed samples,
-# 32 x 257 complex bins), where a one-shot [T, 400] pass built about 3.5 MB
+# the two largest block temporaries, the zero-padded 31 x 512 FFT input
+# (126,976 B) and the 31 x 257 complex spectrum (127,472 B), stay under
+# glibc's default 128-KiB mmap threshold, so a block can reuse heap memory;
+# at 32 frames both reach it.  A one-shot [T, 400] pass built about 3.5 MB
 # of fresh arrays per 2-s file, each one large enough for glibc to map and
-# unmap.  Per 2-s file (best of 9 x 100, OpenBLAS 1 thread, 2 vCPUs):
-# 2.5-2.9 -> 1.4-1.6 ms with glibc's default malloc settings, 3.5-4.3 ->
-# 1.5-1.9 ms with the mmap threshold fixed at 128 KiB; 0.5-s files hold
-# their time (default) or halve it (fixed threshold).
-LOG_MEL_BLOCK_FRAMES = 32
+# unmap.  Per 2-s file (best of 9 x 100, OpenBLAS 1 thread, 2 vCPUs), 32-frame
+# blocks took 2.5-2.9 -> 1.4-1.6 ms with glibc's default malloc settings and
+# 3.5-4.3 -> 1.5-1.9 ms with the mmap threshold fixed at 128 KiB.
+LOG_MEL_BLOCK_FRAMES = 31
 
 MELF_MAGIC = b"MELF"
 MELF_VERSION = 1

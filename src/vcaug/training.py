@@ -149,6 +149,7 @@ class StepMetrics:
 
 # the ledger's metric columns, after the step
 LEDGER_FIELDS = tuple(f.name for f in fields(StepMetrics) if f.name != "step")
+FINAL_WINDOW = 0.1   # the share of a run's last steps that its final-window means cover
 
 
 class MetricsLedger:
@@ -193,7 +194,7 @@ class MetricsLedger:
                 raise DataError(f"{path}:{lineno}: malformed ledger line {line!r} ({e})") from None
         return ledger
 
-    def final_window_means(self, fraction: float = 0.1) -> dict[str, float]:
+    def final_window_means(self, fraction: float = FINAL_WINDOW) -> dict[str, float]:
         """Mean of each column over the last `fraction` of recorded steps."""
         if not self.records:
             raise ValueError("empty ledger")
@@ -217,8 +218,8 @@ class TrainConfig:
     checkpoint_every: int = 0         # 0 = final checkpoint only
 
     def __post_init__(self):
-        for name, least in (("steps", 0), ("batch_size", 1), ("checkpoint_every", 0),
-                            ("adversarial_weight", 0)):
+        for name, least in (("steps", 0), ("seed", 0), ("batch_size", 1),
+                            ("checkpoint_every", 0), ("adversarial_weight", 0)):
             if not getattr(self, name) >= least:   # NaN fails too
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if not 0 < self.lr < math.inf:
@@ -237,9 +238,25 @@ Dataset = Sequence[tuple[MelSpectrogram, int]]
 
 
 def feature_stats(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Per-bin mean and standard deviation over every frame in the corpus."""
-    stacked = np.concatenate([mel.data for mel, _ in dataset], axis=0)
-    return stacked.mean(axis=0), stacked.std(axis=0)
+    """Per-bin mean and standard deviation over every frame in the corpus.
+
+    Two passes, one utterance at a time: the per-bin sum, then the sum of
+    squared deviations from the mean.  Each adds the rows in corpus order
+    onto its running sum, as an axis-0 reduction over the concatenated
+    frames does, so both statistics equal that array's `mean` and `std` bit
+    for bit without a copy of the corpus.
+    """
+    def row_sum(blocks) -> np.ndarray:
+        acc = None
+        for block in blocks:
+            rows = block if acc is None else np.concatenate([acc[None], block])
+            acc = np.add.reduce(rows, axis=0)
+        return acc
+
+    n_frames = sum(mel.n_frames for mel, _ in dataset)
+    mean = row_sum(mel.data for mel, _ in dataset) / n_frames
+    var = row_sum(np.square(mel.data - mean) for mel, _ in dataset) / n_frames
+    return mean, np.sqrt(var)
 
 
 def train(model: VcModel, dataset: Dataset, cfg: TrainConfig,
@@ -430,11 +447,11 @@ def sweep_adversarial_weight(
     model_factory: Callable[[], VcModel],
     dataset: Dataset,
     cfg: TrainConfig,
-    window: float = 0.1,
     acc_max: float = 0.2,
     ppl_min: float | None = None,
 ) -> SweepResult:
-    """One fresh training run per reversal weight, compared on final-window means.
+    """One fresh training run per reversal weight, compared on final-window
+    means over the last `FINAL_WINDOW` of its steps.
 
     Every candidate's config is built, and so range-checked, before the first run.
     """
@@ -446,7 +463,7 @@ def sweep_adversarial_weight(
         n_entries = model.config.vq_entries
         result = train(model, dataset, run_cfg)
         ledgers[label] = result.ledger
-        candidates.append(CandidateMetrics.from_ledger(label, result.ledger, window))
+        candidates.append(CandidateMetrics.from_ledger(label, result.ledger, FINAL_WINDOW))
     if ppl_min is None:
         ppl_min = n_entries / 2
     report = select_model(candidates, acc_max=acc_max, ppl_min=ppl_min)

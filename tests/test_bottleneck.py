@@ -310,7 +310,7 @@ def test_whole_vector_quantize_matches_per_group_composition(case):
 
         params = {k: model.params[k] for k in ("vq.group0.codebook", "vq.group1.codebook",
                                                 "enc.block0.ff.w2")}
-        report = ad.check_gradients(fn, params, eps=1e-5, sample_per_param=3)
+        report = ad.check_gradients(fn, params, sample_per_param=3)
         assert report.ok(1e-4), report.per_param
         assert len(pairs) == 1 + 2 * 3 * len(params)
         for qr, ref in pairs:

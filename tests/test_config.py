@@ -70,12 +70,16 @@ def test_gradcheck_rejects_negative_samples_by_name(capsys):
       for flag in ("--acc-max", "--ppl-min") for v in ("nan", "inf", "-0.5")],
     *[("gradcheck", "--tolerance", v) for v in ("nan", "inf", "0", "-1e-4")],
     *[("featurize", "--n-mels", v) for v in ("0", "-3")],
+    *[(command, "--seed", "-1") for command in ("train", "sweep", "augment", "gradcheck")],
 ])
 def test_numeric_options_reject_bad_values_by_name(tmp_path, capsys, command, flag, value):
     # a usage error (1), raised before any file is read or written
     required = {
+        "train": ["--config", str(CONFIGS / "toy.cfg"), "--out", str(tmp_path / "out")],
         "select": [str(tmp_path / "a.ledger")],
         "sweep": ["--config", str(CONFIGS / "toy.cfg"), "--out", str(tmp_path / "out")],
+        "augment": ["--config", str(CONFIGS / "toy.cfg"), "--checkpoint",
+                    str(tmp_path / "model.vcck"), "--out", str(tmp_path / "out")],
         "gradcheck": ["--config", str(CONFIGS / "toy.cfg")],
         "featurize": ["--wav-dir", str(tmp_path), "--out", str(tmp_path / "out")],
     }[command]
@@ -145,12 +149,13 @@ def test_invalid_config_values_exit_with_config_error(tmp_path, capsys, replace,
     ("init_seed = -1", "", "[model] init_seed must be a non-negative integer, got -1"),
     ("commitment_weight = nan", "", "[model] commitment_weight must be finite and non-negative"),
     ("steps = -3", "", "[train] steps must be at least 0, got -3"),
+    ("seed = -1", "", "[train] seed must be at least 0, got -1"),
     ("", "batch_size = 0", "[train] batch_size must be at least 1, got 0"),
     ("", "gamma = nan", "[train] gamma must be finite and non-negative, got nan"),
     ("", "[augment]\nn_time_masks = -1", "[augment] n_time_masks must be non-negative"),
     ("", "[augment]\nmask_value = inf", "[augment] mask_value must be finite, got inf"),
 ], ids=["vq_groups", "n_heads", "encoder_blocks", "lstm_layers", "float_init_seed",
-        "negative_init_seed", "commitment_weight", "train_steps", "train_batch_size",
+        "negative_init_seed", "commitment_weight", "train_steps", "train_seed", "train_batch_size",
         "train_gamma", "augment_n_time_masks", "augment_mask_value"])
 def test_load_config_alone_rejects_a_bad_model_value(tmp_path, replace, add, named):
     path = tmp_path / "bad.cfg"

@@ -297,6 +297,7 @@ def test_corpus_script_writes_tree(tmp_path, capsys):
 @pytest.mark.parametrize("flag, value, named", [
     ("--speakers", "0", "--speakers must be at least 1"),
     ("--utterances", "0", "--utterances must be at least 1"),
+    ("--seed", "-1", "--seed must be non-negative"),
     ("--duration", "0.005", "--duration must be at least one 8-ms crossfade"),
     ("--duration", "nan", "--duration must be at least one 8-ms crossfade"),
 ])

@@ -102,7 +102,7 @@ def one_shot_log_mel(wave, n_mels=80):
 # sample count and the frame size and shift in ms
 @pytest.mark.parametrize("n_samples", [
     pytest.param(n, id=f"{n}-{sig.FRAME_SIZE_MS}-{sig.FRAME_SHIFT_MS}") for n in [
-        *[400 + (t - 1) * 160 for t in (1, 31, 32, 33, 64, 65)],
+        *[400 + (t - 1) * 160 for t in (1, 31, 32, 33, 62, 63, 64, 65)],
         64000,        # a 4-s file: 398 frames, 13 blocks
         64000 + 77,   # ragged tail
         9000,         # 54 frames and a 120-sample tail
@@ -116,6 +116,17 @@ def test_log_mel_blocks_bit_identical_to_one_shot_pass(n_samples):
     expected = one_shot_log_mel(wave)
     assert mel.data.dtype == np.float32 and mel.data.shape == expected.shape
     assert np.array_equal(mel.data, expected)
+
+
+def test_log_mel_block_temporaries_stay_under_the_mmap_threshold():
+    # glibc maps an allocation of 128 KiB or more to fresh pages
+    window, _ = sig.frame_geometry(16000)
+    n_fft = 1 << (window - 1).bit_length()
+    per_frame = {"padded FFT input": 8 * n_fft, "complex spectrum": 16 * (n_fft // 2 + 1)}
+    for what, n_bytes in per_frame.items():
+        assert sig.LOG_MEL_BLOCK_FRAMES * n_bytes < 128 * 1024, what
+    # the largest such block: one more frame puts the spectrum over it
+    assert (sig.LOG_MEL_BLOCK_FRAMES + 1) * per_frame["complex spectrum"] >= 128 * 1024
 
 
 def rand_mel(rng, t=40, m=80):

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -240,6 +241,36 @@ def test_final_window_means():
         ledger.append(tr.StepMetrics(step, float(step), 0, 0, 0, 0, 1))
     means = ledger.final_window_means(0.1)
     assert means["recon"] == pytest.approx(np.mean(range(91, 101)))
+
+
+def log_mel_like_corpus(lengths, seed=0, n_mels=80):
+    rng = np.random.default_rng(seed)
+    return [(MelSpectrogram(data=rng.normal(-5.0, 2.0, size=(t, n_mels))), i % 3)
+            for i, t in enumerate(lengths)]
+
+
+@pytest.mark.parametrize("lengths", [(98,) * 60, (98, 4, 37, 250, 12, 4, 61)],
+                         ids=["equal", "mixed"])
+def test_feature_stats_equal_the_concatenated_mean_and_std(lengths):
+    dataset = log_mel_like_corpus(lengths)
+    stacked = np.concatenate([mel.data for mel, _ in dataset], axis=0)
+    mean, std = tr.feature_stats(dataset)
+    assert mean.dtype == std.dtype == np.float32
+    assert np.array_equal(mean, stacked.mean(axis=0))
+    assert np.array_equal(std, stacked.std(axis=0))
+
+
+def test_feature_stats_peak_memory_does_not_grow_with_the_corpus():
+    utterance_bytes = 98 * 80 * 4
+    for n_utts in (10, 80):
+        dataset = log_mel_like_corpus((98,) * n_utts, seed=n_utts)
+        tracemalloc.start()
+        try:
+            tr.feature_stats(dataset)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * utterance_bytes, (n_utts, peak)
 
 
 def toy_corpus(n_speakers=2, utts=3, seed=0):
@@ -503,7 +534,7 @@ def test_sweep_runs_and_reports():
         return VcModel(toy_config(seed=6))
 
     result = tr.sweep_adversarial_weight(
-        [0.0, 1.0], factory, corpus, toy_train_cfg(steps=6), window=0.5
+        [0.0, 1.0], factory, corpus, toy_train_cfg(steps=6)
     )
     assert set(result.ledgers) == {"0", "1"}
     assert len(result.report.candidates) == 2
