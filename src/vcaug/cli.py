@@ -52,10 +52,6 @@ def _build_model(cfg, n_speakers: int) -> vm.VcModel:
     return model
 
 
-def _checkpoint_meta(cfg) -> dict:
-    return {"run_config": cfg.canonical_text(), "run_config_sha256": cfg.sha256()}
-
-
 def cmd_featurize(args) -> int:
     wav_dir = Path(args.wav_dir)
     out_dir = Path(args.out)
@@ -93,7 +89,8 @@ def cmd_train(args) -> int:
     model = _build_model(cfg, len(speaker_map))
     corpus = vd.load_corpus(cfg.resolve(cfg.data.corpus), speaker_map, n_mels=cfg.model.n_mels)
     result = tr.train(model, corpus, cfg.train_config(seed=args.seed), out_dir=args.out,
-                      checkpoint_meta=_checkpoint_meta(cfg))
+                      checkpoint_meta={"run_config": cfg.canonical_text(),
+                                       "run_config_sha256": cfg.sha256()})
     if result.ledger.records:
         means = result.ledger.final_window_means()
         print(
@@ -135,10 +132,18 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_select(args) -> int:
-    candidates = [tr.CandidateMetrics.from_ledger(Path(path).stem, tr.MetricsLedger.read(path),
-                                                  args.window)
-                  for path in args.ledgers]
-    report = tr.select_model(candidates, acc_max=args.acc_max, ppl_min=args.ppl_min)
+    labels = [Path(path).stem for path in args.ledgers]
+    candidates = []
+    for label, path in zip(labels, args.ledgers):
+        ledger = tr.MetricsLedger.read(path)
+        if not ledger.records:   # as `train` writes for steps = 0
+            raise vd.DataError(f"{path}: empty ledger")
+        candidates.append(tr.CandidateMetrics.from_ledger(label, ledger, args.window))
+    try:
+        report = tr.select_model(candidates, acc_max=args.acc_max, ppl_min=args.ppl_min)
+    except ValueError as e:   # a repeated label; nargs="+" rules out an empty list
+        shared = [path for path, label in zip(args.ledgers, labels) if labels.count(label) > 1]
+        raise ConfigError(f"{e}: {', '.join(shared)} share a file stem") from None
     print("\n".join(report.lines()))
     if args.out:
         Path(args.out).write_text("".join(line + "\n" for line in report.lines()), encoding="utf-8")
@@ -174,20 +179,10 @@ def cmd_augment(args) -> int:
 def cmd_gradcheck(args) -> int:
     cfg = load_config(args.config)
     seed = cfg.train.seed if args.seed is None else args.seed
-    model_cfg = cfg.model_config(n_speakers=4)
-    model = vm.VcModel(model_cfg, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    mel = rng.normal(size=(12, model_cfg.n_mels))
-    weights = cfg.train.weights
-
-    def loss_fn():
-        recon, qr, logits = model.forward_tensors(mel, 1, adv_weight=cfg.train.adversarial_weight)
-        recon_loss = tr.huber(mel, recon, delta=weights.delta)
-        adv_loss = ad.cross_entropy(logits, 1)
-        return tr.total_loss(recon_loss, qr.codebook_loss, qr.commit_loss, adv_loss, weights)
-
+    model = vm.VcModel(cfg.model_config(n_speakers=4), dtype=np.float64)
+    mel = np.random.default_rng(seed).normal(size=(12, model.config.n_mels))
     report = ad.check_gradients(
-        loss_fn, model.params,
+        lambda: tr.objective(model, mel, 1, cfg.train)[0], model.params,
         sample_per_param=args.samples or None, rng=np.random.default_rng(seed),
     )
     worst = max(report.per_param, key=report.per_param.get)
@@ -276,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convert", help="convert one feature file to a target speaker")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--melf", required=True)
-    p.add_argument("--speaker-id", type=int, required=True)
+    p.add_argument("--speaker-id", type=_non_negative_int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_convert)
 

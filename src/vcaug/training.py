@@ -1,10 +1,11 @@
 """Composite objective, Adam loop, metrics ledger, sweep, and model selection.
 
-The total objective is reconstruction (Huber) plus codebook, commitment,
-and adversarial cross-entropy terms.  Each term has at most one knob: the
-codebook term `gamma`, the commitment term the model's commitment weight.
-The adversarial term enters unscaled; its strength is the gradient-reversal
-scale `adversarial_weight`, the one factor by which it reaches the encoder.
+The total objective, made in one place (`objective`), is reconstruction
+(Huber) plus codebook, commitment, and adversarial cross-entropy terms.
+Each term has at most one knob: the codebook term `gamma`, the commitment
+term the model's commitment weight.  The adversarial term enters unscaled;
+its strength is the gradient-reversal scale `adversarial_weight`, the one
+factor by which it reaches the encoder.
 The classifier always trains at full strength, so its accuracy stays a
 usable leakage probe even when the reversal scale is zero.
 
@@ -228,6 +229,17 @@ class TrainConfig:
             raise ValueError("adversarial_weight must be finite, got inf")
 
 
+def objective(model: VcModel, values: np.ndarray, speakers, cfg: TrainConfig, lengths=None):
+    """`(loss, recon_loss, adv_loss, recon, qr, logits)` of one utterance or a padded batch
+    (as `forward_tensors` takes them), the features being input and target; `qr`, the
+    quantizer's result, holds the codebook and commitment terms."""
+    recon, qr, logits = model.forward_tensors(values, speakers, cfg.adversarial_weight, lengths)
+    recon_loss = huber(values.astype(model.dtype, copy=False), recon, cfg.weights.delta, lengths)
+    adv_loss = ad.cross_entropy(logits, speakers)
+    loss = total_loss(recon_loss, qr.codebook_loss, qr.commit_loss, adv_loss, cfg.weights)
+    return loss, recon_loss, adv_loss, recon, qr, logits
+
+
 @dataclass
 class TrainResult:
     ledger: MetricsLedger
@@ -267,8 +279,8 @@ def train(model: VcModel, dataset: Dataset, cfg: TrainConfig,
     `cfg.checkpoint_every` steps and at the end, with `checkpoint_meta` in
     each, then the ledger as `metrics.ledger`; without one it writes nothing.
 
-    The same features serve as input and reconstruction target.  At step 0
-    the feature statistics and the codebook are initialized from the data.
+    Each step minimizes `objective` on a padded batch of seeded draws.  At
+    step 0 the feature statistics and the codebook are set from the data.
     A non-finite loss or gradient halts training before the update, after
     writing the parameters of the last completed step.
 
@@ -310,15 +322,12 @@ def train(model: VcModel, dataset: Dataset, cfg: TrainConfig,
         values, lengths = pad_batch([mel.data for mel, _ in picks])
         speakers = np.array([speaker for _, speaker in picks])
 
+        # `recon` is unread but held until the next step: freed inside backward,
+        # it let glibc trim the heap top every step, to be faulted in again (on
+        # 2 vCPUs, vcbench train_desk faulted 2.2x as often and ran 11% slower)
         with ad.Tape() as tape:
-            recon, qr, logits = model.forward_tensors(
-                values, speakers, adv_weight=cfg.adversarial_weight, lengths=lengths
-            )
-            recon_loss = huber(values.astype(model.dtype, copy=False), recon,
-                               delta=cfg.weights.delta, lengths=lengths)
-            adv_loss = ad.cross_entropy(logits, speakers)
-            loss = total_loss(recon_loss, qr.codebook_loss, qr.commit_loss, adv_loss,
-                              cfg.weights)
+            loss, recon_loss, adv_loss, recon, qr, logits = objective(
+                model, values, speakers, cfg, lengths)
         # one array kept for the whole call and refilled with zeros: a fresh
         # one per step would map its pages anew, each one faulted twice,
         # since backward's first touch of a slot is a `+=`.  A frozen
@@ -415,11 +424,12 @@ def select_model(candidates: Sequence[CandidateMetrics],
     """
     if not candidates:
         raise ValueError("no candidates to select from")
-    criteria = {
-        c.label: {"acc_ok": c.speaker_acc <= acc_max, "ppl_ok": c.perplexity >= ppl_min}
-        for c in candidates
-    }
-    survivors = [c for c in candidates if criteria[c.label]["acc_ok"] and criteria[c.label]["ppl_ok"]]
+    criteria = {}
+    for c in candidates:
+        if c.label in criteria:   # its flags would overwrite the first's
+            raise ValueError(f"candidates repeat the label {c.label!r}")
+        criteria[c.label] = dict(acc_ok=c.speaker_acc <= acc_max, ppl_ok=c.perplexity >= ppl_min)
+    survivors = [c for c in candidates if all(criteria[c.label].values())]
     fallback = not survivors
     if survivors:
         ranked = sorted(survivors, key=lambda c: (c.recon, c.label))
@@ -457,15 +467,13 @@ def sweep_adversarial_weight(
     """
     ledgers: dict[str, MetricsLedger] = {}
     candidates: list[CandidateMetrics] = []
-    n_entries = None
     for label, run_cfg in sweep_configs(weights, cfg).items():
         model = model_factory()
-        n_entries = model.config.vq_entries
         result = train(model, dataset, run_cfg)
         ledgers[label] = result.ledger
         candidates.append(CandidateMetrics.from_ledger(label, result.ledger, FINAL_WINDOW))
     if ppl_min is None:
-        ppl_min = n_entries / 2
+        ppl_min = model.config.vq_entries / 2
     report = select_model(candidates, acc_max=acc_max, ppl_min=ppl_min)
     return SweepResult(ledgers=ledgers, report=report)
 
@@ -480,12 +488,8 @@ def sweep_configs(weights: Sequence[float], cfg: TrainConfig) -> dict[str, Train
         raise ValueError("sweep needs at least two weights")
     configs: dict[str, TrainConfig] = {}
     for w in weights:
-        label = format_weight(w)
+        label = f"{w:g}"
         if label in configs:
             raise ValueError(f"weight {w!r} repeats the label {label!r}")
         configs[label] = replace(cfg, adversarial_weight=w)
     return configs
-
-
-def format_weight(w: float) -> str:
-    return f"{w:g}"

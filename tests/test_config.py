@@ -71,6 +71,7 @@ def test_gradcheck_rejects_negative_samples_by_name(capsys):
     *[("gradcheck", "--tolerance", v) for v in ("nan", "inf", "0", "-1e-4")],
     *[("featurize", "--n-mels", v) for v in ("0", "-3")],
     *[(command, "--seed", "-1") for command in ("train", "sweep", "augment", "gradcheck")],
+    ("convert", "--speaker-id", "-1"),
 ])
 def test_numeric_options_reject_bad_values_by_name(tmp_path, capsys, command, flag, value):
     # a usage error (1), raised before any file is read or written
@@ -82,6 +83,8 @@ def test_numeric_options_reject_bad_values_by_name(tmp_path, capsys, command, fl
                     str(tmp_path / "model.vcck"), "--out", str(tmp_path / "out")],
         "gradcheck": ["--config", str(CONFIGS / "toy.cfg")],
         "featurize": ["--wav-dir", str(tmp_path), "--out", str(tmp_path / "out")],
+        "convert": ["--checkpoint", str(tmp_path / "model.vcck"), "--melf",
+                    str(tmp_path / "a.melf"), "--out", str(tmp_path / "out")],
     }[command]
     assert cli.main([command, *required, f"{flag}={value}"]) == cli.EXIT_CONFIG
     assert f"argument {flag}: must be " in capsys.readouterr().err

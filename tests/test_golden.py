@@ -13,7 +13,9 @@ change that claimed to keep the numbers, and must still match after it:
 - the canonical-text hash of each shipped config;
 - `model.buffer` bytes of a freshly built desk and toy model, which pin
   every initial draw (step 0 reseeds the codebook from data, so the
-  trained digests do not see the codebook's own draw).
+  trained digests do not see the codebook's own draw);
+- the line `vcaug gradcheck --config configs/toy.cfg` prints, which pins
+  the float64 objective and its tape gradients.
 
 Pinned with numpy 2.4.6 and OpenBLAS 0.3.31 (scipy-openblas, DYNAMIC_ARCH,
 Haswell kernels), on x86-64.  Float32 GEMM results can differ on another
@@ -25,7 +27,9 @@ below; paste the output here in the commit that changes the numbers,
 saying why in CHANGES.md.
 """
 
+import contextlib
 import hashlib
+import io
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -33,6 +37,7 @@ from pathlib import Path
 import pytest
 
 from vcaug import augment as aug
+from vcaug import cli
 from vcaug import data as vd
 from vcaug import training as tr
 from vcaug.config import load_config, parse_config_text
@@ -61,6 +66,7 @@ GOLDEN_FRESH = {
     "desk": "8ccbec2b0c40d4c63ba289601306302420b6820c4f48204980e9a09f970f62db",
     "toy": "73bfcbe46ca3998fca4111df78525e5f862f5748ca786bdcd9e85c24e46c8569",
 }
+GOLDEN_GRADCHECK = "gradcheck: max relative error 2.108e-07 (dec.lstm1.bwd.wh)"
 
 
 def desk_run(frozen: bool) -> tuple[VcModel, tr.TrainResult]:
@@ -122,6 +128,14 @@ def fresh_digest(name: str) -> str:
     return hashlib.sha256(VcModel(cfg.model_config(n_speakers=4)).buffer.tobytes()).hexdigest()
 
 
+def gradcheck_line() -> str:
+    """What `vcaug gradcheck` prints for the toy config, which must pass."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["gradcheck", "--config", str(DESK.parent / "toy.cfg")]) == cli.EXIT_OK
+    return out.getvalue().strip()
+
+
 @pytest.mark.parametrize("frozen", [False, True], ids=["trainable", "frozen"])
 def test_desk_training_matches_pinned_digest(frozen):
     assert desk_digest(*desk_run(frozen)) == GOLDEN_DESK[frozen]
@@ -147,6 +161,10 @@ def test_fresh_model_buffer_matches_pinned_digest(name):
     assert fresh_digest(name) == GOLDEN_FRESH[name]
 
 
+def test_toy_gradcheck_prints_pinned_line():
+    assert gradcheck_line() == GOLDEN_GRADCHECK
+
+
 def current_pins(tmp_path: Path) -> dict:
     """Every pin above, under its name, as the code computes it now."""
     return {
@@ -155,6 +173,7 @@ def current_pins(tmp_path: Path) -> dict:
         "GOLDEN_EMIT": emit_digest(tmp_path),
         "GOLDEN_CONFIG": {name: config_digest(name) for name in GOLDEN_CONFIG},
         "GOLDEN_FRESH": {name: fresh_digest(name) for name in GOLDEN_FRESH},
+        "GOLDEN_GRADCHECK": gradcheck_line(),
     }
 
 

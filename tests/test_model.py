@@ -143,16 +143,17 @@ def test_desk_batch_records_few_tape_nodes():
 
 
 def test_desk_batch_loss_stage_records_few_tape_nodes():
-    # huber is one op plus its mean, cross_entropy one op, total_loss four
+    # the objective's loss stage, past the forward pass: huber is one op plus
+    # its mean, cross_entropy one op, total_loss four
     model = vm.VcModel(vm.ModelConfig())
     mels = np.random.default_rng(3).normal(size=(4, 98, 80)).astype(np.float32)
     speakers = np.arange(4)
     lengths = [98] * 4
-    recon, qr, logits = model.forward_tensors(mels, speakers, lengths=lengths)
-    with Tape() as loss:
-        tr.total_loss(tr.huber(mels, recon, lengths=lengths), qr.codebook_loss, qr.commit_loss,
-                      ad.cross_entropy(logits, speakers), tr.LossWeights())
-    assert len(loss) <= 7, len(loss)
+    with Tape() as forward:
+        model.forward_tensors(mels, speakers, lengths=lengths)
+    with Tape() as full:
+        tr.objective(model, mels, speakers, tr.TrainConfig(), lengths)
+    assert len(full) - len(forward) <= 7, (len(full), len(forward))
 
 
 def _decode_by_concatenation(model, z, ids, target_len, lengths=None):
@@ -247,19 +248,10 @@ def test_forward_speaker_changes_recon_not_indices():
     assert not np.array_equal(out_a.values, out_b.values)
 
 
-def toy_loss_fn(model, mel, speaker=1, lengths=None, adv_weight=0.1):
-    """The training objective over `forward_tensors`: one utterance, or a
-    padded batch with per-row `lengths` and speakers."""
-
-    def loss_fn():
-        recon, qr, logits = model.forward_tensors(mel, speaker, adv_weight=adv_weight,
-                                                  lengths=lengths)
-        recon_loss = tr.huber(mel.astype(model.dtype), recon, delta=1.0, lengths=lengths)
-        adv_loss = ad.cross_entropy(logits, speaker)
-        return tr.total_loss(recon_loss, qr.codebook_loss, qr.commit_loss, adv_loss,
-                             tr.LossWeights())
-
-    return loss_fn
+def toy_loss_fn(model, mel, speaker=1, lengths=None):
+    """The training objective at the default `TrainConfig`: one utterance, or
+    a padded batch with per-row `lengths` and speakers."""
+    return lambda: tr.objective(model, mel, speaker, tr.TrainConfig(), lengths)[0]
 
 
 def test_end_to_end_gradcheck_toy_config():
@@ -322,14 +314,8 @@ BATCH_SPEAKERS = np.array([0, 2, 1, 2])
 
 
 def batch_loss(model, values, speakers, lengths=None):
-    from vcaug import training as tr
-
-    recon, qr, logits = model.forward_tensors(values, speakers, adv_weight=0.3, lengths=lengths)
-    return tr.total_loss(
-        tr.huber(Tensor(values), recon, delta=1.0, lengths=lengths),
-        qr.codebook_loss, qr.commit_loss, ad.cross_entropy(logits, speakers),
-        tr.LossWeights(gamma=0.7),
-    )
+    cfg = tr.TrainConfig(adversarial_weight=0.3, weights=tr.LossWeights(gamma=0.7))
+    return tr.objective(model, values, speakers, cfg, lengths)[0]
 
 
 def loss_and_grads(model, values, speakers, lengths=None):
@@ -722,6 +708,18 @@ def _load_or_checkpoint_error(path, toy):
                      "--speaker-id", "1", "--out", str(out)]) == (
         cli.EXIT_OK if loaded is not None else cli.EXIT_DATA)
     return loaded
+
+
+def test_cli_convert_speaker_id_past_the_checkpoints_speakers_is_a_data_error(
+        tmp_path, capsys, toy_checkpoint):
+    # only the checkpoint knows how many speakers it has, so this check follows the load
+    out = tmp_path / "out.melf"
+    argv = ["convert", "--checkpoint", str(toy_checkpoint.melf.parent / "toy.vcck"),
+            "--melf", str(toy_checkpoint.melf), "--out", str(out)]
+    assert cli.main(argv + ["--speaker-id", "3"]) == cli.EXIT_DATA
+    assert "speaker id 3 out of range [0, 3)" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main(argv + ["--speaker-id", "2"]) == cli.EXIT_OK
 
 
 def test_checkpoint_truncated_in_header_or_metadata_raises_checkpoint_error(tmp_path,

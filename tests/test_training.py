@@ -12,7 +12,7 @@ from vcaug import cli
 from vcaug import data as vd
 from vcaug import training as tr
 from vcaug.autodiff import Tensor
-from vcaug.model import VcModel, load_checkpoint
+from vcaug.model import VcModel, load_checkpoint, pad_batch
 from vcaug.signal import MelSpectrogram
 
 from conftest import damage, toy_config
@@ -398,6 +398,22 @@ def test_batched_train_bit_reproducible():
     assert run() == run()
 
 
+def test_ledger_row_holds_the_objective_of_the_picked_batch():
+    # past step 0 set-up draws nothing, so the generator's first draws are the picks
+    cfg = toy_train_cfg(steps=1, batch_size=3, seed=4)
+    dataset = varied_corpus()
+    model = VcModel(toy_config(seed=2))
+    model.step = 1
+    rng = np.random.default_rng(cfg.seed)
+    picks = [dataset[int(rng.integers(len(dataset)))] for _ in range(cfg.batch_size)]
+    values, lengths = pad_batch([mel.data for mel, _ in picks])
+    _, recon_loss, adv_loss, _, qr, _ = tr.objective(
+        model, values, np.array([speaker for _, speaker in picks]), cfg, lengths)
+    (row,) = tr.train(model, dataset, cfg).ledger.records
+    assert (row.step, row.recon, row.codebook, row.commit, row.adv) == (
+        2, recon_loss.item(), qr.codebook_loss.item(), qr.commit_loss.item(), adv_loss.item())
+
+
 class PoisonedAfter(list):
     """Training picks past the first `clean` come back as a mel of 3e38s."""
 
@@ -474,6 +490,33 @@ def test_select_model_fallback():
 def test_select_model_empty_rejected():
     with pytest.raises(ValueError):
         tr.select_model([])
+
+
+def test_select_model_rejects_a_repeated_label():
+    rows = [tr.CandidateMetrics("x", 0.1, 100.0, 0.1), tr.CandidateMetrics("x", 0.3, 2.0, 0.5)]
+    with pytest.raises(ValueError, match="repeat the label 'x'"):
+        tr.select_model(rows)
+
+
+def test_cli_select_ledgers_sharing_a_file_stem_is_a_usage_error(tmp_path, capsys):
+    paths = [tmp_path / "a" / "x.ledger", tmp_path / "b" / "x.ledger"]
+    for path, row in zip(paths, ("1\t0.1\t1\t1\t1\t0.1\t100\n", "1\t0.3\t1\t1\t1\t0.5\t2\n")):
+        path.parent.mkdir()
+        path.write_text(row, encoding="utf-8")
+    out = tmp_path / "selection.txt"
+    assert cli.main(["select", *map(str, paths), "--out", str(out)]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "repeat the label 'x'" in captured.err
+    assert all(str(path) in captured.err for path in paths)
+    assert captured.out == "" and not out.exists()
+
+
+def test_cli_select_on_an_empty_ledger_names_it(tmp_path, capsys):
+    tr.train(VcModel(toy_config()), toy_corpus(), toy_train_cfg(steps=0), out_dir=tmp_path)
+    ledger = tmp_path / "metrics.ledger"
+    assert ledger.read_bytes() == b""
+    assert cli.main(["select", str(ledger)]) == cli.EXIT_DATA
+    assert f"data error: {ledger}: empty ledger" in capsys.readouterr().err
 
 
 def test_sweep_requires_two_weights():
